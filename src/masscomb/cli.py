@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 
 from . import eknn as eknn_mod
 from . import io as mio
 from .core import FrameOfDiscernment, MassFunction, transform
 from .errors import ComplexityGuardError, MassCombError, ParameterError, TotalConflictError
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, median_timing, run_experiment
 from .genrand import GEN_KINDS, GenSpec, generate
 from .rules import GLOBAL_RULE_NAMES, RULE_NAMES, RuleConfig, combine
 
@@ -42,8 +40,6 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--global-rule", choices=GLOBAL_RULE_NAMES, default="conjunctive",
                    help="rule for the final stage of lns/lnsa")
     p.add_argument("--enumeration-guard", type=int, default=10_000_000)
-    p.add_argument("--deterministic", action="store_true",
-                   help="sequential accumulation for bit-reproducible output")
 
 
 def _rule_config(args: argparse.Namespace) -> RuleConfig:
@@ -53,7 +49,6 @@ def _rule_config(args: argparse.Namespace) -> RuleConfig:
         global_rule=args.global_rule,
         lam=args.lambda_,
         enumeration_guard=args.enumeration_guard,
-        deterministic=args.deterministic,
     )
 
 
@@ -111,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--seed", type=int)
     p.add_argument("--eta", type=float)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--deterministic-w", type=float, help="constant simple-support weight (conflict-sweep)")
     p.add_argument("--t", type=int, help="restrict the conflict-sweep to one majority ratio")
     p.add_argument("--rule", action="append", help="restrict to these rules (repeatable)")
@@ -310,8 +304,6 @@ def _cmd_experiment(args) -> int:
         params["seed"] = args.seed
     if args.eta is not None and args.name in ("table1", "conflict-sweep"):
         params["eta"] = args.eta
-    if args.deterministic:
-        params["deterministic"] = True
     if args.deterministic_w is not None:
         params["deterministic_w"] = args.deterministic_w
     if args.t is not None:
@@ -344,17 +336,7 @@ def _cmd_bench(args) -> int:
     frame = FrameOfDiscernment.numbered(args.frame)
     spec = GenSpec(frame, kind=args.kind, num_focals=args.num_focals, seed=args.seed)
     inputs = generate(spec, args.sources)
-    cfg = _rule_config(args)
-    combine(inputs, cfg)  # warm-up, discarded
-    samples = []
-    step_samples: dict[str, list[float]] = {}
-    for _ in range(args.repeats):
-        t0 = time.perf_counter()
-        res = combine(inputs, cfg)
-        samples.append(time.perf_counter() - t0)
-        if res.step_seconds:
-            for key, val in res.step_seconds.items():
-                step_samples.setdefault(key, []).append(val)
+    seconds, step_seconds = median_timing(inputs, _rule_config(args), args.repeats)
     record = {
         "rule": args.rule,
         "sources": args.sources,
@@ -362,8 +344,8 @@ def _cmd_bench(args) -> int:
         "kind": args.kind,
         "seed": args.seed,
         "repeats": args.repeats,
-        "seconds": statistics.median(samples),
-        "step_seconds": {k: statistics.median(v) for k, v in step_samples.items()},
+        "seconds": seconds,
+        "step_seconds": step_seconds,
     }
     _emit_json(args, record)
     return EXIT_OK

@@ -109,7 +109,6 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
 
 def _run_table1(params: dict) -> ExperimentReport:
     eta = float(params.pop("eta", 1.0))
-    deterministic = bool(params.pop("deterministic", False))
     rule_names = tuple(
         params.pop(
             "rules",
@@ -122,8 +121,7 @@ def _run_table1(params: dict) -> ExperimentReport:
     columns = []
     status = {}
     for rule in rule_names:
-        cfg = RuleConfig(rule=rule, eta=eta, deterministic=deterministic)
-        res = combine(inputs, cfg)
+        res = combine(inputs, RuleConfig(rule=rule, eta=eta))
         columns.append(res.mass.values)
         status[rule] = "ok"
     values = [
@@ -131,7 +129,7 @@ def _run_table1(params: dict) -> ExperimentReport:
     ]
     report = ExperimentReport(
         name="table1",
-        parameters={"eta": eta, "deterministic": deterministic, "rules": list(rule_names)},
+        parameters={"eta": eta, "rules": list(rule_names)},
     )
     report.tables["fused"] = {
         "row_labels": [frame.format_subset(a) for a in range(frame.powerset_size)],
@@ -152,7 +150,6 @@ def _run_eta_sweep(params: dict) -> ExperimentReport:
     counts = tuple(params.pop("counts", (60, 50, 50)))
     eta_max = float(params.pop("eta_max", 6.0))
     eta_points = int(params.pop("eta_points", 31))
-    deterministic = bool(params.pop("deterministic", False))
     _reject_unknown(params)
 
     frame = FrameOfDiscernment.numbered(3)
@@ -166,9 +163,7 @@ def _run_eta_sweep(params: dict) -> ExperimentReport:
     masses = np.empty((len(etas), frame.powerset_size))
     betps = np.empty((len(etas), frame.n))
     for i, eta in enumerate(etas):
-        res = rules.combine_lns(
-            inputs, RuleConfig(rule="lns", eta=float(eta), deterministic=deterministic)
-        )
+        res = rules.combine_lns(inputs, RuleConfig(rule="lns", eta=float(eta)))
         masses[i] = res.mass.values
         betps[i] = pignistic(res.mass).values
 
@@ -179,7 +174,6 @@ def _run_eta_sweep(params: dict) -> ExperimentReport:
             "counts": list(counts),
             "eta_max": eta_max,
             "eta_points": eta_points,
-            "deterministic": deterministic,
         },
         notes={
             "focal_elements": [frame.format_subset(a) for a in focals],
@@ -278,6 +272,26 @@ def _run_conflict_sweep(params: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def median_timing(
+    inputs: list[MassFunction], cfg: RuleConfig, repeats: int
+) -> tuple[float, dict[str, float]]:
+    """Median wall-clock seconds of ``repeats`` calls to :func:`combine` after
+    one discarded warm-up, plus the median of each stage the result reports
+    in ``step_seconds`` (empty for rules that report none)."""
+    if repeats < 1:
+        raise ParameterError(f"repeats must be at least 1, got {repeats}")
+    combine(inputs, cfg)  # warm-up, discarded
+    samples = []
+    step_samples: dict[str, list[float]] = {}
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        res = combine(inputs, cfg)
+        samples.append(time.perf_counter() - t0)
+        for key, val in (res.step_seconds or {}).items():
+            step_samples.setdefault(key, []).append(val)
+    return statistics.median(samples), {k: statistics.median(v) for k, v in step_samples.items()}
+
+
 def _run_timing(params: dict) -> ExperimentReport:
     seed = int(params.pop("seed", 42))
     sources_grid = tuple(params.pop("sources_grid", (10_000, 100_000)))
@@ -312,22 +326,11 @@ def _run_timing(params: dict) -> ExperimentReport:
         spec = GenSpec(frame, kind=kind, num_focals=num_focals, seed=_spawn_seed(seed, si))
         inputs = generate(spec, int(S))
         for rule in rule_names:
-            cfg = RuleConfig(rule=rule)
-            fn = rules._COMBINERS[rule]
-            fn(inputs, cfg)  # warm-up, discarded
-            samples = []
-            step_samples: dict[str, list[float]] = {}
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                res = fn(inputs, cfg)
-                samples.append(time.perf_counter() - t0)
-                if res.step_seconds:
-                    for key, val in res.step_seconds.items():
-                        step_samples.setdefault(key, []).append(val)
-            times[rule].append(statistics.median(samples))
+            seconds, step_seconds = median_timing(inputs, RuleConfig(rule=rule), repeats)
+            times[rule].append(seconds)
             if rule == "lns":
-                for key, vals in step_samples.items():
-                    steps.setdefault(key, []).append(statistics.median(vals))
+                for key, val in step_seconds.items():
+                    steps.setdefault(key, []).append(val)
     xs = list(sources_grid)
     for rule in rule_names:
         report.series[f"time/{rule}"] = _series(xs, times[rule])

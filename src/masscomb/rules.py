@@ -26,8 +26,6 @@ from .core import (
     MassFunction,
     SimpleSupport,
     WeightVector,
-    as_simple_support,
-    canonical_decompose,
     recompose,
 )
 from .errors import (
@@ -76,9 +74,9 @@ class RuleConfig:
     stage of ``lns``/``lnsa``.  ``lam`` shapes the conflict-based
     reliability estimator.  ``enumeration_guard`` caps the number of focal
     tuples the Dubois-Prade and PCR6 enumerations may visit.
-    ``deterministic`` forces sequential left-fold accumulation so golden
-    tests reproduce bit for bit.  ``vacuous_in_denominator`` counts fully
-    ignorant sources when normalising group shares (off by default).
+    ``vacuous_in_denominator`` counts fully ignorant sources when
+    normalising group shares (off by default).  ``eta`` and ``lam`` must
+    be finite.
     """
 
     rule: str = "conjunctive"
@@ -86,7 +84,6 @@ class RuleConfig:
     global_rule: str = "conjunctive"
     lam: float = 1.0
     enumeration_guard: int = 10_000_000
-    deterministic: bool = False
     vacuous_in_denominator: bool = False
 
     def __post_init__(self):
@@ -96,10 +93,10 @@ class RuleConfig:
             raise ParameterError(
                 f"unknown global rule {self.global_rule!r}; choose one of {GLOBAL_RULE_NAMES}"
             )
-        if not self.eta >= 0.0:
-            raise ParameterError(f"eta must be non-negative, got {self.eta!r}")
-        if not self.lam > 0.0:
-            raise ParameterError(f"lambda must be positive, got {self.lam!r}")
+        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
+            raise ParameterError(f"eta must be finite and non-negative, got {self.eta!r}")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ParameterError(f"lambda must be finite and positive, got {self.lam!r}")
         if self.enumeration_guard < 1:
             raise ParameterError("enumeration guard must be at least 1")
 
@@ -155,20 +152,9 @@ def _chunks(items: Sequence, size: int | None = None):
 
 
 def _pooled_product(
-    ms: Sequence[MassFunction],
-    n: int,
-    zeta: Callable[[np.ndarray, int], None],
-    deterministic: bool,
+    ms: Sequence[MassFunction], n: int, zeta: Callable[[np.ndarray, int], None]
 ) -> np.ndarray:
-    """Elementwise product of a transform of every input, folded or chunked."""
-    if deterministic:
-        acc = ms[0].values.copy()
-        zeta(acc, n)
-        for m in ms[1:]:
-            v = m.values.copy()
-            zeta(v, n)
-            acc *= v
-        return acc
+    """Elementwise product of a transform of every input, chunk by chunk."""
     acc = np.ones(1 << n)
     for block in _chunks(ms):
         v = np.stack([m.values for m in block])
@@ -188,9 +174,8 @@ def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
     Associative and commutative; conflict accumulates on the empty set.
     Assumes every source is reliable.
     """
-    cfg = cfg or RuleConfig()
     frame = _common_frame(ms)
-    arr = _pooled_product(ms, frame.n, core._zeta_superset, cfg.deterministic)
+    arr = _pooled_product(ms, frame.n, core._zeta_superset)
     core._moebius_superset(arr, frame.n)
     mass = MassFunction(frame, arr)
     return FusionResult(mass=mass, conflict=mass.conflict)
@@ -201,9 +186,8 @@ def combine_disjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
 
     Assumes at least one source is reliable; ignorance absorbs.
     """
-    cfg = cfg or RuleConfig()
     frame = _common_frame(ms)
-    arr = _pooled_product(ms, frame.n, core._zeta_subset, cfg.deterministic)
+    arr = _pooled_product(ms, frame.n, core._zeta_subset)
     core._moebius_subset(arr, frame.n)
     mass = MassFunction(frame, arr)
     return FusionResult(mass=mass, conflict=mass.conflict)
@@ -213,7 +197,9 @@ def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     """Conjunctive pooling followed by conflict renormalisation.
 
     Raises :class:`TotalConflictError` once the conflict is within machine
-    precision of 1, rather than normalising noise.
+    precision of 1, rather than normalising noise.  Divides by the sum of
+    the non-empty masses, not by ``1 - conflict``, which is mostly
+    rounding error once the conflict nears 1.
     """
     conj = combine_conjunctive(ms, cfg)
     kappa = conj.conflict
@@ -223,7 +209,7 @@ def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
         )
     arr = conj.mass.values.copy()
     arr[0] = 0.0
-    arr /= 1.0 - kappa
+    arr /= arr.sum()
     mass = MassFunction(conj.mass.frame, arr)
     return FusionResult(mass=mass, conflict=0.0)
 
@@ -363,54 +349,21 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _component_accumulators(
-    ms: Sequence[MassFunction], frame: FrameOfDiscernment, cfg: RuleConfig, need_products: bool
-):
+def _component_accumulators(ms: Sequence[MassFunction], frame: FrameOfDiscernment, need_products: bool):
     """Break every input into simple-support components and pool them per subset.
 
     Returns ``(counts, pooled, vacuous, seconds)`` where ``counts[A]`` is
     the number of components focused on subset ``A``, ``pooled[A]`` their
-    weight product (ones where absent, None when not requested),
-    ``vacuous`` the number of fully ignorant inputs, and ``seconds`` the
-    time split between the decomposition and pooling stages.
+    weight product (ones where absent, exactly 0 where a component has
+    weight 0, None when not requested), ``vacuous`` the number of fully
+    ignorant inputs, and ``seconds`` the time split between the
+    decomposition and pooling stages.
     """
     size = frame.powerset_size
     full = frame.full_set
     counts = np.zeros(size, dtype=np.int64)
     vacuous = 0
     seconds = {"decompose": 0.0, "inner_combine": 0.0}
-
-    if cfg.deterministic:
-        pooled = np.ones(size)
-        for m in ms:
-            t0 = time.perf_counter()
-            ssf = as_simple_support(m)
-            if ssf is not None:
-                comps = [] if ssf.is_vacuous else [(ssf.focal, ssf.weight)]
-                is_vac = ssf.is_vacuous
-            else:
-                wv = canonical_decompose(m)
-                _check_groupable(wv.weights[None, :], frame)
-                comps = [
-                    (int(a), float(wv.weights[a]))
-                    for a in np.flatnonzero(wv.weights < 1.0 - _VACUOUS_WEIGHT_TOL)
-                ]
-                is_vac = False
-            seconds["decompose"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if is_vac:
-                vacuous += 1
-            for focal, weight in comps:
-                if focal == 0:
-                    raise ParameterError(
-                        "a component focused on the empty set cannot be grouped"
-                    )
-                counts[focal] += 1
-                if need_products:
-                    pooled[focal] *= weight
-            seconds["inner_combine"] += time.perf_counter() - t0
-        return counts, (pooled if need_products else None), vacuous, seconds
-
     logw = np.zeros(size)
     for block in _chunks(ms):
         t0 = time.perf_counter()
@@ -442,20 +395,16 @@ def _component_accumulators(
 
         t0 = time.perf_counter()
         vacuous += int(vac_rows.sum())
-        if focal_idx is not None:
-            counts += np.bincount(focal_idx, minlength=size)
-            if need_products:
-                logw += np.bincount(
-                    focal_idx,
-                    weights=np.log(np.maximum(weight_arr, core._LOG_FLOOR)),
-                    minlength=size,
-                )
-        if comp_mask is not None:
-            counts += comp_mask.sum(axis=0)
-            if need_products:
-                logw += np.where(
-                    comp_mask, np.log(np.maximum(wmat, core._LOG_FLOOR)), 0.0
-                ).sum(axis=0)
+        # a weight of 0 logs to -inf, so its group's product comes out exactly 0
+        with np.errstate(divide="ignore"):
+            if focal_idx is not None:
+                counts += np.bincount(focal_idx, minlength=size)
+                if need_products:
+                    logw += np.bincount(focal_idx, weights=np.log(weight_arr), minlength=size)
+            if comp_mask is not None:
+                counts += comp_mask.sum(axis=0)
+                if need_products:
+                    logw += np.where(comp_mask, np.log(wmat), 0.0).sum(axis=0)
         seconds["inner_combine"] += time.perf_counter() - t0
 
     pooled = None
@@ -501,36 +450,24 @@ def _group_shares(
     return shares
 
 
-def lns_group(
-    ssfs: Sequence[SimpleSupport], cfg: RuleConfig | None = None
+def _group_summaries(
+    counts: np.ndarray,
+    pooled: np.ndarray | None,
+    shares: np.ndarray,
+    vacuous: int,
+    frame: FrameOfDiscernment,
 ) -> list[GroupSummary]:
-    """Cluster simple supports by focal element and score each group.
+    """One summary per group; fully ignorant inputs form the whole-frame group.
 
-    Every group reports its size, the product of its weights, and its
-    reliability share.  Fully ignorant inputs form the whole-frame group,
-    whose share is always zero.
+    ``pooled`` is None under the approximate rule, whose inner weights are NaN.
     """
-    cfg = cfg or RuleConfig(rule="lns")
-    if not ssfs:
-        raise ParameterError("need at least one simple support to group")
-    frame = ssfs[0].frame
-    if any(s.frame != frame for s in ssfs):
-        raise EncodingError("all simple supports must share one frame")
-    size = frame.powerset_size
-    counts = np.zeros(size, dtype=np.int64)
-    pooled = np.ones(size)
-    vacuous = 0
-    for s in ssfs:
-        if s.is_vacuous:
-            vacuous += 1
-            continue
-        if s.focal == 0:
-            raise ParameterError("a component focused on the empty set cannot be grouped")
-        counts[s.focal] += 1
-        pooled[s.focal] *= s.weight
-    shares = _group_shares(counts, vacuous, frame, cfg)
     summaries = [
-        GroupSummary(int(a), int(counts[a]), float(pooled[a]), float(shares[a]))
+        GroupSummary(
+            int(a),
+            int(counts[a]),
+            math.nan if pooled is None else float(pooled[a]),
+            float(shares[a]),
+        )
         for a in np.flatnonzero(counts)
     ]
     if vacuous:
@@ -538,11 +475,28 @@ def lns_group(
     return summaries
 
 
+def lns_group(
+    ssfs: Sequence[SimpleSupport], cfg: RuleConfig | None = None
+) -> list[GroupSummary]:
+    """Cluster simple supports by focal element and score each group.
+
+    Every group reports its size, the product of its weights, and its
+    reliability share.  Fully ignorant inputs form the whole-frame group,
+    whose share is always zero.  Equals the ``groups`` of
+    :func:`combine_lns` on the same supports.
+    """
+    cfg = cfg or RuleConfig(rule="lns")
+    ms = [s.to_mass() for s in ssfs]
+    frame = _common_frame(ms)
+    counts, pooled, vacuous, _ = _component_accumulators(ms, frame, need_products=True)
+    shares = _group_shares(counts, vacuous, frame, cfg)
+    return _group_summaries(counts, pooled, shares, vacuous, frame)
+
+
 def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: bool) -> FusionResult:
     frame = _common_frame(ms)
-    full = frame.full_set
     counts, pooled, vacuous, seconds = _component_accumulators(
-        ms, frame, cfg, need_products=not approximate
+        ms, frame, need_products=not approximate
     )
 
     t0 = time.perf_counter()
@@ -567,21 +521,10 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
         fused = FusionResult(mass=mass, conflict=0.0)
     seconds["global_combine"] = time.perf_counter() - t0
 
-    summaries = [
-        GroupSummary(
-            int(a),
-            int(counts[a]),
-            math.nan if approximate else float(pooled[a]),
-            float(shares[a]),
-        )
-        for a in active
-    ]
-    if vacuous:
-        summaries.append(GroupSummary(full, vacuous, 1.0, 0.0))
     return FusionResult(
         mass=fused.mass,
         conflict=fused.conflict,
-        groups=tuple(summaries),
+        groups=tuple(_group_summaries(counts, pooled, shares, vacuous, frame)),
         step_seconds=seconds,
     )
 

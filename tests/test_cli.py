@@ -59,6 +59,10 @@ class TestFuse:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fuse", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--eta", "--lambda"])
+    def test_infinite_parameter_exit_code(self, six_csv, flag):
+        assert main(["fuse", "--input", str(six_csv), "--rule", "lns", flag, "inf"]) == 2
+
 
 class TestTransformAndDiscount:
     def test_transform_pignistic(self, six_csv, capsys):
@@ -172,6 +176,16 @@ class TestExperimentCommand:
         doc = json.loads(out.read_text())
         assert doc["parameters"]["deterministic_w"] == 0.7
 
+    def test_default_conflict_sweep_dempster(self, tmp_path):
+        # the default grid reaches conflicts within 1e-8 of 1 without saturating
+        out = tmp_path / "cs.json"
+        assert main(["experiment", "conflict-sweep", "--rule", "dempster", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for t in (1, 2, 3, 4):
+            status = doc["series"][f"kappa/dempster/t{t}"]["status"]
+            assert status[:3] == ["ok"] * 3  # s2 = 5, 10, 15
+            assert status[-1] == "saturated"
+
     def test_unknown_experiment_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["experiment", "mystery"])
@@ -190,3 +204,6 @@ class TestBench:
         assert doc["sources"] == 500
         assert doc["seconds"] >= 0
         assert "decompose" in doc["step_seconds"]
+
+    def test_zero_repeats_exit_code(self):
+        assert main(["bench", "--rule", "average", "--sources", "10", "--repeats", "0"]) == 2

@@ -115,14 +115,6 @@ class TestLeaveOneOut:
         assert rep.accuracy == 1.0
         assert not rep.errors
 
-    def test_deterministic(self):
-        ds = two_gaussian_dataset(30, 4.0, seed=5)
-        cfg = EknnConfig(k=5, rule=RuleConfig(rule="lns", deterministic=True))
-        a = evaluate_loo(ds, cfg)
-        b = evaluate_loo(ds, cfg)
-        assert np.array_equal(a.predictions, b.predictions)
-        assert np.allclose(a.kappa, b.kappa, equal_nan=True)
-
     def test_conflict_grows_with_k_for_conjunctive(self):
         ds = two_gaussian_dataset(100, 4.0, seed=0)
         small = evaluate_loo(ds, EknnConfig(k=5, rule=RuleConfig(rule="conjunctive")))

@@ -102,8 +102,8 @@ class TestReplay:
     @pytest.mark.parametrize(
         "name,params",
         [
-            ("table1", {"deterministic": True}),
-            ("eta-sweep", {"eta_points": 5, "deterministic": True}),
+            ("table1", {}),
+            ("eta-sweep", {"eta_points": 5}),
             ("conflict-sweep", {"ts": (1,), "s2_grid": (5, 10), "rules": ("lns", "lnsa")}),
             ("eknn-sweep", {"n_per_class": 15, "ks": (1, 3), "rules": ("lns",)}),
         ],
