@@ -8,6 +8,7 @@ experiment <name>, bench.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,31 +54,33 @@ def _rule_config(args: argparse.Namespace) -> RuleConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="masscomb",
+    parser = argparse.ArgumentParser(prog="masscomb", allow_abbrev=False,
                                      description="Combine belief functions, at any source count.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a misspelt or shortened flag is an error, not another flag
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("fuse", help="combine the assignments in a file")
+    p = command("fuse", help="combine the assignments in a file")
     _add_io_flags(p)
     _add_rule_flags(p)
     p.set_defaults(handler=_cmd_fuse)
 
-    p = sub.add_parser("transform", help="convert an assignment to another representation")
+    p = command("transform", help="convert an assignment to another representation")
     _add_io_flags(p)
     p.add_argument("--kind", required=True,
                    help="belief|plausibility|commonality|implicability|pignistic (or bel/pl/q/b/betp)")
     p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("decompose", help="canonical simple-support weights of each assignment")
+    p = command("decompose", help="canonical simple-support weights of each assignment")
     _add_io_flags(p)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("discount", help="apply a reliability factor to each assignment")
+    p = command("discount", help="apply a reliability factor to each assignment")
     _add_io_flags(p)
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(handler=_cmd_discount)
 
-    p = sub.add_parser("gen", help="generate random assignments")
+    p = command("gen", help="generate random assignments")
     _add_io_flags(p, need_input=False)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--kind", choices=GEN_KINDS, default="general")
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="independent substream of the same seed")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("eknn", help="evidential K-nearest-neighbour evaluation")
+    p = command("eknn", help="evidential K-nearest-neighbour evaluation")
     p.add_argument("--train", required=True, help="CSV with features and the label in the last column")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.95)
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the evaluation report as JSON")
     p.set_defaults(handler=_cmd_eknn)
 
-    p = sub.add_parser("experiment", help="run a named experiment")
+    p = command("experiment", help="run a named experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--seed", type=int)
     p.add_argument("--eta", type=float)
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report as JSON")
     p.set_defaults(handler=_cmd_experiment)
 
-    p = sub.add_parser("bench", help="time one rule on generated inputs")
+    p = command("bench", help="time one rule on generated inputs")
     _add_rule_flags(p)
     p.add_argument("--sources", type=int, default=10_000)
     p.add_argument("--frame", type=int, default=8)

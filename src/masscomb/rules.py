@@ -11,7 +11,6 @@ absorbs everything.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -64,6 +63,9 @@ _SATURATION_TOL = 1e-12
 
 _CHUNK_ROWS = 16384
 
+#: Picks (tuples x sources) per block of the dp/pcr6 enumeration.
+_ENUM_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class RuleConfig:
@@ -105,14 +107,14 @@ class RuleConfig:
 class GroupSummary:
     """One cluster of simple supports sharing a focal element.
 
-    ``inner_weight`` is the pooled weight of the group (NaN under the
+    ``inner_weight`` is the pooled weight of the group (None under the
     approximate rule, which never computes it); ``alpha`` the reliability
     share used to discount the group.
     """
 
     focal: int
     count: int
-    inner_weight: float
+    inner_weight: float | None
     alpha: float
 
 
@@ -229,17 +231,44 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _focal_lists(ms: Sequence[MassFunction], guard: int) -> list[list[tuple[int, float]]]:
-    focals = [
-        [(int(a), float(m.values[a])) for a in m.focal_elements()] for m in ms
-    ]
-    total = math.prod(len(f) for f in focals)
+def _focal_tuples(ms: Sequence[MassFunction], guard: int):
+    """Yield every focal tuple of ``ms`` in ``itertools.product`` order.
+
+    A tuple picks one focal element of each source; the last source varies
+    fastest.  Blocks of at most ``_ENUM_CELLS // len(ms)`` tuples come as
+    ``(subsets, masses)``, two ``(K, B)`` arrays with one row per source and
+    one column per tuple, so memory stays bounded however high the guard
+    is set.
+    """
+    values = np.stack([m.values for m in ms])
+    nonzero = values != 0.0
+    sizes = nonzero.sum(axis=1)
+    total = math.prod(sizes.tolist())
     if total > guard:
         raise ComplexityGuardError(
             f"{total} focal tuples exceed the enumeration guard ({guard});"
             " the grouped 'lns' rule handles large source counts"
         )
-    return focals
+    # every focal (source, subset) cell, source by source, subsets ascending
+    cells = np.flatnonzero(nonzero)
+    focal_subsets = cells & (values.shape[1] - 1)
+    focal_masses = values.ravel()[cells]
+    first = (np.cumsum(sizes) - sizes)[:, None]
+    strides = (total // np.cumprod(sizes))[:, None]
+    sizes = sizes[:, None]
+    block = max(1, _ENUM_CELLS // len(ms))
+    for start in range(0, total, block):
+        picks = np.arange(start, min(start + block, total)) // strides % sizes + first
+        yield focal_subsets[picks], focal_masses[picks]
+
+
+def _running(op: np.ufunc, masses: np.ndarray) -> np.ndarray:
+    """``op`` over each column, source by source from the first, as the
+    tuple loop did (``op.reduce`` may sum pairwise)."""
+    acc = masses[0].copy()
+    for row in masses[1:]:
+        op(acc, row, out=acc)
+    return acc
 
 
 def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -249,26 +278,24 @@ def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fus
     Picks of the whole frame state no opinion, never cause the conflict,
     and are left out of the union (with two sources this changes nothing:
     a conflicting pair cannot involve the whole frame).  Commutative.
+    Bit-identical to a tuple-by-tuple loop in ``itertools.product`` order.
     """
     cfg = cfg or RuleConfig()
     frame = _common_frame(ms)
     if len(ms) == 1:
         return FusionResult(mass=ms[0], conflict=ms[0].conflict)
-    focals = _focal_lists(ms, cfg.enumeration_guard)
     full = frame.full_set
     out = np.zeros(frame.powerset_size)
-    for combo in itertools.product(*focals):
-        inter = full
-        union = 0
-        committed = 0
-        p = 1.0
-        for subset, mass in combo:
-            inter &= subset
-            union |= subset
-            if subset != full:
-                committed |= subset
-            p *= mass
-        out[inter if inter else (committed or union)] += p
+    for subsets, masses in _focal_tuples(ms, cfg.enumeration_guard):
+        inter = np.bitwise_and.reduce(subsets, axis=0)
+        union = np.bitwise_or.reduce(subsets, axis=0)
+        committed = np.bitwise_or.reduce(np.where(subsets == full, 0, subsets), axis=0)
+        # add.at applies its updates in order, as the tuple loop did
+        np.add.at(
+            out,
+            np.where(inter, inter, np.where(committed, committed, union)),
+            _running(np.multiply, masses),
+        )
     mass = MassFunction(frame, out)
     return FusionResult(mass=mass, conflict=mass.conflict)
 
@@ -277,28 +304,31 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
     """PCR6 pooling: each fully conflicting tuple is split back among its
     contributors in proportion to the mass they put in.
 
-    Needs at least two sources; the empty set always ends up with zero.
+    Needs at least two sources, none with mass on the empty set (its share
+    of a conflict would have nowhere to go); raises :class:`ParameterError`
+    otherwise.  The empty set always ends up with zero.  Bit-identical to a
+    tuple-by-tuple loop in ``itertools.product`` order.
     """
     cfg = cfg or RuleConfig()
     frame = _common_frame(ms)
     if len(ms) < 2:
         raise ParameterError("pcr6 needs at least two sources")
-    focals = _focal_lists(ms, cfg.enumeration_guard)
+    for i, m in enumerate(ms):
+        if m.conflict > 0.0:
+            raise ParameterError(
+                f"pcr6 needs inputs with no mass on the empty set; source {i} has {m.conflict!r}"
+            )
     out = np.zeros(frame.powerset_size)
-    for combo in itertools.product(*focals):
-        inter = frame.full_set
-        p = 1.0
-        total = 0.0
-        for subset, mass in combo:
-            inter &= subset
-            p *= mass
-            total += mass
-        if inter:
-            out[inter] += p
-        else:
-            for subset, mass in combo:
-                if subset:
-                    out[subset] += mass * p / total
+    for subsets, masses in _focal_tuples(ms, cfg.enumeration_guard):
+        inter = np.bitwise_and.reduce(subsets, axis=0)
+        p = _running(np.multiply, masses)
+        total = _running(np.add, masses)
+        # an agreeing tuple puts p on its intersection, then adds zeros there
+        targets = np.where(inter, inter, subsets)
+        weights = np.where(inter, 0.0, masses * p / total)
+        weights[0] = np.where(inter, p, weights[0])
+        # tuple by tuple, each tuple's updates in source order
+        np.add.at(out, targets.T.ravel(), weights.T.ravel())
     mass = MassFunction(frame, out)
     return FusionResult(mass=mass, conflict=mass.conflict)
 
@@ -459,19 +489,21 @@ def _group_summaries(
 ) -> list[GroupSummary]:
     """One summary per group; fully ignorant inputs form the whole-frame group.
 
-    ``pooled`` is None under the approximate rule, whose inner weights are NaN.
+    ``pooled`` is None under the approximate rule, which reports no inner weights.
     """
     summaries = [
         GroupSummary(
             int(a),
             int(counts[a]),
-            math.nan if pooled is None else float(pooled[a]),
+            None if pooled is None else float(pooled[a]),
             float(shares[a]),
         )
         for a in np.flatnonzero(counts)
     ]
     if vacuous:
-        summaries.append(GroupSummary(frame.full_set, vacuous, 1.0, 0.0))
+        summaries.append(
+            GroupSummary(frame.full_set, vacuous, None if pooled is None else 1.0, 0.0)
+        )
     return summaries
 
 
@@ -513,11 +545,12 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
         SimpleSupport(frame, int(a), float(w)).to_mass()
         for a, w in zip(active, group_weights)
     ]
-    if ssfs:
+    if len(ssfs) > 1:
         sub = replace(cfg, rule=cfg.global_rule)
         fused = _COMBINERS[cfg.global_rule](ssfs, sub)
     else:
-        mass = MassFunction.vacuous(frame)
+        # every global rule is the identity on one normal simple support
+        mass = ssfs[0] if ssfs else MassFunction.vacuous(frame)
         fused = FusionResult(mass=mass, conflict=0.0)
     seconds["global_combine"] = time.perf_counter() - t0
 

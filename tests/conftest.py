@@ -75,12 +75,15 @@ def naive_plausibility(m: MassFunction) -> np.ndarray:
     return out
 
 
+def _focal_lists(ms: list[MassFunction]) -> list[list[tuple[int, float]]]:
+    return [[(int(a), float(m.values[a])) for a in m.focal_elements()] for m in ms]
+
+
 def brute_conjunctive(ms: list[MassFunction]) -> np.ndarray:
     """Focal-tuple enumeration of the conjunctive double sum."""
     frame = ms[0].frame
     out = np.zeros(frame.powerset_size)
-    focal_lists = [[(int(a), float(m.values[a])) for a in m.focal_elements()] for m in ms]
-    for combo in itertools.product(*focal_lists):
+    for combo in itertools.product(*_focal_lists(ms)):
         inter = frame.full_set
         p = 1.0
         for subset, mass in combo:
@@ -93,12 +96,53 @@ def brute_conjunctive(ms: list[MassFunction]) -> np.ndarray:
 def brute_disjunctive(ms: list[MassFunction]) -> np.ndarray:
     frame = ms[0].frame
     out = np.zeros(frame.powerset_size)
-    focal_lists = [[(int(a), float(m.values[a])) for a in m.focal_elements()] for m in ms]
-    for combo in itertools.product(*focal_lists):
+    for combo in itertools.product(*_focal_lists(ms)):
         union = 0
         p = 1.0
         for subset, mass in combo:
             union |= subset
             p *= mass
         out[union] += p
+    return out
+
+
+def brute_dp(ms: list[MassFunction]) -> np.ndarray:
+    """Tuple-by-tuple Dubois-Prade: conflicting mass goes to the union of
+    the picks that are not the whole frame (or of all picks if none is)."""
+    frame = ms[0].frame
+    full = frame.full_set
+    out = np.zeros(frame.powerset_size)
+    for combo in itertools.product(*_focal_lists(ms)):
+        inter = full
+        union = 0
+        committed = 0
+        p = 1.0
+        for subset, mass in combo:
+            inter &= subset
+            union |= subset
+            if subset != full:
+                committed |= subset
+            p *= mass
+        out[inter if inter else (committed or union)] += p
+    return out
+
+
+def brute_pcr6(ms: list[MassFunction]) -> np.ndarray:
+    """Tuple-by-tuple PCR6: a conflicting tuple's mass goes back to its
+    picks in proportion to the mass each put in."""
+    frame = ms[0].frame
+    out = np.zeros(frame.powerset_size)
+    for combo in itertools.product(*_focal_lists(ms)):
+        inter = frame.full_set
+        p = 1.0
+        total = 0.0
+        for subset, mass in combo:
+            inter &= subset
+            p *= mass
+            total += mass
+        if inter:
+            out[inter] += p
+        else:
+            for subset, mass in combo:
+                out[subset] += mass * p / total
     return out

@@ -63,6 +63,27 @@ class TestFuse:
     def test_infinite_parameter_exit_code(self, six_csv, flag):
         assert main(["fuse", "--input", str(six_csv), "--rule", "lns", flag, "inf"]) == 2
 
+    def test_pcr6_empty_set_input_exit_code(self, tmp_path, frame2, capsys):
+        path = tmp_path / "empty.csv"
+        write_csv(path, [MassFunction(frame2, [0.5, 0.5, 0, 0]), MassFunction(frame2, [0, 0, 0.6, 0.4])])
+        assert main(["fuse", "--input", str(path), "--rule", "pcr6"]) == 2
+        assert "source 0" in capsys.readouterr().err
+
+
+class TestFlagPrefixes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "table1", "--deterministic"],
+            ["fuse", "--input", "in.csv", "--rul", "lns"],
+        ],
+    )
+    def test_abbreviated_flag_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTransformAndDiscount:
     def test_transform_pignistic(self, six_csv, capsys):

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
 from masscomb.errors import (
@@ -16,6 +19,7 @@ from masscomb.errors import (
     TotalConflictError,
 )
 from masscomb.rules import (
+    GLOBAL_RULE_NAMES,
     RULE_NAMES,
     RuleConfig,
     combine,
@@ -33,7 +37,7 @@ from masscomb.rules import (
     martin_reliability,
 )
 
-from conftest import brute_conjunctive, brute_disjunctive, random_mass
+from conftest import brute_conjunctive, brute_disjunctive, brute_dp, brute_pcr6, random_mass
 
 
 @pytest.fixture
@@ -163,6 +167,13 @@ class TestPCR6:
     def test_needs_two_sources(self, frame2):
         with pytest.raises(ParameterError):
             combine_pcr6([MassFunction.vacuous(frame2)])
+
+    def test_empty_set_mass_rejected(self, frame2):
+        # its share of a conflict would have nowhere to go and the result
+        # would sum to 0.7525
+        ms = [MassFunction(frame2, [0, 0, 0.6, 0.4]), MassFunction(frame2, [0.5, 0.5, 0, 0])]
+        with pytest.raises(ParameterError, match="source 1"):
+            combine_pcr6(ms)
 
     def test_pairwise_matches_hand_formula(self, frame2):
         rng = np.random.default_rng(5)
@@ -425,7 +436,23 @@ class TestLns:
         assert res.mass.approx_equal(m, tol=1e-12)
 
 
+class TestOneGroup:
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    @pytest.mark.parametrize("global_rule", GLOBAL_RULE_NAMES)
+    def test_every_global_rule_is_the_identity(self, frame3, rule, global_rule):
+        ms = [SimpleSupport(frame3, 1, w).to_mass() for w in (0.3, 0.5, 0.8)]
+        want = combine(ms, RuleConfig(rule=rule)).mass.values
+        got = combine(ms, RuleConfig(rule=rule, global_rule=global_rule)).mass.values
+        assert np.array_equal(got, want)
+
+
 class TestLnsa:
+    def test_groups_survive_a_pickle_round_trip(self, frame3):
+        ms = six_sources(frame3) + [MassFunction.vacuous(frame3)]
+        groups = combine(ms, RuleConfig(rule="lnsa")).groups
+        assert all(g.inner_weight is None for g in groups)
+        assert pickle.loads(pickle.dumps(groups)) == groups
+
     def test_derived_example(self, frame2):
         ms = [SimpleSupport(frame2, 1, 0.7).to_mass()] * 4 + [SimpleSupport(frame2, 2, 0.7).to_mass()]
         res = combine_lnsa(ms)
@@ -531,6 +558,149 @@ class TestOracleEquivalence:
             disj = combine_disjunctive(ms).mass.values
             assert np.max(np.abs(conj - brute_conjunctive(ms))) <= 1e-12
             assert np.max(np.abs(disj - brute_disjunctive(ms))) <= 1e-12
+
+
+class TestEnumerationOracle:
+    """dp and pcr6 against the tuple-by-tuple loops, bit for bit."""
+
+    @staticmethod
+    def _batches(seed, count):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n = int(rng.integers(1, 5))
+            frame = FrameOfDiscernment.numbered(n)
+            k = int(rng.integers(1, 8))
+            kind = i % 3
+            yield [
+                random_mass(
+                    rng,
+                    frame,
+                    max_focals=3,
+                    allow_empty=kind == 0,
+                    min_frame_mass=0.2 if kind == 1 else None,
+                )
+                for _ in range(k)
+            ]
+
+    @staticmethod
+    def _check(ms):
+        frame = ms[0].frame
+        want = brute_dp(ms)
+        if len(ms) > 1:
+            # the rule validates, and so renormalises, what it enumerated
+            want = MassFunction(frame, want).values
+        assert np.array_equal(combine_dp(ms).mass.values, want)
+        if len(ms) < 2 or any(m.conflict > 0 for m in ms):
+            with pytest.raises(ParameterError):
+                combine_pcr6(ms)
+        else:
+            assert np.array_equal(
+                combine_pcr6(ms).mass.values, MassFunction(frame, brute_pcr6(ms)).values
+            )
+
+    def test_match_tuple_loops(self):
+        for ms in self._batches(20, 150):
+            self._check(ms)
+
+    @pytest.mark.parametrize("cells", [1, 5, 17])
+    def test_blocks_do_not_change_results(self, monkeypatch, cells):
+        import masscomb.rules as rules_mod
+
+        monkeypatch.setattr(rules_mod, "_ENUM_CELLS", cells)
+        for ms in self._batches(21, 60):
+            self._check(ms)
+
+    def test_many_sources_of_one_pick(self, frame3):
+        rng = np.random.default_rng(22)
+        ms = [MassFunction.categorical(frame3, 3)] * 30
+        ms += [random_mass(rng, frame3, max_focals=2, min_frame_mass=0.1) for _ in range(4)]
+        self._check(ms)
+
+    def test_block_size_does_not_follow_the_guard(self, frame3):
+        import masscomb.rules as rules_mod
+
+        ms = [MassFunction.from_dict(frame3, {1: 0.2, 2: 0.3, 4: 0.1, 7: 0.4})] * 9
+        seen = 0
+        for subsets, masses in rules_mod._focal_tuples(ms, guard=10**12):
+            assert subsets.shape == masses.shape
+            assert subsets.size <= rules_mod._ENUM_CELLS
+            seen += subsets.shape[1]
+        assert seen == 4**9
+
+    @pytest.mark.parametrize("fn", [combine_dp, combine_pcr6])
+    def test_guard_edge(self, frame3, fn):
+        ms = [
+            MassFunction.from_dict(frame3, {1: 0.5, 7: 0.5}),
+            MassFunction.from_dict(frame3, {2: 0.2, 3: 0.3, 7: 0.5}),
+            MassFunction.from_dict(frame3, {4: 0.4, 7: 0.6}),
+        ]
+        fn(ms, RuleConfig(enumeration_guard=12))
+        with pytest.raises(ComplexityGuardError):
+            fn(ms, RuleConfig(enumeration_guard=11))
+
+
+@st.composite
+def _source(draw, frame, kind):
+    size = frame.powerset_size
+    arr = np.zeros(size)
+    if kind == "vacuous":
+        arr[frame.full_set] = 1.0
+    elif kind == "simple":
+        # weight 0 gives a dogmatic categorical input
+        arr[draw(st.integers(1, frame.full_set))] = 1.0 - draw(st.floats(0, 1))
+        arr[frame.full_set] += 1.0 - arr.sum()
+    else:
+        if kind == "consonant":
+            order = draw(st.permutations(range(frame.n)))
+            cells = list(itertools.accumulate(1 << h for h in order))
+        else:
+            cells = list(range(size))
+        raw = draw(st.lists(st.floats(0, 1), min_size=len(cells), max_size=len(cells)))
+        if sum(raw) <= 1e-6:
+            raw[-1] = 1.0
+        arr[cells] = raw
+        arr /= arr.sum()
+    return MassFunction(frame, arr)
+
+
+@st.composite
+def _batches(draw):
+    frame = FrameOfDiscernment.numbered(draw(st.integers(1, 3)))
+    kinds = ("simple", "consonant", "general", "vacuous")
+    batch_kind = draw(st.sampled_from(kinds + ("mixed",)))
+    count = draw(st.integers(1, 40))
+    return [
+        draw(_source(frame, batch_kind if batch_kind != "mixed" else draw(st.sampled_from(kinds))))
+        for _ in range(count)
+    ]
+
+
+class TestValidResultOrDocumentedError:
+    @given(_batches(), st.sampled_from(RULE_NAMES), st.sampled_from(GLOBAL_RULE_NAMES))
+    @settings(max_examples=400, deadline=None)
+    def test_every_rule(self, ms, rule, global_rule):
+        cfg = RuleConfig(rule=rule, global_rule=global_rule, enumeration_guard=512)
+        try:
+            res = combine(ms, cfg)
+        except (TotalConflictError, ComplexityGuardError, DecompositionError, NotSeparableError):
+            return
+        except ParameterError as exc:
+            # only a stated input precondition, never a check on an internal result
+            msg = str(exc)
+            if rule == "pcr6" and len(ms) < 2:
+                assert msg == "pcr6 needs at least two sources"
+            elif rule == "pcr6":
+                assert msg.startswith("pcr6 needs inputs with no mass on the empty set")
+                assert any(m.conflict > 0 for m in ms)
+            else:
+                assert rule in ("lns", "lnsa"), msg
+                assert msg == "a component focused on the empty set cannot be grouped"
+            return
+        values = res.mass.values
+        assert res.mass.frame == ms[0].frame
+        assert np.isfinite(values).all() and values.min() >= 0.0
+        assert abs(float(values.sum()) - 1.0) <= 1e-9
+        assert 0.0 <= res.conflict <= 1.0
 
 
 class TestConservation:
