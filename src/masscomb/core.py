@@ -233,26 +233,14 @@ class MassFunction:
 
     def __init__(self, frame: FrameOfDiscernment, values, *, tol: float = MASS_TOL):
         arr = np.array(values, dtype=float)
-        if arr.shape != (frame.powerset_size,):
-            raise EncodingError(
-                f"expected {frame.powerset_size} masses for a {frame.n}-element frame,"
-                f" got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ParameterError("mass values must be finite")
-        lo = float(arr.min())
-        if lo < -tol:
-            raise ParameterError(
-                f"negative mass {lo:.3e} at subset index {int(arr.argmin())}"
-            )
-        np.clip(arr, 0.0, None, out=arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise ParameterError(f"masses sum to {total!r}, expected 1")
-        arr /= total
+        _check_rows(frame, arr[np.newaxis], tol)
         arr.setflags(write=False)
         self.frame = frame
         self.values = arr
+
+    def __reduce__(self):
+        # the values were validated once already: restore them as they are
+        return _trusted, (self.frame, self.values)
 
     # -- constructors --------------------------------------------------------
 
@@ -326,6 +314,70 @@ class MassFunction:
         return f"MassFunction({parts})"
 
 
+def _check_rows(frame: FrameOfDiscernment, block: np.ndarray, tol: float) -> None:
+    """Validate every row of a ``(S, 2**n)`` float block as a mass vector and
+    renormalise it, in place.
+
+    The checks are those of :class:`MassFunction`, in its order: shape,
+    finite, no mass below ``-tol``, then clip and a total within ``tol`` of
+    1, so each row ends up bit-identical to ``MassFunction(frame, row)``.
+    The error raised is the one the first offending row would raise on its
+    own; a :class:`ParameterError` names that row in ``row``.
+    """
+    if block.shape[1:] != (frame.powerset_size,):
+        raise EncodingError(
+            f"expected {frame.powerset_size} masses for a {frame.n}-element frame,"
+            f" got shape {block.shape[1:]}"
+        )
+    # nan compares false, so a NaN or -inf anywhere fails the first check
+    if block.min(initial=0.0) >= -tol:
+        np.maximum(block, 0.0, out=block)  # the clip, bit for bit
+        total = np.add.reduce(block, axis=1)
+        if np.abs(total - 1.0).max(initial=0.0) <= tol:
+            block /= total[:, np.newaxis]
+            return
+    # Some row fails: find the first, checking each in order.  The block
+    # was clipped only if no row holds a mass below -tol.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.maximum(block, 0.0).sum(axis=1)
+    finite = np.isfinite(block).all(axis=1)
+    lo = block.min(axis=1)
+    low = lo < -tol
+    i = int(np.argmax(~finite | low | ~(np.abs(total - 1.0) <= tol)))
+    if not finite[i]:
+        raise ParameterError("mass values must be finite", row=i)
+    if low[i]:
+        raise ParameterError(
+            f"negative mass {lo[i]:.3e} at subset index {int(block[i].argmin())}", row=i
+        )
+    raise ParameterError(f"masses sum to {float(total[i])!r}, expected 1", row=i)
+
+
+def _trusted(frame: FrameOfDiscernment, values: np.ndarray) -> MassFunction:
+    """A :class:`MassFunction` around values that are already validated."""
+    values.setflags(write=False)
+    m = object.__new__(MassFunction)
+    m.frame = frame
+    m.values = values
+    return m
+
+
+def _mass_rows(
+    frame: FrameOfDiscernment, block: np.ndarray, tol: float = MASS_TOL
+) -> list[MassFunction]:
+    """Validate a freshly built ``(S, 2**n)`` block in one pass and return one
+    assignment per row.
+
+    The assignments' values are read-only views into ``block``, which the
+    caller must not write to afterwards.  Rows are bit-identical to
+    ``MassFunction(frame, row, tol=tol)``, and a failure is the error of
+    the first offending row (see :func:`_check_rows`).
+    """
+    _check_rows(frame, block, tol)
+    block.setflags(write=False)
+    return [_trusted(frame, row) for row in block]
+
+
 @dataclass(frozen=True)
 class RepresentationVector:
     """One of the equivalent function representations derived from a mass function.
@@ -368,18 +420,35 @@ class SimpleSupport:
 
     def __post_init__(self):
         self.frame.check_index(self.focal)
-        if not 0.0 <= self.weight <= 1.0:
-            raise ParameterError(f"simple support weight {self.weight!r} outside [0, 1]")
+        _check_support_weights(np.array([self.weight], dtype=float))
 
     @property
     def is_vacuous(self) -> bool:
         return self.focal == self.frame.full_set or self.weight == 1.0
 
     def to_mass(self) -> MassFunction:
-        arr = np.zeros(self.frame.powerset_size)
-        arr[self.frame.full_set] = self.weight
-        arr[self.focal] += 1.0 - self.weight
-        return MassFunction(self.frame, arr)
+        return _simple_supports(self.frame, [self.focal], [self.weight])[0]
+
+
+def _check_support_weights(weights: np.ndarray) -> None:
+    inside = (weights >= 0.0) & (weights <= 1.0)
+    if not inside.all():
+        bad = float(weights[np.argmin(inside)])
+        raise ParameterError(f"simple support weight {bad!r} outside [0, 1]")
+
+
+def _simple_supports(frame: FrameOfDiscernment, focals, weights) -> list[MassFunction]:
+    """The simple supports ``focals[i]^weights[i]`` as one validated block.
+
+    Each row is bit-identical to ``SimpleSupport(frame, focal, w).to_mass()``
+    built on its own.
+    """
+    weights = np.asarray(weights, dtype=float)
+    _check_support_weights(weights)
+    block = np.zeros((len(weights), frame.powerset_size))
+    block[:, frame.full_set] = weights
+    block[np.arange(len(weights)), focals] += 1.0 - weights
+    return _mass_rows(frame, block)
 
 
 def as_simple_support(m: MassFunction) -> SimpleSupport | None:

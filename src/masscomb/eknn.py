@@ -10,12 +10,13 @@ pignistic probability.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import FrameOfDiscernment, SimpleSupport, pignistic
+from .core import FrameOfDiscernment, SimpleSupport, _simple_supports, pignistic
 from .errors import MassCombError, ParameterError, ParseError, UndefinedGammaError
 from .rules import FusionResult, RuleConfig, combine
 
@@ -37,6 +38,9 @@ class LabeledDataset:
             raise ParameterError("one label per point required")
         if labs.min() < 0 or labs.max() >= self.frame.n:
             raise ParameterError("labels must index hypotheses of the class frame")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"point {int(np.argmin(finite))} has a non-finite feature")
         pts.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -131,19 +135,26 @@ def resolve_gamma(ds: LabeledDataset, cfg: EknnConfig) -> np.ndarray:
         arr = np.array([cfg.gamma[q] for q in range(ds.frame.n)], dtype=float)
     else:
         arr = np.array(cfg.gamma, dtype=float)
-    if arr.shape != (ds.frame.n,) or (arr <= 0).any():
-        raise ParameterError("gamma needs one positive value per class")
+    if arr.shape != (ds.frame.n,) or not (np.isfinite(arr) & (arr > 0)).all():
+        raise ParameterError("gamma needs one finite positive value per class")
     return arr
+
+
+def _support_weights(
+    dist: np.ndarray, klass: np.ndarray, alpha: float, gamma: np.ndarray
+) -> np.ndarray:
+    """Weight ``1 - alpha * exp(-gamma[klass] * dist**2)`` of each neighbour's support."""
+    if (dist < 0).any():
+        raise ParameterError("distance must be non-negative")
+    return 1.0 - alpha * np.exp(-gamma[klass] * dist * dist)
 
 
 def neighbor_bba(
     frame: FrameOfDiscernment, dist: float, klass: int, cfg: EknnConfig, gamma: np.ndarray
 ) -> SimpleSupport:
     """Simple support on the class singleton with focal mass ``alpha * exp(-gamma d^2)``."""
-    if dist < 0:
-        raise ParameterError("distance must be non-negative")
-    phi = float(np.exp(-gamma[klass] * dist * dist))
-    return SimpleSupport(frame, 1 << klass, 1.0 - cfg.alpha * phi)
+    w = _support_weights(np.array([dist], dtype=float), np.array([klass]), cfg.alpha, gamma)
+    return SimpleSupport(frame, 1 << klass, float(w[0]))
 
 
 def _standardized(points: np.ndarray) -> np.ndarray:
@@ -171,6 +182,8 @@ def classify(
     x = np.asarray(x, dtype=float)
     if x.shape != (ds.n_features,):
         raise ParameterError(f"query must have {ds.n_features} features")
+    if not np.isfinite(x).all():
+        raise ParameterError("query features must be finite")
     available = ds.n_samples - (1 if exclude is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
@@ -180,11 +193,9 @@ def classify(
     if exclude is not None:
         dist[exclude] = np.inf
     order = np.argsort(dist, kind="stable")[: cfg.k]
-    supports = [
-        neighbor_bba(ds.frame, float(dist[i]), int(ds.labels[i]), cfg, gamma).to_mass()
-        for i in order
-    ]
-    fused = combine(supports, cfg.rule)
+    klass = ds.labels[order]
+    weights = _support_weights(dist[order], klass, cfg.alpha, gamma)
+    fused = combine(_simple_supports(ds.frame, 1 << klass, weights), cfg.rule)
     betp = pignistic(fused.mass).values
     return Classification(klass=int(np.argmax(betp)), fused=fused, betp=betp)
 
@@ -268,6 +279,8 @@ def load_dataset_csv(path) -> LabeledDataset:
             feats.append([float(tok) for tok in row[:-1]])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        if not all(math.isfinite(v) for v in feats[-1]):
+            raise ParseError("features must be finite", line=lineno)
         raw_labels.append(row[-1].strip())
     classes = sorted(set(raw_labels))
     index = {c: i for i, c in enumerate(classes)}

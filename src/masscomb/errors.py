@@ -10,7 +10,15 @@ class EncodingError(MassCombError):
 
 
 class ParameterError(MassCombError):
-    """An argument value violates an operation's preconditions."""
+    """An argument value violates an operation's preconditions.
+
+    ``row`` is the position of the first offending assignment when a block
+    of assignments is validated at once, and None otherwise.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class TotalConflictError(MassCombError):

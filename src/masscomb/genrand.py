@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameOfDiscernment, MassFunction
+from .core import FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError
 
 GEN_KINDS = ("general", "ssf", "consonant")
@@ -67,7 +67,7 @@ def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
     return e / e.sum()
 
 
-def _draw_general(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
+def _draw_general(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
     frame = spec.frame
     pool = np.asarray(
         spec.focal_pool
@@ -76,12 +76,10 @@ def _draw_general(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
     )
     count = int(rng.integers(1, len(pool) + 1))
     focals = rng.choice(pool, size=count, replace=False)
-    arr = np.zeros(frame.powerset_size)
     arr[focals] = _simplex(rng, count)
-    return arr
 
 
-def _draw_ssf(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
+def _draw_ssf(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
     frame = spec.frame
     if spec.focal_pool is not None:
         pool = np.asarray(spec.focal_pool)
@@ -93,13 +91,11 @@ def _draw_ssf(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
         pool = np.arange(1, frame.full_set)
     focal = int(rng.choice(pool))
     w = float(rng.random())
-    arr = np.zeros(frame.powerset_size)
     arr[frame.full_set] = w
     arr[focal] += 1.0 - w
-    return arr
 
 
-def _draw_consonant(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
+def _draw_consonant(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
     frame = spec.frame
     order = rng.permutation(frame.n)
     sizes = np.sort(rng.choice(np.arange(1, frame.n + 1), size=spec.num_focals, replace=False))
@@ -111,11 +107,10 @@ def _draw_consonant(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
         focals.append(mask)
     if focals[-1] != frame.full_set:
         focals.append(frame.full_set)
-    arr = np.zeros(frame.powerset_size)
     arr[focals] = _simplex(rng, len(focals))
-    return arr
 
 
+#: Each drawer writes one draw into a zeroed row.
 _DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_consonant}
 
 
@@ -124,24 +119,28 @@ def _singleton_masses(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 def generate(spec: GenSpec, count: int) -> list[MassFunction]:
-    """Draw ``count`` assignments following ``spec``, deterministically per seed."""
+    """Draw ``count`` assignments following ``spec``, deterministically per seed.
+
+    The draws fill the rows of one block, which is validated once; the
+    assignments share ``spec.frame`` and hold read-only views of that block.
+    """
     if count < 1:
         raise ParameterError("count must be at least 1")
     key = (spec.stream,) if spec.stream else ()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
     draw = _DRAWERS[spec.kind]
-    out: list[MassFunction] = []
-    for _ in range(count):
+    block = np.zeros((count, spec.frame.powerset_size))
+    for arr in block:
         for attempt in range(_MAX_REJECTIONS):
-            arr = draw(rng, spec)
+            draw(rng, spec, arr)
             if spec.min_singleton_mass is None:
                 break
             if _singleton_masses(arr, spec.frame.n).max() > spec.min_singleton_mass:
                 break
+            arr[:] = 0.0
         else:
             raise ParameterError(
                 f"rejection sampling failed {_MAX_REJECTIONS} times; no draw from this"
                 " recipe satisfies the singleton-mass threshold"
             )
-        out.append(MassFunction(spec.frame, arr))
-    return out
+    return _mass_rows(spec.frame, block)

@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FrameOfDiscernment, MassFunction
+from .core import FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError, ParseError
 
-#: File-level tolerance on the mass total; tighter validation happens on
-#: ingestion into MassFunction after the single renormalisation.
+#: Tolerance on the mass total of a row read from a file, which absorbs
+#: the rounding of printed values; rows are renormalised once on reading.
 FILE_MASS_TOL = 1e-6
 
 FORMATS = ("csv", "json")
@@ -68,30 +68,46 @@ def read_csv(path, labels: Sequence[str] | None = None) -> list[MassFunction]:
     frame = FrameOfDiscernment(tuple(labels) if labels else default_labels(n))
     if frame.n != n:
         raise ParameterError(f"{frame.n} labels supplied for {n}-element data")
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    if not body:
+        raise ParseError("no assignments in file", line=1)
+
+    def fill(i: int, out: np.ndarray) -> None:
+        lineno, row = body[i]
         if len(row) != size:
             raise ParseError(f"expected {size} values, found {len(row)}", line=lineno)
         try:
-            values = np.array([float(tok) for tok in row])
+            out[:] = [float(tok) for tok in row]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        out.append(_ingest(frame, values, lineno))
-    if not out:
-        raise ParseError("no assignments in file", line=1)
-    return out
+
+    return _read_rows(frame, len(body), fill, lambda i, msg: ParseError(msg, line=body[i][0]))
 
 
-def _ingest(frame: FrameOfDiscernment, values: np.ndarray, lineno: int | None) -> MassFunction:
-    lo = float(values.min())
-    if lo < -FILE_MASS_TOL:
-        raise ParseError(f"negative mass {lo!r}", line=lineno)
-    total = float(values.sum())
-    if abs(total - 1.0) > FILE_MASS_TOL:
-        raise ParseError(f"masses sum to {total!r}, expected 1", line=lineno)
-    return MassFunction(frame, values, tol=FILE_MASS_TOL)
+def _read_rows(frame: FrameOfDiscernment, count: int, fill, error) -> list[MassFunction]:
+    """Parse ``count`` assignments into one block, then validate it in one pass.
+
+    ``fill(i, out)`` parses the ``i``-th assignment into the zeroed row
+    ``out``, raising :class:`ParseError` on a malformed one.  ``error(i,
+    message)`` builds the :class:`ParseError` for a row whose masses fail
+    validation.  Whatever the kind of error, the one reported is the one
+    earliest in the file.
+    """
+    block = np.zeros((count, frame.powerset_size))
+    for i in range(count):
+        try:
+            fill(i, block[i])
+        except ParseError:
+            _validated(frame, block[:i], error)  # a bad row before this one wins
+            raise
+    return _validated(frame, block, error)
+
+
+def _validated(frame: FrameOfDiscernment, block: np.ndarray, error) -> list[MassFunction]:
+    try:
+        return _mass_rows(frame, block, FILE_MASS_TOL)
+    except ParameterError as exc:
+        raise error(exc.row, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +152,16 @@ def read_json(path) -> list[MassFunction]:
         frame = FrameOfDiscernment(tuple(doc["frame"]))
     except ParameterError as exc:
         raise ParseError(f"bad frame: {exc}") from None
-    out = []
-    for pos, entry in enumerate(doc["bbas"]):
+    bbas = doc["bbas"]
+    if not isinstance(bbas, list):
+        raise ParseError("'bbas' must be a list")
+    if not bbas:
+        raise ParseError("no assignments in file")
+
+    def fill(pos: int, out: np.ndarray) -> None:
+        entry = bbas[pos]
+        if not isinstance(entry, dict):
+            raise ParseError(f"bba {pos}: must be an object")
         focals = entry.get("focal elements")
         masses = entry.get("masses")
         if focals is None or masses is None:
@@ -146,7 +170,6 @@ def read_json(path) -> list[MassFunction]:
             raise ParseError(
                 f"bba {pos}: {len(focals)} focal elements but {len(masses)} masses"
             )
-        values = np.zeros(frame.powerset_size)
         seen = set()
         for members, mass in zip(focals, masses):
             try:
@@ -158,11 +181,12 @@ def read_json(path) -> list[MassFunction]:
                     f"bba {pos}: duplicate focal element {frame.format_subset(idx)}"
                 )
             seen.add(idx)
-            values[idx] = float(mass)
-        out.append(_ingest(frame, values, None))
-    if not out:
-        raise ParseError("no assignments in file")
-    return out
+            try:
+                out[idx] = float(mass)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bba {pos}: {exc}") from None
+
+    return _read_rows(frame, len(bbas), fill, lambda pos, msg: ParseError(f"bba {pos}: {msg}"))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def _common_frame(ms: Sequence[MassFunction]) -> FrameOfDiscernment:
         raise ParameterError("need at least one mass function to combine")
     frame = ms[0].frame
     for m in ms[1:]:
-        if m.frame != frame:
+        if m.frame is not frame and m.frame != frame:
             raise EncodingError("all mass functions must share one frame")
     return frame
 
@@ -541,10 +541,7 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
     seconds["discount"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ssfs = [
-        SimpleSupport(frame, int(a), float(w)).to_mass()
-        for a, w in zip(active, group_weights)
-    ]
+    ssfs = core._simple_supports(frame, active, group_weights)
     if len(ssfs) > 1:
         sub = replace(cfg, rule=cfg.global_rule)
         fused = _COMBINERS[cfg.global_rule](ssfs, sub)

@@ -1,18 +1,27 @@
 """Shared fixtures and independent oracles.
 
-The oracles evaluate the defining sums directly (focal-tuple enumeration,
-naive subset/superset sums) so they share no code path with the lattice
-implementations they check.
+The rule oracles evaluate the defining sums directly (focal-tuple
+enumeration, naive subset/superset sums) so they share no code path with the
+lattice implementations they check.  The producer oracles build one
+assignment at a time, as the producers did before they filled one block, so
+a batched result must equal them bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from masscomb.core import FrameOfDiscernment, MassFunction
+from masscomb import genrand
+from masscomb.core import FrameOfDiscernment, MassFunction, pignistic
+from masscomb.eknn import neighbor_bba, resolve_gamma
+from masscomb.errors import EncodingError, ParameterError
+from masscomb.io import FILE_MASS_TOL
+from masscomb.rules import combine
 
 
 @pytest.fixture
@@ -145,4 +154,97 @@ def brute_pcr6(ms: list[MassFunction]) -> np.ndarray:
         else:
             for subset, mass in combo:
                 out[subset] += mass * p / total
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-object producers that the batched ones replaced
+# ---------------------------------------------------------------------------
+
+
+def row_by_row(frame: FrameOfDiscernment, values, tol: float) -> np.ndarray:
+    """One assignment validated and renormalised on its own, with the
+    arithmetic of the per-object constructor: shape, finite, minimum,
+    ``np.clip``, a scalar sum, then the division."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != (frame.powerset_size,):
+        raise EncodingError(
+            f"expected {frame.powerset_size} masses for a {frame.n}-element frame,"
+            f" got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ParameterError("mass values must be finite")
+    lo = float(arr.min())
+    if lo < -tol:
+        raise ParameterError(f"negative mass {lo:.3e} at subset index {int(arr.argmin())}")
+    np.clip(arr, 0.0, None, out=arr)
+    total = float(arr.sum())
+    if abs(total - 1.0) > tol:
+        raise ParameterError(f"masses sum to {total!r}, expected 1")
+    arr /= total
+    return arr
+
+
+def per_neighbour_classify(x, ds, cfg, *, exclude=None):
+    """EkNN with one ``neighbor_bba(...).to_mass()`` per neighbour.
+
+    Returns ``(klass, fused, betp)``.
+    """
+    x = np.asarray(x, dtype=float)
+    gamma = resolve_gamma(ds, cfg)
+    dist = np.sqrt(((ds.points - x) ** 2).sum(axis=1))
+    if exclude is not None:
+        dist[exclude] = np.inf
+    order = np.argsort(dist, kind="stable")[: cfg.k]
+    supports = [
+        neighbor_bba(ds.frame, float(dist[i]), int(ds.labels[i]), cfg, gamma).to_mass()
+        for i in order
+    ]
+    fused = combine(supports, cfg.rule)
+    betp = pignistic(fused.mass).values
+    return int(np.argmax(betp)), fused, betp
+
+
+def per_draw_generate(spec: genrand.GenSpec, count: int) -> list[MassFunction]:
+    """``generate`` with a fresh row and its own ``MassFunction`` per draw."""
+    key = (spec.stream,) if spec.stream else ()
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
+    draw = genrand._DRAWERS[spec.kind]
+    out = []
+    for _ in range(count):
+        for _ in range(genrand._MAX_REJECTIONS):
+            arr = np.zeros(spec.frame.powerset_size)
+            draw(rng, spec, arr)
+            singles = arr[[1 << i for i in range(spec.frame.n)]]
+            if spec.min_singleton_mass is None or singles.max() > spec.min_singleton_mass:
+                break
+        else:
+            raise ParameterError("rejection sampling failed")
+        out.append(MassFunction(spec.frame, arr))
+    return out
+
+
+def per_row_read_csv(path, labels=None) -> list[MassFunction]:
+    """A well-formed dense CSV read one ``MassFunction`` per row."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    n = len(rows[0]).bit_length() - 1
+    frame = FrameOfDiscernment(tuple(labels) if labels else FrameOfDiscernment.numbered(n).labels)
+    return [
+        MassFunction(frame, np.array([float(tok) for tok in row]), tol=FILE_MASS_TOL)
+        for row in rows[1:]
+    ]
+
+
+def per_row_read_json(path) -> list[MassFunction]:
+    """A well-formed sparse JSON document read one ``MassFunction`` per entry."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    frame = FrameOfDiscernment(tuple(doc["frame"]))
+    out = []
+    for entry in doc["bbas"]:
+        values = np.zeros(frame.powerset_size)
+        for members, mass in zip(entry["focal elements"], entry["masses"]):
+            values[frame.subset_index(members)] = float(mass)
+        out.append(MassFunction(frame, values, tol=FILE_MASS_TOL))
     return out

@@ -177,6 +177,14 @@ class TestEknnCommand:
         train.write_text("0,0,a\n1,0,b\n")
         assert main(["eknn", "--train", str(train), "--sweep-k", "5"]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_exit_code(self, tmp_path, capsys, cell):
+        train = tmp_path / "train.csv"
+        rows = ["0,0,a", "0.5,0,a", f"0.2,{cell},a", "5,0,b", "5.5,0,b", "5.2,0.4,b"]
+        train.write_text("\n".join(rows) + "\n")
+        assert main(["eknn", "--train", str(train), "--k", "2", "--loo"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_table1_report(self, tmp_path):

@@ -1,6 +1,7 @@
 """Frames, mass functions, transforms, discounting, consistency, decomposition."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from masscomb.core import (
     FrameOfDiscernment,
+    MASS_TOL,
     MassFunction,
     RepresentationVector,
     SimpleSupport,
     WeightVector,
+    _mass_rows,
     as_simple_support,
     canonical_decompose,
     commonality_to_mass,
@@ -31,11 +34,14 @@ from masscomb.errors import (
     DecompositionError,
     EncodingError,
     InvalidImageError,
+    MassCombError,
     ParameterError,
     TotalConflictError,
 )
+from masscomb.genrand import GenSpec, generate
+from masscomb.io import FILE_MASS_TOL
 
-from conftest import naive_belief, naive_commonality, naive_plausibility, random_mass
+from conftest import naive_belief, naive_commonality, naive_plausibility, random_mass, row_by_row
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,95 @@ class TestMassFunction:
     def test_simple_support_weight_range(self, frame2):
         with pytest.raises(ParameterError):
             SimpleSupport(frame2, 1, 1.5)
+
+    def test_pickle_round_trip_is_exact_and_read_only(self, frame3):
+        m = MassFunction(frame3, [0, 0.1, 0.2, 0, 0.3, 0, 0, 0.4 + 3e-10])
+        back = pickle.loads(pickle.dumps(m))
+        assert back.values.tobytes() == m.values.tobytes()
+        assert back.frame == m.frame
+        assert not back.values.flags.writeable
+        with pytest.raises(ValueError):
+            back.values[1] = 0.9
+
+    def test_pickle_of_a_generated_row_carries_only_that_row(self):
+        frame = FrameOfDiscernment.numbered(6)
+        ms = generate(GenSpec(frame, kind="general", seed=3), 1000)
+        alone = MassFunction(frame, ms[500].values)
+        assert len(pickle.dumps(ms[500])) == len(pickle.dumps(alone))
+        assert len(pickle.dumps(ms[500])) < 4 * ms[500].values.nbytes
+
+
+def _batch_row(kind: str, rng: np.random.Generator, frame: FrameOfDiscernment, tol: float):
+    """One row of a batch: near the edges of what validation accepts, or past them."""
+    size = frame.powerset_size
+    row = np.zeros(size)
+    focals = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+    row[focals] = rng.dirichlet(np.ones(len(focals)))
+    if kind == "dogmatic":
+        row[:] = 0.0
+        row[int(rng.integers(0, frame.full_set))] = 1.0
+    elif kind == "tiny negative":
+        row[int(rng.integers(0, size))] = -0.5 * tol
+    elif kind == "negative zero":
+        row[row == 0.0] = -0.0
+    elif kind == "negative":
+        row[int(rng.integers(0, size))] = -3.0 * tol
+    elif kind in ("nan", "inf", "-inf"):
+        row[int(rng.integers(0, size))] = float(kind)
+    if kind in ("sum high", "sum low"):
+        row *= 1.0 + (3.0 if kind == "sum high" else -3.0) * tol
+    elif kind not in ("nan", "inf", "-inf"):
+        row *= 1.0 + rng.uniform(-0.9, 0.9) * tol
+    return row
+
+
+_ROW_KINDS = (
+    "valid", "valid", "valid", "dogmatic", "tiny negative", "negative zero",
+    "negative", "sum high", "sum low", "nan", "inf", "-inf",
+)
+
+
+class TestBatchValidation:
+    """``_mass_rows`` checks a block in one pass; it must act exactly like
+    validating each row on its own."""
+
+    @given(
+        st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.sampled_from([MASS_TOL, FILE_MASS_TOL]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_by_row(self, kinds, n, tol, seed):
+        frame = FrameOfDiscernment.numbered(n)
+        rng = np.random.default_rng(seed)
+        rows = [_batch_row(kind, rng, frame, tol) for kind in kinds]
+        want, first_bad = [], None
+        for i, row in enumerate(rows):
+            try:
+                m = MassFunction(frame, row, tol=tol)
+            except MassCombError as exc:
+                with pytest.raises(type(exc)) as old:
+                    row_by_row(frame, row, tol)
+                assert str(old.value) == str(exc)
+                first_bad = (i, exc)
+                break
+            assert m.values.tobytes() == row_by_row(frame, row, tol).tobytes()
+            want.append(m.values)
+        if first_bad is None:
+            got = _mass_rows(frame, np.array(rows), tol)
+            assert [g.values.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert all(g.frame is frame and not g.values.flags.writeable for g in got)
+        else:
+            i, exc = first_bad
+            with pytest.raises(type(exc)) as err:
+                _mass_rows(frame, np.array(rows), tol)
+            assert str(err.value) == str(exc)
+            assert err.value.row == i
+
+    def test_wrong_width_rejected(self, frame2):
+        with pytest.raises(EncodingError, match=r"got shape \(3,\)"):
+            _mass_rows(frame2, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from masscomb.eknn import (
     resolve_gamma,
     two_gaussian_dataset,
 )
-from masscomb.errors import ParameterError, UndefinedGammaError
-from masscomb.rules import RuleConfig
+from masscomb.errors import MassCombError, ParameterError, ParseError, UndefinedGammaError
+from masscomb.rules import RULE_NAMES, RuleConfig
+
+from conftest import per_neighbour_classify
 
 
 @pytest.fixture
@@ -61,6 +63,13 @@ class TestGamma:
         with pytest.raises(ParameterError):
             resolve_gamma(toy, EknnConfig(k=1, gamma=[2.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, toy, bad):
+        with pytest.raises(ParameterError):
+            resolve_gamma(toy, EknnConfig(k=1, gamma=[bad, 1.0]))
+        with pytest.raises(ParameterError):
+            evaluate_loo(toy, EknnConfig(k=2, gamma=[bad, 1.0]))
+
 
 class TestNeighborBba:
     def test_zero_distance(self, toy):
@@ -78,6 +87,15 @@ class TestNeighborBba:
         cfg = EknnConfig(k=1, alpha=0.95)
         s = neighbor_bba(toy.frame, 1e4, 0, cfg, np.array([1.0, 1.0]))
         assert s.weight > 1.0 - 1e-12
+
+    def test_weight_is_the_scalar_formula_bit_for_bit(self, toy):
+        cfg = EknnConfig(k=1, alpha=0.95)
+        gamma = np.array([0.7, 1.3])
+        rng = np.random.default_rng(1)
+        for dist, klass in zip(rng.exponential(2.0, 200), rng.integers(0, 2, 200)):
+            s = neighbor_bba(toy.frame, float(dist), int(klass), cfg, gamma)
+            phi = float(np.exp(-gamma[klass] * dist * dist))
+            assert s.weight == 1.0 - cfg.alpha * phi
 
     def test_weight_increases_with_distance(self, toy):
         cfg = EknnConfig(k=1, alpha=0.95)
@@ -103,6 +121,31 @@ class TestClassify:
     def test_dimension_checked(self, toy):
         with pytest.raises(ParameterError):
             classify([0.0], toy, EknnConfig(k=1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, toy, bad):
+        with pytest.raises(ParameterError):
+            classify([bad, 0.0], toy, EknnConfig(k=1))
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_equals_per_neighbour_supports(self, rule):
+        ds = two_gaussian_dataset(12, 2.5, seed=3)
+        for k in (1, 2, 5, 9):
+            cfg = EknnConfig(k=k, rule=RuleConfig(rule=rule))
+            for i in range(ds.n_samples):
+                query = ds.points[i] + 0.1
+                try:
+                    want = per_neighbour_classify(query, ds, cfg, exclude=i)
+                except MassCombError as exc:
+                    with pytest.raises(type(exc)) as err:
+                        classify(query, ds, cfg, exclude=i)
+                    assert str(err.value) == str(exc)
+                    continue
+                got = classify(query, ds, cfg, exclude=i)
+                assert got.klass == want[0]
+                assert np.array_equal(got.fused.mass.values, want[1].mass.values)
+                assert got.fused.conflict == want[1].conflict
+                assert np.array_equal(got.betp, want[2])
 
     def test_k_bounded(self, toy):
         with pytest.raises(ParameterError):
@@ -131,6 +174,21 @@ class TestLeaveOneOut:
         ds = two_gaussian_dataset(30, 4.0, seed=2)
         rep = evaluate_loo(ds, EknnConfig(k=3, standardize=True))
         assert rep.accuracy > 0.8
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_dataset_rejects_non_finite_points(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, bad], [5.0, 0.0], [6.0, 0.0]])
+        with pytest.raises(ParameterError, match="point 1"):
+            LabeledDataset(pts, np.array([0, 0, 1, 1]), FrameOfDiscernment.of("a", "b"))
+
+    def test_csv_reports_the_line_of_a_non_finite_feature(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text("x,y,label\n0,0,a\n0.5,0,a\n5,nan,b\n5.5,0,b\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset_csv(path)
+        assert err.value.line == 4
 
 
 class TestDatasetCsv:

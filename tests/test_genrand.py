@@ -7,6 +7,8 @@ from masscomb.core import FrameOfDiscernment, as_simple_support
 from masscomb.errors import ParameterError
 from masscomb.genrand import GenSpec, generate
 
+from conftest import per_draw_generate
+
 
 @pytest.fixture
 def frame4():
@@ -108,3 +110,33 @@ class TestDeterminism:
     def test_count_validated(self, frame4):
         with pytest.raises(ParameterError):
             generate(GenSpec(frame4, seed=0), 0)
+
+
+class TestOneBlock:
+    """``generate`` fills one block and validates it once; the result must
+    equal drawing and validating one assignment at a time."""
+
+    @pytest.mark.parametrize("kind", ["general", "ssf", "consonant"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("threshold", [None, 0.3])
+    def test_equals_per_draw(self, kind, n, threshold):
+        frame = FrameOfDiscernment.numbered(n)
+        spec = GenSpec(
+            frame,
+            kind=kind,
+            num_focals=min(2, n),
+            focal_pool=(1,) if kind == "ssf" and n == 1 else None,
+            min_singleton_mass=threshold,
+            seed=n,
+            stream=1,
+        )
+        got = generate(spec, 150)
+        want = per_draw_generate(spec, 150)
+        assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+
+    def test_assignments_share_the_frame_and_stay_read_only(self, frame4):
+        out = generate(GenSpec(frame4, kind="general", seed=1), 20)
+        assert all(m.frame is frame4 for m in out)
+        assert all(not m.values.flags.writeable for m in out)
+        with pytest.raises(ValueError):
+            out[3].values[0] = 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
 from masscomb.errors import ParseError
+from masscomb.genrand import GenSpec, generate
 from masscomb.io import (
     read_bbas,
     read_csv,
@@ -13,6 +14,8 @@ from masscomb.io import (
     write_csv,
     write_json,
 )
+
+from conftest import per_row_read_csv, per_row_read_json
 
 
 @pytest.fixture
@@ -69,6 +72,31 @@ class TestCsv:
             read_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"00,01,10,11\n0,0,0,1\n0,{cell},0,1\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            read_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["0,0.5,0,0.4", "0,0,0,1", "0,zero,0,1"], 2),  # bad sum, then a bad token
+            (["0,0,0,1", "0,zero,0,1", "0,0.5,0,0.4"], 3),  # bad token, then a bad sum
+            (["0,0,0,1", "0,0,1", "-1,1,0,1"], 3),  # wrong width, then a negative mass
+            (["0,0,0,1", "0,-1,1,1", "0,0,1"], 3),  # negative mass, then wrong width
+            (["0,0,0,1", "0,0.5,0,0.4", "0,nan,0,1"], 3),  # bad sum, then non-finite
+        ],
+    )
+    def test_earliest_bad_line_wins(self, tmp_path, lines, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("00,01,10,11\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_csv(path)
+        assert err.value.line == line
+
     def test_small_rounding_absorbed(self, tmp_path):
         path = tmp_path / "round.csv"
         path.write_text("00,01,10,11\n0,0.3333333,0.3333333,0.3333333\n")
@@ -123,6 +151,60 @@ class TestJson:
         with pytest.raises(ParseError) as err:
             read_json(path)
         assert err.value.line == 2
+
+
+    def test_non_finite_mass_reports_position(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(
+            '{"frame": ["a", "b"], "bbas": [{"focal elements": [["a"]], "masses": [1.0]},'
+            ' {"focal elements": [["a"], ["b"]], "masses": [NaN, 1.0]}]}'
+        )
+        with pytest.raises(ParseError, match="bba 1: mass values must be finite"):
+            read_json(path)
+
+    def test_earliest_bad_entry_wins(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(
+            '{"frame": ["a", "b"], "bbas": [{"focal elements": [["a"]], "masses": [1.0]},'
+            ' {"focal elements": [["a"]], "masses": [0.5]},'
+            ' {"focal elements": [["c"]], "masses": [1.0]}]}'
+        )
+        with pytest.raises(ParseError, match="bba 1: masses sum to 0.5"):
+            read_json(path)
+
+    @pytest.mark.parametrize(
+        "bbas", ['{"bad": 1}', "[1]", '[{"focal elements": [["a"]], "masses": ["x"]}]']
+    )
+    def test_malformed_entries_rejected(self, tmp_path, bbas):
+        path = tmp_path / "one.json"
+        path.write_text('{"frame": ["a", "b"], "bbas": ' + bbas + "}")
+        with pytest.raises(ParseError):
+            read_json(path)
+
+
+class TestOneBlock:
+    """Readers fill one block and validate it once; the result must equal
+    validating one assignment at a time."""
+
+    @pytest.mark.parametrize("kind, n", [("general", 3), ("consonant", 5), ("ssf", 8)])
+    def test_equals_per_row(self, tmp_path, kind, n):
+        frame = FrameOfDiscernment.numbered(n)
+        ms = generate(GenSpec(frame, kind=kind, num_focals=2, seed=n), 200)
+        cpath, jpath = tmp_path / "a.csv", tmp_path / "a.json"
+        write_csv(cpath, ms)
+        write_json(jpath, ms)
+        for got, want in ((read_csv(cpath), per_row_read_csv(cpath)),
+                          (read_json(jpath), per_row_read_json(jpath))):
+            assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+
+    def test_rounded_rows_equal_per_row(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [",".join(f"{x:.7f}" for x in rng.dirichlet(np.ones(8))) for _ in range(300)]
+        path = tmp_path / "r.csv"
+        path.write_text("000,001,010,011,100,101,110,111\n" + "\n".join(rows) + "\n")
+        got, want = read_csv(path), per_row_read_csv(path)
+        assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+        assert all(m.frame is got[0].frame for m in got)
 
 
 class TestConversion:

@@ -87,6 +87,13 @@ class TestConjunctive:
         with pytest.raises(EncodingError):
             combine_conjunctive([MassFunction.vacuous(frame2), MassFunction.vacuous(frame3)])
 
+    def test_equal_frames_need_not_be_one_object(self, frame2):
+        twin = FrameOfDiscernment.numbered(2)
+        assert twin == frame2 and twin is not frame2
+        got = combine_conjunctive([SimpleSupport(frame2, 1, 0.4).to_mass(),
+                                   SimpleSupport(twin, 1, 0.5).to_mass()])
+        assert math.isclose(got.mass[1], 1 - 0.4 * 0.5, abs_tol=1e-15)
+
 
 class TestDempster:
     def test_pair_example(self, pair):
