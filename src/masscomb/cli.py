@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import eknn as eknn_mod
@@ -149,11 +150,11 @@ def _emit_bbas(args, bbas) -> None:
             for m in bbas:
                 print(",".join(repr(v) for v in m.values.tolist()))
         else:
-            print(json.dumps(mio.to_json_doc(bbas), indent=1))
+            print(json.dumps(mio.to_json_doc(bbas), indent=1, allow_nan=False))
 
 
 def _emit_json(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -285,13 +286,14 @@ def _cmd_eknn(args) -> int:
         )
         rep = eknn_mod.evaluate_loo(ds, cfg)
         accs.append(rep.accuracy)
-        maxk.append(rep.max_kappa)
+        # undefined when every sample failed: JSON has no NaN
+        maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
         errs.append(len(rep.errors))
     payload["k"] = ks
     payload["accuracy"] = accs
     payload["max_kappa"] = maxk
     payload["failed_samples"] = errs
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
@@ -329,7 +331,7 @@ def _cmd_experiment(args) -> int:
         report.save(args.output)
         print(f"report written to {args.output}", file=sys.stderr)
     else:
-        print(json.dumps(report.to_dict(), indent=1))
+        print(json.dumps(report.to_dict(), indent=1, allow_nan=False))
     for name in report.tables:
         print(report.format_table(name), file=sys.stderr)
     return EXIT_OK

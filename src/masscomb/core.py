@@ -123,6 +123,17 @@ class FrameOfDiscernment:
         return card
 
     @cached_property
+    def _members(self) -> np.ndarray:
+        """Row ``i``: the subsets holding hypothesis ``i``, ascending.
+
+        An ``(n, 2**(n-1))`` index array, built once per frame.
+        """
+        idx = np.arange(self.powerset_size)
+        out = np.array([np.flatnonzero((idx >> i) & 1) for i in range(self.n)])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _positions(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -199,6 +210,27 @@ def _moebius_superset(a: np.ndarray, n: int) -> None:
     for i in range(n):
         v = _pair_view(a, n, i)
         v[..., 0, :] -= v[..., 1, :]
+
+
+def _conjoined_commonality(logw: np.ndarray, n: int) -> np.ndarray:
+    """Commonality of the conjunction of the simple supports ``A^w_A``.
+
+    ``logw[A]`` is ``log w_A`` (the sum of the log weights of every support
+    focused on ``A``).  Returns ``q(X) = exp of the sum of logw[A] over the
+    A that do not contain X``.  Each pass settles one bit of ``X``: row 0
+    sums the ``A`` that still contain the settled bits of ``X``, row 1 the
+    ``A`` that already miss one of them.  Only additions occur, so weights
+    at most 1 never cancel, and a weight of 0 (``-inf``) gives an exact 0.
+    """
+    acc = np.zeros((2, 1 << n))
+    acc[0] = logw
+    for i in range(n):
+        # before the pass axis 2 is bit i of A, after it bit i of X
+        v = acc.reshape(2, 1 << (n - 1 - i), 2, 1 << i)
+        both = v[:, :, 0, :] + v[:, :, 1, :]
+        np.add(both[1], v[0, :, 0, :], out=v[1, :, 1, :])
+        v[:, :, 0, :] = both
+    return np.exp(acc[1])
 
 
 def _zeta_subset(a: np.ndarray, n: int) -> None:
@@ -570,15 +602,10 @@ def pignistic(m: MassFunction) -> RepresentationVector:
     empty = float(m.values[0])
     if empty >= 1.0 - 1e-12:
         raise TotalConflictError("pignistic probability undefined: all mass on the empty set")
-    n = m.frame.n
-    size = m.frame.powerset_size
     card = m.frame.cardinalities
-    shares = np.zeros(size)
+    shares = np.zeros(m.frame.powerset_size)
     shares[1:] = m.values[1:] / card[1:]
-    idx = np.arange(size)
-    betp = np.empty(n)
-    for i in range(n):
-        betp[i] = shares[(idx >> i) & 1 == 1].sum()
+    betp = shares[m.frame._members].sum(axis=1)
     betp /= 1.0 - empty
     return RepresentationVector(m.frame, "pignistic", betp)
 
@@ -701,15 +728,10 @@ def recompose(w: WeightVector) -> MassFunction:
 
     Inverse of :func:`canonical_decompose` on non-dogmatic inputs.  The
     commonality of the product is ``prod of w_A over A not containing X``,
-    computed from one superset-sum pass over the log weights.
+    computed from one lattice pass over the log weights.
     """
     n = w.frame.n
-    logw = np.log(w.weights)
-    total = float(logw.sum())
-    sup = logw.copy()
-    _zeta_superset(sup, n)
-    q = np.exp(total - sup)
-    arr = q
+    arr = _conjoined_commonality(np.log(w.weights), n)
     _moebius_superset(arr, n)
     if not np.isfinite(arr).all():
         raise InvalidWeightVectorError("weight vector recombines to non-finite masses")

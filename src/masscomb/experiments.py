@@ -9,6 +9,7 @@ timings; rendering is left to external tooling.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -49,7 +50,7 @@ class ExperimentReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
             fh.write("\n")
 
     def format_table(self, name: str) -> str:
@@ -377,7 +378,8 @@ def _run_eknn_sweep(params: dict) -> ExperimentReport:
             cfg = eknn.EknnConfig(k=int(k), alpha=alpha, rule=RuleConfig(rule=rule))
             rep = eknn.evaluate_loo(ds, cfg)
             accs.append(rep.accuracy)
-            maxk.append(rep.max_kappa)
+            # undefined when every sample failed: JSON has no NaN
+            maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
             err_counts.append(len(rep.errors))
         xs = list(ks)
         report.series[f"accuracy/{rule}"] = _series(xs, accs)

@@ -67,50 +67,49 @@ def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
     return e / e.sum()
 
 
-def _draw_general(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
+def _pool(spec: GenSpec) -> np.ndarray:
+    """What each draw picks from: focal subsets for ``general`` and ``ssf``,
+    chain lengths for ``consonant``."""
     frame = spec.frame
-    pool = np.asarray(
-        spec.focal_pool
-        if spec.focal_pool is not None
-        else np.arange(1, frame.powerset_size)
-    )
+    if spec.kind == "consonant":
+        return np.arange(1, frame.n + 1)
+    if spec.focal_pool is not None:
+        return np.asarray(spec.focal_pool)
+    if spec.kind == "general":
+        return np.arange(1, frame.powerset_size)
+    if frame.n < 2:
+        raise ParameterError(
+            "a one-element frame has no proper non-empty subsets; supply a focal pool"
+        )
+    return np.arange(1, frame.full_set)
+
+
+def _draw_general(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
     count = int(rng.integers(1, len(pool) + 1))
     focals = rng.choice(pool, size=count, replace=False)
     arr[focals] = _simplex(rng, count)
 
 
-def _draw_ssf(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
-    frame = spec.frame
-    if spec.focal_pool is not None:
-        pool = np.asarray(spec.focal_pool)
-    else:
-        if frame.n < 2:
-            raise ParameterError(
-                "a one-element frame has no proper non-empty subsets; supply a focal pool"
-            )
-        pool = np.arange(1, frame.full_set)
-    focal = int(rng.choice(pool))
+def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
+    # the same stream as rng.choice(pool), without its overhead
+    focal = int(pool[rng.integers(0, len(pool))])
     w = float(rng.random())
-    arr[frame.full_set] = w
+    arr[spec.frame.full_set] = w
     arr[focal] += 1.0 - w
 
 
-def _draw_consonant(rng: np.random.Generator, spec: GenSpec, arr: np.ndarray) -> None:
-    frame = spec.frame
-    order = rng.permutation(frame.n)
-    sizes = np.sort(rng.choice(np.arange(1, frame.n + 1), size=spec.num_focals, replace=False))
-    focals = []
-    for s in sizes:
-        mask = 0
-        for pos in order[: int(s)]:
-            mask |= 1 << int(pos)
-        focals.append(mask)
-    if focals[-1] != frame.full_set:
-        focals.append(frame.full_set)
+def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
+    full = spec.frame.full_set
+    order = rng.permutation(spec.frame.n)
+    sizes = np.sort(rng.choice(pool, size=spec.num_focals, replace=False))
+    # the chain's k-th set holds the first k hypotheses of the permutation
+    focals = np.cumsum(np.left_shift(1, order))[sizes - 1]
+    if focals[-1] != full:
+        focals = np.append(focals, full)
     arr[focals] = _simplex(rng, len(focals))
 
 
-#: Each drawer writes one draw into a zeroed row.
+#: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
 _DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_consonant}
 
 
@@ -129,10 +128,11 @@ def generate(spec: GenSpec, count: int) -> list[MassFunction]:
     key = (spec.stream,) if spec.stream else ()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
     draw = _DRAWERS[spec.kind]
+    pool = _pool(spec)
     block = np.zeros((count, spec.frame.powerset_size))
     for arr in block:
         for attempt in range(_MAX_REJECTIONS):
-            draw(rng, spec, arr)
+            draw(rng, spec, pool, arr)
             if spec.min_singleton_mass is None:
                 break
             if _singleton_masses(arr, spec.frame.n).max() > spec.min_singleton_mass:

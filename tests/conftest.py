@@ -2,9 +2,11 @@
 
 The rule oracles evaluate the defining sums directly (focal-tuple
 enumeration, naive subset/superset sums) so they share no code path with the
-lattice implementations they check.  The producer oracles build one
-assignment at a time, as the producers did before they filled one block, so
-a batched result must equal them bit for bit.
+lattice implementations they check.  The dense oracles keep the lattice
+paths that the column forms of the conjunctive and cautious rules replaced.
+The producer oracles build one assignment at a time, as the producers did
+before they filled one block, so a batched result must equal them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,9 +19,21 @@ import numpy as np
 import pytest
 
 from masscomb import genrand
-from masscomb.core import FrameOfDiscernment, MassFunction, pignistic
+from masscomb.core import (
+    FrameOfDiscernment,
+    MassFunction,
+    WeightVector,
+    _moebius_superset,
+    _zeta_superset,
+    pignistic,
+)
 from masscomb.eknn import neighbor_bba, resolve_gamma
-from masscomb.errors import EncodingError, ParameterError
+from masscomb.errors import (
+    DecompositionError,
+    EncodingError,
+    InvalidWeightVectorError,
+    ParameterError,
+)
 from masscomb.io import FILE_MASS_TOL
 from masscomb.rules import combine
 
@@ -158,6 +172,71 @@ def brute_pcr6(ms: list[MassFunction]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Oracles: the dense lattice paths that the column forms replaced
+# ---------------------------------------------------------------------------
+
+
+def _dense_chunks(ms, size=16384):
+    for start in range(0, len(ms), size):
+        yield np.stack([m.values for m in ms[start : start + size]])
+
+
+def dense_conjunctive(ms: list[MassFunction]) -> np.ndarray:
+    """Every input's commonality row, multiplied, then the Moebius pass."""
+    n = ms[0].frame.n
+    acc = np.ones(1 << n)
+    for v in _dense_chunks(ms):
+        _zeta_superset(v, n)
+        acc *= v.prod(axis=0)
+    _moebius_superset(acc, n)
+    return MassFunction(ms[0].frame, acc).values
+
+
+def dense_cautious(ms: list[MassFunction]) -> np.ndarray:
+    """Every input decomposed as a dense row, the subset-wise minimum of the
+    weights, then the recombination from ``total - superset sum`` of the
+    log weights."""
+    frame = ms[0].frame
+    n = frame.n
+    minw = np.full(frame.powerset_size, np.inf)
+    for v in _dense_chunks(ms):
+        if float(v[:, frame.full_set].min()) <= 0.0:
+            raise DecompositionError("cautious pooling requires non-dogmatic inputs")
+        _zeta_superset(v, n)
+        np.log(np.maximum(v, 1e-300, out=v), out=v)
+        _moebius_superset(v, n)
+        w = np.exp(-v)
+        w[:, frame.full_set] = 1.0
+        np.minimum(minw, w.min(axis=0), out=minw)
+    logw = np.log(WeightVector(frame, minw).weights)
+    sup = logw.copy()
+    _zeta_superset(sup, n)
+    arr = np.exp(float(logw.sum()) - sup)
+    _moebius_superset(arr, n)
+    if not np.isfinite(arr).all() or float(arr.min()) < -1e-9:
+        raise InvalidWeightVectorError("weight vector recombines to an invalid mass")
+    try:
+        return MassFunction(frame, arr).values
+    except ParameterError as exc:
+        raise InvalidWeightVectorError(str(exc)) from None
+
+
+def loop_pignistic(m: MassFunction) -> np.ndarray:
+    """Pignistic probability with one boolean mask over all subsets per
+    hypothesis."""
+    empty = float(m.values[0])
+    card = m.frame.cardinalities
+    shares = np.zeros(m.frame.powerset_size)
+    shares[1:] = m.values[1:] / card[1:]
+    idx = np.arange(m.frame.powerset_size)
+    betp = np.empty(m.frame.n)
+    for i in range(m.frame.n):
+        betp[i] = shares[(idx >> i) & 1 == 1].sum()
+    betp /= 1.0 - empty
+    return betp
+
+
+# ---------------------------------------------------------------------------
 # Oracles: the per-object producers that the batched ones replaced
 # ---------------------------------------------------------------------------
 
@@ -205,11 +284,69 @@ def per_neighbour_classify(x, ds, cfg, *, exclude=None):
     return int(np.argmax(betp)), fused, betp
 
 
+def _oracle_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
+    u = rng.random(k)
+    e = -np.log(np.maximum(u, 1e-300))
+    return e / e.sum()
+
+
+def _oracle_draw_general(rng, spec, arr) -> None:
+    frame = spec.frame
+    pool = np.asarray(
+        spec.focal_pool
+        if spec.focal_pool is not None
+        else np.arange(1, frame.powerset_size)
+    )
+    count = int(rng.integers(1, len(pool) + 1))
+    focals = rng.choice(pool, size=count, replace=False)
+    arr[focals] = _oracle_simplex(rng, count)
+
+
+def _oracle_draw_ssf(rng, spec, arr) -> None:
+    frame = spec.frame
+    if spec.focal_pool is not None:
+        pool = np.asarray(spec.focal_pool)
+    else:
+        if frame.n < 2:
+            raise ParameterError(
+                "a one-element frame has no proper non-empty subsets; supply a focal pool"
+            )
+        pool = np.arange(1, frame.full_set)
+    focal = int(rng.choice(pool))
+    w = float(rng.random())
+    arr[frame.full_set] = w
+    arr[focal] += 1.0 - w
+
+
+def _oracle_draw_consonant(rng, spec, arr) -> None:
+    frame = spec.frame
+    order = rng.permutation(frame.n)
+    sizes = np.sort(rng.choice(np.arange(1, frame.n + 1), size=spec.num_focals, replace=False))
+    focals = []
+    for s in sizes:
+        mask = 0
+        for pos in order[: int(s)]:
+            mask |= 1 << int(pos)
+        focals.append(mask)
+    if focals[-1] != frame.full_set:
+        focals.append(frame.full_set)
+    arr[focals] = _oracle_simplex(rng, len(focals))
+
+
+_ORACLE_DRAWERS = {
+    "general": _oracle_draw_general,
+    "ssf": _oracle_draw_ssf,
+    "consonant": _oracle_draw_consonant,
+}
+
+
 def per_draw_generate(spec: genrand.GenSpec, count: int) -> list[MassFunction]:
-    """``generate`` with a fresh row and its own ``MassFunction`` per draw."""
+    """``generate`` with a fresh row and its own ``MassFunction`` per draw,
+    drawn by the original one-draw-at-a-time recipes (``rng.choice`` for
+    every pick, chains built bit by bit), so it pins the PCG64 stream."""
     key = (spec.stream,) if spec.stream else ()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
-    draw = genrand._DRAWERS[spec.kind]
+    draw = _ORACLE_DRAWERS[spec.kind]
     out = []
     for _ in range(count):
         for _ in range(genrand._MAX_REJECTIONS):

@@ -10,6 +10,10 @@ from masscomb.core import MassFunction, SimpleSupport
 from masscomb.io import read_bbas, write_csv
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def six_csv(tmp_path, frame3):
     ms = [SimpleSupport(frame3, 1, w).to_mass() for w in (0.88, 0.84, 0.85, 0.89, 0.86)]
@@ -171,6 +175,16 @@ class TestEknnCommand:
         assert main(["eknn", "--train", str(train), "--sweep-k", "1:3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["k"] == [1, 2, 3]
+
+    def test_every_sample_failing_writes_null(self, tmp_path, capsys):
+        # pcr6 needs two sources, so every K=1 sample fails
+        train = tmp_path / "train.csv"
+        rows = ["0,0,a", "0.5,0,a", "0.2,0.4,a", "5,0,b", "5.5,0,b", "5.2,0.4,b"]
+        train.write_text("\n".join(rows) + "\n")
+        assert main(["eknn", "--train", str(train), "--k", "1", "--rule", "pcr6"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert doc["max_kappa"] == [None]
+        assert doc["failed_samples"] == [6]
 
     def test_bad_range(self, tmp_path):
         train = tmp_path / "t.csv"

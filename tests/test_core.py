@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masscomb.core import (
+    _conjoined_commonality,
     FrameOfDiscernment,
     MASS_TOL,
     MassFunction,
@@ -41,7 +42,14 @@ from masscomb.errors import (
 from masscomb.genrand import GenSpec, generate
 from masscomb.io import FILE_MASS_TOL
 
-from conftest import naive_belief, naive_commonality, naive_plausibility, random_mass, row_by_row
+from conftest import (
+    loop_pignistic,
+    naive_belief,
+    naive_commonality,
+    naive_plausibility,
+    random_mass,
+    row_by_row,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +312,15 @@ class TestPignistic:
         with pytest.raises(TotalConflictError):
             pignistic(m)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_the_mask_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        frame = FrameOfDiscernment.numbered(n)
+        for _ in range(200):
+            m = random_mass(rng, frame, max_focals=12, allow_empty=True)
+            if m.conflict < 0.99:
+                assert np.array_equal(pignistic(m).values, loop_pignistic(m))
+
 
 class TestDiscount:
     def test_unchanged_at_one(self, frame2):
@@ -407,6 +424,18 @@ class TestDecomposition:
         single[1] = 0.88
         m2 = recompose(WeightVector(frame2, single))
         assert np.max(np.abs(m2.values - [0, 0.12, 0, 0.88])) <= 1e-12
+
+    def test_conjoined_commonality_does_not_cancel(self):
+        # every support holds hypothesis 1 and the log weights sum to about
+        # -4e3: a total minus a superset sum leaves 4.5e-13 of rounding on
+        # q({1}), which is an empty product
+        idx = np.arange(16)
+        logw = np.where(idx % 2 == 1, -np.linspace(0.1, 900.7, 16), 0.0)
+        logw[15] = 0.0
+        logw[3] = -np.inf
+        q = _conjoined_commonality(logw, 4)
+        assert q[0] == q[1] == 1.0
+        assert (q[(idx & 3) != idx] == 0.0).all()
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """Named experiments: structure, replayability, and reference behaviour."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,26 @@ class TestEknnSweep:
         )
         assert rep.series["accuracy/dempster"]["x"] == [1, 5]
         assert all(0 <= a <= 1 for a in rep.series["accuracy/dempster"]["y"])
+
+    def test_every_sample_failing_writes_null(self, tmp_path):
+        # pcr6 needs two sources, so every K=1 sample fails
+        rep = run_experiment("eknn-sweep", {"n_per_class": 5, "ks": [1, 2], "rules": ["pcr6"]})
+        series = rep.series["max_kappa/pcr6"]
+        assert series["y"][0] is None and series["errors"] == [10, 0]
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(json.dumps(rep.to_dict()), parse_constant=reject) == rep.to_dict()
+        out = tmp_path / "report.json"
+        rep.save(out)
+        assert json.loads(out.read_text(), parse_constant=reject) == rep.to_dict()
+
+    def test_nan_fails_loudly(self, tmp_path):
+        rep = run_experiment("eknn-sweep", {"n_per_class": 5, "ks": [2], "rules": ["pcr6"]})
+        rep.series["max_kappa/pcr6"]["y"][0] = float("nan")
+        with pytest.raises(ValueError):
+            rep.save(tmp_path / "report.json")
 
 
 class TestReplay:

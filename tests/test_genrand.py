@@ -117,7 +117,7 @@ class TestOneBlock:
     equal drawing and validating one assignment at a time."""
 
     @pytest.mark.parametrize("kind", ["general", "ssf", "consonant"])
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
     @pytest.mark.parametrize("threshold", [None, 0.3])
     def test_equals_per_draw(self, kind, n, threshold):
         frame = FrameOfDiscernment.numbered(n)

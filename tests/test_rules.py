@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
+from masscomb.genrand import GenSpec, generate
 from masscomb.errors import (
     ComplexityGuardError,
     DecompositionError,
     EncodingError,
+    MassCombError,
     NotSeparableError,
     ParameterError,
     TotalConflictError,
@@ -37,7 +39,15 @@ from masscomb.rules import (
     martin_reliability,
 )
 
-from conftest import brute_conjunctive, brute_disjunctive, brute_dp, brute_pcr6, random_mass
+from conftest import (
+    brute_conjunctive,
+    brute_disjunctive,
+    brute_dp,
+    brute_pcr6,
+    dense_cautious,
+    dense_conjunctive,
+    random_mass,
+)
 
 
 @pytest.fixture
@@ -335,6 +345,14 @@ class TestGrouping:
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
             lns_group([])
+
+    def test_mixed_frames_rejected(self, frame2, frame3):
+        with pytest.raises(EncodingError):
+            lns_group([SimpleSupport(frame3, 1, 0.5), SimpleSupport(frame2, 1, 0.5)])
+        # equal frames need not be one object
+        twin = FrameOfDiscernment.numbered(3)
+        groups = lns_group([SimpleSupport(frame3, 1, 0.5), SimpleSupport(twin, 1, 0.5)])
+        assert groups[0].count == 2
 
     @pytest.mark.parametrize(
         "cfg",
@@ -708,6 +726,149 @@ class TestValidResultOrDocumentedError:
         assert np.isfinite(values).all() and values.min() >= 0.0
         assert abs(float(values.sum()) - 1.0) <= 1e-9
         assert 0.0 <= res.conflict <= 1.0
+
+
+def _mixed_batch(rng, frame, count, kinds, zero_share):
+    """``count`` random rows of the given kinds; a simple support has weight
+    0 (a categorical input) with probability ``zero_share``."""
+    size, full = frame.powerset_size, frame.full_set
+    block = np.zeros((count, size))
+    for row, kind in zip(block, rng.choice(kinds, size=count)):
+        if kind == "vacuous":
+            row[full] = 1.0
+        elif kind == "simple":
+            w = 0.0 if rng.random() < zero_share else float(rng.random())
+            row[full] = w
+            row[int(rng.integers(0, full))] += 1.0 - w
+        elif kind == "consonant":
+            order = rng.permutation(frame.n)
+            chain = np.cumsum(np.left_shift(1, order))
+            row[chain] = rng.dirichlet(np.ones(frame.n))
+        else:
+            cells = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+            row[cells] = rng.dirichlet(np.ones(len(cells)))
+    return [MassFunction(frame, row) for row in block]
+
+
+def _dense_reference(ms, rule, result=None):
+    """The dense lattice path of ``rule``; for lns/lnsa, the conjunctive
+    global stage on the groups that ``result`` reports."""
+    if rule == "conjunctive":
+        return dense_conjunctive(ms)
+    if rule == "dempster":
+        arr = dense_conjunctive(ms).copy()
+        if arr[0] >= 1.0 - 1e-12:
+            raise TotalConflictError("saturated")
+        arr[0] = 0.0
+        return arr / arr.sum()
+    if rule == "cautious":
+        return dense_cautious(ms)
+    frame = ms[0].frame
+    groups = [g for g in result.groups if g.focal != frame.full_set]
+    if not groups:
+        return MassFunction.vacuous(frame).values
+    # the approximate rule discounts each group as if its pooled weight were 0
+    supports = [
+        SimpleSupport(frame, g.focal, 1.0 - g.alpha + g.alpha * (g.inner_weight or 0.0)).to_mass()
+        for g in groups
+    ]
+    return dense_conjunctive(supports)
+
+
+class TestColumnPath:
+    """Simple supports pooled as (focal, weight) columns agree with the dense
+    lattice product of every row."""
+
+    @given(
+        n=st.integers(1, 6),
+        count=st.integers(1, 300),
+        kinds=st.sets(st.sampled_from(("simple", "consonant", "general", "vacuous")), min_size=1),
+        zero_share=st.sampled_from((0.0, 0.01, 0.3)),
+        chunk=st.sampled_from((3, 17, 16384)),
+        force_columns=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        rule=st.sampled_from(("conjunctive", "dempster", "cautious", "lns", "lnsa")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_dense_rows(
+        self, n, count, kinds, zero_share, chunk, force_columns, seed, rule
+    ):
+        import masscomb.rules as rules_mod
+
+        frame = FrameOfDiscernment.numbered(n)
+        ms = _mixed_batch(np.random.default_rng(seed), frame, count, sorted(kinds), zero_share)
+        saved = rules_mod._CHUNK_ROWS, rules_mod._COLUMN_MIN_CELLS
+        rules_mod._CHUNK_ROWS = chunk
+        if force_columns:
+            rules_mod._COLUMN_MIN_CELLS = 0
+        try:
+            got = combine(ms, RuleConfig(rule=rule))
+        except MassCombError as exc:
+            if rule in ("lns", "lnsa"):
+                return  # the grouped rules' errors are checked elsewhere
+            with pytest.raises(type(exc)):
+                _dense_reference(ms, rule)
+            return
+        finally:
+            rules_mod._CHUNK_ROWS, rules_mod._COLUMN_MIN_CELLS = saved
+        want = _dense_reference(ms, rule, got)
+        assert np.max(np.abs(got.mass.values - want)) <= 1e-12
+        assert got.conflict == got.mass.values[0]
+
+    @pytest.fixture
+    def columns(self, monkeypatch):
+        import masscomb.rules as rules_mod
+
+        monkeypatch.setattr(rules_mod, "_COLUMN_MIN_CELLS", 0)
+
+    def test_contradictory_categoricals_conflict_exactly(self, frame2, columns):
+        ms = [MassFunction.categorical(frame2, 1), MassFunction.categorical(frame2, 2)]
+        res = combine_conjunctive(ms)
+        assert res.conflict == 1.0
+        assert np.array_equal(res.mass.values, [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(TotalConflictError):
+            combine_dempster(ms)
+
+    @pytest.mark.parametrize("rule", ["conjunctive", "dempster", "cautious", "lns", "lnsa"])
+    def test_all_vacuous_is_exactly_vacuous(self, frame3, columns, rule):
+        res = combine([MassFunction.vacuous(frame3)] * 40, RuleConfig(rule=rule))
+        assert np.array_equal(res.mass.values, MassFunction.vacuous(frame3).values)
+
+    def test_weight_zero_zeroes_exactly_the_non_subsets(self, frame3, columns):
+        ms = [SimpleSupport(frame3, 3, 0.0).to_mass()]
+        ms += [SimpleSupport(frame3, a, 0.2 + 0.1 * a).to_mass() for a in range(1, 7)]
+        values = combine_conjunctive(ms).mass.values
+        outside = [b for b in range(8) if b & 3 != b]
+        assert (values[outside] == 0.0).all()
+        assert (values[[1, 2, 3]] > 0.0).all()
+        from masscomb import core
+
+        logw = np.zeros(8)
+        logw[3] = -np.inf
+        logw[[1, 2, 4, 5, 6]] = np.log([0.3, 0.4, 0.6, 0.7, 0.8])
+        with np.errstate(divide="ignore"):
+            q = core._conjoined_commonality(logw, 3)
+        assert (q[outside] == 0.0).all() and (q[[0, 1, 2, 3]] > 0.0).all()
+
+    def test_cautious_rejects_a_dogmatic_simple_support(self, frame3, columns):
+        ms = [SimpleSupport(frame3, a, 0.5).to_mass() for a in range(1, 7)]
+        ms.append(SimpleSupport(frame3, 2, 0.0).to_mass())
+        with pytest.raises(DecompositionError):
+            combine_cautious(ms)
+
+    def test_near_saturation_normalises_to_closed_form(self, frame2, columns):
+        k = 28
+        e = 0.5**k
+        ms = [SimpleSupport(frame2, 1, 0.5).to_mass()] * k
+        ms += [SimpleSupport(frame2, 2, 0.5).to_mass()] * k
+        res = combine_dempster(ms)
+        expect = np.array([0.0, 1 - e, 1 - e, e]) / (2 - e)
+        assert np.max(np.abs(res.mass.values - expect)) <= 1e-12
+
+    def test_small_calls_stay_on_dense_rows(self, frame2):
+        # below the crossover the result is the dense product, bit for bit
+        ms = generate(GenSpec(frame2, kind="ssf", seed=3), 10)
+        assert np.array_equal(combine_conjunctive(ms).mass.values, dense_conjunctive(ms))
 
 
 class TestConservation:
