@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Subcommands: fuse, transform, decompose, discount, gen, eknn,
-experiment <name>, bench.  Exit codes: 0 success, 2 validation error,
+experiment <name>.  Exit codes: 0 success, 2 validation error,
 3 saturation / total conflict, 4 complexity guard.
 """
 
@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import eknn as eknn_mod
 from . import io as mio
 from .core import FrameOfDiscernment, MassFunction, transform
 from .errors import ComplexityGuardError, MassCombError, ParameterError, TotalConflictError
-from .experiments import EXPERIMENT_NAMES, median_timing, run_experiment
+from .experiments import EXPERIMENT_NAMES, run_experiment
 from .genrand import GEN_KINDS, GenSpec, generate
 from .rules import GLOBAL_RULE_NAMES, RULE_NAMES, RuleConfig, combine
 
@@ -37,8 +36,6 @@ def _add_io_flags(p: argparse.ArgumentParser, need_input: bool = True) -> None:
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=RULE_NAMES, default="conjunctive")
     p.add_argument("--eta", type=float, default=1.0, help="precision exponent for grouped rules")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=1.0,
-                   help="shape of the conflict-based reliability estimator")
     p.add_argument("--global-rule", choices=GLOBAL_RULE_NAMES, default="conjunctive",
                    help="rule for the final stage of lns/lnsa")
     p.add_argument("--enumeration-guard", type=int, default=10_000_000)
@@ -49,7 +46,6 @@ def _rule_config(args: argparse.Namespace) -> RuleConfig:
         rule=args.rule,
         eta=args.eta,
         global_rule=args.global_rule,
-        lam=args.lambda_,
         enumeration_guard=args.enumeration_guard,
     )
 
@@ -121,17 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report as JSON")
     p.set_defaults(handler=_cmd_experiment)
 
-    p = command("bench", help="time one rule on generated inputs")
-    _add_rule_flags(p)
-    p.add_argument("--sources", type=int, default=10_000)
-    p.add_argument("--frame", type=int, default=8)
-    p.add_argument("--kind", choices=("ssf", "consonant"), default="ssf")
-    p.add_argument("--num-focals", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write the timing record as JSON")
-    p.set_defaults(handler=_cmd_bench)
-
     return parser
 
 
@@ -141,22 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_bbas(args, bbas) -> None:
-    if args.output:
-        mio.write_bbas(args.output, bbas, fmt=args.format)
-    else:
-        fmt = args.format or "csv"
-        if fmt == "csv":
-            print(",".join(mio.bitmask_header(bbas[0].frame.n)))
-            for m in bbas:
-                print(",".join(repr(v) for v in m.values.tolist()))
-        else:
-            print(json.dumps(mio.to_json_doc(bbas), indent=1, allow_nan=False))
+    mio.write_bbas(args.output or sys.stdout, bbas, fmt=args.format)
 
 
-def _emit_json(args, payload: dict) -> None:
+def _emit_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON to the file ``path``, or to stdout without one."""
     text = json.dumps(payload, indent=1, allow_nan=False)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -199,7 +176,7 @@ def _cmd_transform(args) -> int:
         "columns": list(header),
         "values": [r.values.tolist() for r in rows],
     }
-    _emit_json(args, payload)
+    _emit_json(args.output, payload)
     return EXIT_OK
 
 
@@ -215,7 +192,7 @@ def _cmd_decompose(args) -> int:
         "columns": mio.bitmask_header(frame.n),
         "values": weights,
     }
-    _emit_json(args, payload)
+    _emit_json(args.output, payload)
     return EXIT_OK
 
 
@@ -279,27 +256,14 @@ def _cmd_eknn(args) -> int:
         "standardize": args.standardize,
     }
     ks = list(_parse_k_range(args.sweep_k)) if args.sweep_k else [args.k]
-    accs, maxk, errs = [], [], []
-    for k in ks:
-        cfg = eknn_mod.EknnConfig(
-            k=k, alpha=args.alpha, rule=rule_cfg, standardize=args.standardize
-        )
-        rep = eknn_mod.evaluate_loo(ds, cfg)
-        accs.append(rep.accuracy)
-        # undefined when every sample failed: JSON has no NaN
-        maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
-        errs.append(len(rep.errors))
+    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg, args.standardize)
     payload["k"] = ks
     payload["accuracy"] = accs
     payload["max_kappa"] = maxk
     payload["failed_samples"] = errs
-    text = json.dumps(payload, indent=1, allow_nan=False)
+    _emit_json(args.report, payload)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
         print(f"k={ks} accuracy={accs}", file=sys.stderr)
-    else:
-        print(text)
     return EXIT_OK
 
 
@@ -307,7 +271,7 @@ def _cmd_experiment(args) -> int:
     params: dict = {}
     if args.seed is not None:
         params["seed"] = args.seed
-    if args.eta is not None and args.name in ("table1", "conflict-sweep"):
+    if args.eta is not None:
         params["eta"] = args.eta
     if args.deterministic_w is not None:
         params["deterministic_w"] = args.deterministic_w
@@ -327,32 +291,11 @@ def _cmd_experiment(args) -> int:
     if args.k_max is not None:
         params["ks"] = tuple(range(1, args.k_max + 1))
     report = run_experiment(args.name, params)
+    _emit_json(args.output, report.to_dict())
     if args.output:
-        report.save(args.output)
         print(f"report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps(report.to_dict(), indent=1, allow_nan=False))
     for name in report.tables:
         print(report.format_table(name), file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    frame = FrameOfDiscernment.numbered(args.frame)
-    spec = GenSpec(frame, kind=args.kind, num_focals=args.num_focals, seed=args.seed)
-    inputs = generate(spec, args.sources)
-    seconds, step_seconds = median_timing(inputs, _rule_config(args), args.repeats)
-    record = {
-        "rule": args.rule,
-        "sources": args.sources,
-        "frame_size": args.frame,
-        "kind": args.kind,
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "seconds": seconds,
-        "step_seconds": step_seconds,
-    }
-    _emit_json(args, record)
     return EXIT_OK
 
 

@@ -692,6 +692,24 @@ def consistency(m1: MassFunction, m2: MassFunction) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _batched_weights(values: np.ndarray, frame: FrameOfDiscernment) -> np.ndarray:
+    """Canonical-decomposition weights for every row of a (rows, 2**n) matrix,
+    written over it.
+
+    Rows must be non-dogmatic.  Works in the log-commonality domain; the
+    frame column is forced to 1.
+    """
+    n = frame.n
+    v = values
+    _zeta_superset(v, n)
+    np.log(np.maximum(v, _LOG_FLOOR, out=v), out=v)
+    _moebius_superset(v, n)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    v[:, frame.full_set] = 1.0
+    return v
+
+
 def canonical_decompose(m: MassFunction) -> WeightVector:
     """Factor a non-dogmatic assignment into per-subset simple-support weights.
 
@@ -711,16 +729,7 @@ def canonical_decompose(m: MassFunction) -> WeightVector:
         if ssf.focal != full:
             weights[ssf.focal] = ssf.weight
         return WeightVector(m.frame, weights)
-    q = m.values.copy()
-    _zeta_superset(q, m.frame.n)
-    if float(q.min()) <= 0.0:
-        # Cannot happen for a valid non-dogmatic assignment: q(A) >= m(frame) > 0.
-        raise DecompositionError("non-positive commonality encountered")
-    logq = np.log(np.maximum(q, _LOG_FLOOR))
-    _moebius_superset(logq, m.frame.n)
-    weights = np.exp(-logq)
-    weights[full] = 1.0
-    return WeightVector(m.frame, weights)
+    return WeightVector(m.frame, _batched_weights(m.values[None, :].copy(), m.frame)[0])
 
 
 def recompose(w: WeightVector) -> MassFunction:

@@ -235,6 +235,24 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     )
 
 
+def _loo_sweep(
+    ds: LabeledDataset, ks: Sequence[int], alpha: float, rule: RuleConfig, standardize: bool = False
+) -> tuple[list[float], list[float | None], list[int]]:
+    """Leave-one-out accuracy, maximum conflict and failure count at each K.
+
+    The maximum conflict is undefined, and reported as None, at a K where
+    every sample failed: JSON has no NaN.
+    """
+    accs, maxk, errs = [], [], []
+    for k in ks:
+        cfg = EknnConfig(k=int(k), alpha=alpha, rule=rule, standardize=standardize)
+        rep = evaluate_loo(ds, cfg)
+        accs.append(rep.accuracy)
+        maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
+        errs.append(len(rep.errors))
+    return accs, maxk, errs
+
+
 def two_gaussian_dataset(
     n_per_class: int = 100,
     separation: float = 4.0,

@@ -9,7 +9,6 @@ timings; rendering is left to external tooling.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -373,14 +372,7 @@ def _run_eknn_sweep(params: dict) -> ExperimentReport:
         notes={"gamma": "auto (inverse mean same-class pair distance)"},
     )
     for rule in rule_names:
-        accs, maxk, err_counts = [], [], []
-        for k in ks:
-            cfg = eknn.EknnConfig(k=int(k), alpha=alpha, rule=RuleConfig(rule=rule))
-            rep = eknn.evaluate_loo(ds, cfg)
-            accs.append(rep.accuracy)
-            # undefined when every sample failed: JSON has no NaN
-            maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
-            err_counts.append(len(rep.errors))
+        accs, maxk, err_counts = eknn._loo_sweep(ds, ks, alpha, RuleConfig(rule=rule))
         xs = list(ks)
         report.series[f"accuracy/{rule}"] = _series(xs, accs)
         report.series[f"max_kappa/{rule}"] = _series(xs, maxk, errors=err_counts)

@@ -12,6 +12,7 @@ Two formats round-trip losslessly:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -42,11 +43,22 @@ def bitmask_header(n: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path, bbas: Sequence[MassFunction]) -> None:
+@contextlib.contextmanager
+def _sink(target, **open_kw):
+    """Yield ``target`` if it is an open text stream, else the file it names,
+    opened for writing; either way the bytes written are the same."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", **open_kw) as fh:
+            yield fh
+
+
+def write_csv(target, bbas: Sequence[MassFunction]) -> None:
     if not bbas:
         raise ParameterError("nothing to write")
     frame = bbas[0].frame
-    with open(path, "w", newline="") as fh:
+    with _sink(target, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(bitmask_header(frame.n))
         for m in bbas:
@@ -133,10 +145,10 @@ def to_json_doc(bbas: Sequence[MassFunction]) -> dict:
     }
 
 
-def write_json(path, bbas: Sequence[MassFunction]) -> None:
+def write_json(target, bbas: Sequence[MassFunction]) -> None:
     doc = to_json_doc(bbas)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    with _sink(target) as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -194,12 +206,14 @@ def read_json(path) -> list[MassFunction]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_format(path, fmt: str | None) -> str:
+def _resolve_format(target, fmt: str | None) -> str:
     if fmt:
         if fmt not in FORMATS:
             raise ParameterError(f"unknown format {fmt!r}; choose from {FORMATS}")
         return fmt
-    ext = os.path.splitext(str(path))[1].lower().lstrip(".")
+    if hasattr(target, "write"):
+        return "csv"  # an open stream has no extension to go by
+    ext = os.path.splitext(str(target))[1].lower().lstrip(".")
     return ext if ext in FORMATS else "csv"
 
 
@@ -209,8 +223,10 @@ def read_bbas(path, fmt: str | None = None, labels: Sequence[str] | None = None)
     return read_csv(path, labels=labels)
 
 
-def write_bbas(path, bbas: Sequence[MassFunction], fmt: str | None = None) -> None:
-    if _resolve_format(path, fmt) == "json":
-        write_json(path, bbas)
+def write_bbas(target, bbas: Sequence[MassFunction], fmt: str | None = None) -> None:
+    """Write to the file ``target`` names, or to ``target`` itself if it is an
+    open text stream."""
+    if _resolve_format(target, fmt) == "json":
+        write_json(target, bbas)
     else:
-        write_csv(path, bbas)
+        write_csv(target, bbas)

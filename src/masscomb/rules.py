@@ -73,18 +73,15 @@ class RuleConfig:
 
     ``eta`` sharpens the precision-aware discounting of the grouped rules
     (0 disables it).  ``global_rule`` picks the operator used for the final
-    stage of ``lns``/``lnsa``.  ``lam`` shapes the conflict-based
-    reliability estimator.  ``enumeration_guard`` caps the number of focal
-    tuples the Dubois-Prade and PCR6 enumerations may visit.
+    stage of ``lns``/``lnsa``.  ``enumeration_guard`` caps the number of
+    focal tuples the Dubois-Prade and PCR6 enumerations may visit.
     ``vacuous_in_denominator`` counts fully ignorant sources when
-    normalising group shares (off by default).  ``eta`` and ``lam`` must
-    be finite.
+    normalising group shares (off by default).  ``eta`` must be finite.
     """
 
     rule: str = "conjunctive"
     eta: float = 1.0
     global_rule: str = "conjunctive"
-    lam: float = 1.0
     enumeration_guard: int = 10_000_000
     vacuous_in_denominator: bool = False
 
@@ -97,8 +94,6 @@ class RuleConfig:
             )
         if not (self.eta >= 0.0 and math.isfinite(self.eta)):
             raise ParameterError(f"eta must be finite and non-negative, got {self.eta!r}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ParameterError(f"lambda must be finite and positive, got {self.lam!r}")
         if self.enumeration_guard < 1:
             raise ParameterError("enumeration guard must be at least 1")
 
@@ -396,24 +391,6 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
 # ---------------------------------------------------------------------------
 
 
-def _batched_weights(values: np.ndarray, frame: FrameOfDiscernment) -> np.ndarray:
-    """Canonical-decomposition weights for every row of a (rows, 2**n) matrix,
-    written over it.
-
-    Rows must be non-dogmatic.  Works in the log-commonality domain; the
-    frame column is forced to 1.
-    """
-    n = frame.n
-    v = values
-    core._zeta_superset(v, n)
-    np.log(np.maximum(v, core._LOG_FLOOR, out=v), out=v)
-    core._moebius_superset(v, n)
-    np.negative(v, out=v)
-    np.exp(v, out=v)
-    v[:, frame.full_set] = 1.0
-    return v
-
-
 def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
     """Cautious pooling for non-distinct sources: take the subset-wise
     minimum of the canonical-decomposition weights and recombine.
@@ -432,7 +409,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
             np.minimum(minw, 1.0, out=minw)
             np.minimum.at(minw, focal, weight)
         if len(rest):
-            np.minimum(minw, _batched_weights(rest, frame).min(axis=0), out=minw)
+            np.minimum(minw, core._batched_weights(rest, frame).min(axis=0), out=minw)
     mass = recompose(WeightVector(frame, minw))
     return FusionResult(mass=mass, conflict=mass.conflict)
 
@@ -469,7 +446,7 @@ def _component_accumulators(ms: Sequence[MassFunction], frame: FrameOfDiscernmen
                 raise DecompositionError(
                     "dogmatic non-simple inputs cannot be decomposed for grouping"
                 )
-            wmat = _batched_weights(rest, frame)
+            wmat = core._batched_weights(rest, frame)
             _check_groupable(wmat, frame)
             comp_mask = wmat < 1.0 - _VACUOUS_WEIGHT_TOL
             comp_mask[:, full] = False

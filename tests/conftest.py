@@ -5,8 +5,8 @@ enumeration, naive subset/superset sums) so they share no code path with the
 lattice implementations they check.  The dense oracles keep the lattice
 paths that the column forms of the conjunctive and cautious rules replaced.
 The producer oracles build one assignment at a time, as the producers did
-before they filled one block, so a batched result must equal them bit for
-bit.
+before they filled one block, and the decomposition oracle decomposes one
+assignment on its own, so a batched result must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from masscomb.core import (
     WeightVector,
     _moebius_superset,
     _zeta_superset,
+    as_simple_support,
     pignistic,
 )
 from masscomb.eknn import neighbor_bba, resolve_gamma
@@ -234,6 +235,29 @@ def loop_pignistic(m: MassFunction) -> np.ndarray:
         betp[i] = shares[(idx >> i) & 1 == 1].sum()
     betp /= 1.0 - empty
     return betp
+
+
+def single_row_decompose(m: MassFunction) -> np.ndarray:
+    """Canonical weights of one assignment from its own commonality vector,
+    with simple supports short-circuited to their own weight."""
+    full = m.frame.full_set
+    if float(m.values[full]) <= 0.0:
+        raise DecompositionError("canonical decomposition is undefined for dogmatic assignments")
+    ssf = as_simple_support(m)
+    if ssf is not None:
+        weights = np.ones(m.frame.powerset_size)
+        if ssf.focal != full:
+            weights[ssf.focal] = ssf.weight
+        return weights
+    q = m.values.copy()
+    _zeta_superset(q, m.frame.n)
+    if float(q.min()) <= 0.0:
+        raise DecompositionError("non-positive commonality encountered")
+    logq = np.log(np.maximum(q, 1e-300))
+    _moebius_superset(logq, m.frame.n)
+    weights = np.exp(-logq)
+    weights[full] = 1.0
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from masscomb.cli import main
 from masscomb.core import MassFunction, SimpleSupport
-from masscomb.io import read_bbas, write_csv
+from masscomb.io import read_bbas, write_bbas, write_csv
 
 
 def _reject_constant(name):
@@ -63,7 +63,7 @@ class TestFuse:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["fuse", "--input", str(tmp_path / "nope.csv")]) == 2
 
-    @pytest.mark.parametrize("flag", ["--eta", "--lambda"])
+    @pytest.mark.parametrize("flag", ["--eta"])
     def test_infinite_parameter_exit_code(self, six_csv, flag):
         assert main(["fuse", "--input", str(six_csv), "--rule", "lns", flag, "inf"]) == 2
 
@@ -80,6 +80,7 @@ class TestFlagPrefixes:
         [
             ["experiment", "table1", "--deterministic"],
             ["fuse", "--input", "in.csv", "--rul", "lns"],
+            ["fuse", "--input", "in.csv", "--lambda", "2"],
         ],
     )
     def test_abbreviated_flag_refused(self, argv, capsys):
@@ -87,6 +88,29 @@ class TestFlagPrefixes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestStdoutMatchesFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "ssf", "--count", "3", "--seed", "1"],
+            ["fuse", "--rule", "lns"],
+            ["discount", "--alpha", "0.5"],
+        ],
+    )
+    def test_same_bytes(self, tmp_path, six_csv, capsysbinary, argv, fmt):
+        argv = argv + ["--format", fmt]
+        if argv[0] != "gen":
+            src = tmp_path / f"in.{fmt}"
+            write_bbas(src, read_bbas(six_csv), fmt=fmt)
+            argv += ["--input", str(src)]
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--output", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestTransformAndDiscount:
@@ -229,6 +253,18 @@ class TestExperimentCommand:
             assert status[:3] == ["ok"] * 3  # s2 = 5, 10, 15
             assert status[-1] == "saturated"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eknn-sweep", "--k-max", "1", "--rule", "dempster"],
+            ["timing", "--rule", "average", "--sources", "10", "--repeats", "1"],
+            ["eta-sweep"],
+        ],
+    )
+    def test_eta_refused_where_not_taken(self, argv, capsys):
+        assert main(["experiment", *argv, "--eta", "7"]) == 2
+        assert "unknown experiment parameters: ['eta']" in capsys.readouterr().err
+
     def test_unknown_experiment_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["experiment", "mystery"])
@@ -236,17 +272,27 @@ class TestExperimentCommand:
 
 
 class TestBench:
+    """Timing records come from ``experiment timing``; there is no ``bench`` command."""
+
     def test_bench_record(self, tmp_path):
-        out = tmp_path / "bench.json"
+        out = tmp_path / "timing.json"
         code = main(
-            ["bench", "--rule", "lns", "--sources", "500", "--frame", "4",
+            ["experiment", "timing", "--rule", "lns", "--sources", "500", "--frame", "4",
              "--repeats", "1", "--output", str(out)]
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["sources"] == 500
-        assert doc["seconds"] >= 0
-        assert "decompose" in doc["step_seconds"]
+        assert doc["parameters"]["sources_grid"] == [500]
+        assert doc["series"]["time/lns"]["y"][0] >= 0
+        assert "lns_step/decompose" in doc["series"]
 
     def test_zero_repeats_exit_code(self):
-        assert main(["bench", "--rule", "average", "--sources", "10", "--repeats", "0"]) == 2
+        assert main(
+            ["experiment", "timing", "--rule", "average", "--sources", "10", "--repeats", "0"]
+        ) == 2
+
+    def test_bench_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--rule", "lns"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -49,6 +49,7 @@ from conftest import (
     naive_plausibility,
     random_mass,
     row_by_row,
+    single_row_decompose,
 )
 
 
@@ -452,6 +453,19 @@ class TestDecomposition:
         frame = FrameOfDiscernment.numbered(5)
         for m in generate(GenSpec(frame, kind="consonant", num_focals=3, seed=9), 25):
             assert canonical_decompose(m).is_separable()
+
+    def test_matches_single_row_lattice(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            frame = FrameOfDiscernment.numbered(n)
+            ms = [MassFunction.vacuous(frame)]
+            ms += [random_mass(rng, frame, min_frame_mass=f) for f in (1e-9, 0.05, 0.5) for _ in range(10)]
+            ms += [random_mass(rng, frame, max_focals=2, min_frame_mass=0.1) for _ in range(10)]
+            for kind in ("ssf", "consonant", "general") if n > 1 else ("consonant", "general"):
+                spec = GenSpec(frame, kind=kind, num_focals=min(3, n), seed=n)
+                ms += [m for m in generate(spec, 20) if m.values[frame.full_set] > 0]
+            for m in ms:
+                assert np.array_equal(canonical_decompose(m).weights, single_row_decompose(m))
 
     def test_positive_weights_enforced(self, frame2):
         with pytest.raises(ParameterError):

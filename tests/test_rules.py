@@ -290,15 +290,20 @@ class TestRuleConfig:
             {"eta": -1.0},
             {"eta": math.inf},
             {"eta": math.nan},
-            {"lam": 0.0},
-            {"lam": math.inf},
-            {"lam": math.nan},
+            {"eta": -math.inf},
+            {"global_rule": "lnsa"},
+            {"enumeration_guard": -1},
             {"enumeration_guard": 0},
         ],
     )
     def test_bad_parameters_rejected(self, params):
         with pytest.raises(ParameterError):
             RuleConfig(**params)
+
+    def test_no_lambda_field(self):
+        # the conflict-based reliability shape is martin_reliability's own argument
+        with pytest.raises(TypeError):
+            RuleConfig(lam=1.0)
 
 
 class TestGrouping:
