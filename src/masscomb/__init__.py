@@ -49,7 +49,6 @@ from .rules import (
     combine_lnsa,
     combine_pcr6,
     evidential_distance,
-    lns_group,
     martin_reliability,
 )
 from .genrand import GenSpec, generate
@@ -95,7 +94,6 @@ __all__ = [
     "combine_average",
     "combine_lns",
     "combine_lnsa",
-    "lns_group",
     "martin_reliability",
     "evidential_distance",
     "GenSpec",

@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.95)
     _add_rule_flags(p)
-    p.add_argument("--loo", action="store_true", help="leave-one-out evaluation at --k")
     p.add_argument("--sweep-k", metavar="A:B", help="leave-one-out for every K in the range")
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--report", help="write the evaluation report as JSON")

@@ -123,17 +123,6 @@ class FrameOfDiscernment:
         return card
 
     @cached_property
-    def _members(self) -> np.ndarray:
-        """Row ``i``: the subsets holding hypothesis ``i``, ascending.
-
-        An ``(n, 2**(n-1))`` index array, built once per frame.
-        """
-        idx = np.arange(self.powerset_size)
-        out = np.array([np.flatnonzero((idx >> i) & 1) for i in range(self.n)])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def _positions(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -605,7 +594,10 @@ def pignistic(m: MassFunction) -> RepresentationVector:
     card = m.frame.cardinalities
     shares = np.zeros(m.frame.powerset_size)
     shares[1:] = m.values[1:] / card[1:]
-    betp = shares[m.frame._members].sum(axis=1)
+    # hypothesis i is in the upper half of every block of 2**(i+1) subsets
+    betp = np.array(
+        [shares.reshape(-1, 2, 1 << i)[:, 1].ravel().sum() for i in range(m.frame.n)]
+    )
     betp /= 1.0 - empty
     return RepresentationVector(m.frame, "pignistic", betp)
 

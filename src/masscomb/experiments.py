@@ -2,8 +2,8 @@
 
 Each experiment embeds its full parameter set (including seeds) so a
 report can be reproduced cell for cell.  Reports hold tables (rows are
-subsets in natural order, columns are rules), plot-ready series, and
-timings; rendering is left to external tooling.
+subsets in natural order, columns are rules) and plot-ready series;
+rendering is left to external tooling.
 """
 
 from __future__ import annotations
@@ -21,7 +21,43 @@ from .errors import ParameterError, TotalConflictError
 from .genrand import GenSpec, generate
 from .rules import RuleConfig, combine
 
-EXPERIMENT_NAMES = ("table1", "eta-sweep", "conflict-sweep", "timing", "eknn-sweep")
+#: Every parameter of each experiment with its default, in report order.
+_DEFAULTS: dict[str, dict] = {
+    "table1": {
+        "eta": 1.0,
+        "rules": ["conjunctive", "dempster", "disjunctive", "dp", "pcr6", "cautious", "average", "lns"],
+    },
+    "eta-sweep": {"seed": 42, "counts": [60, 50, 50], "eta_max": 6.0, "eta_points": 31},
+    "conflict-sweep": {
+        "seed": 42,
+        "s2_grid": list(range(5, 101, 5)),
+        "ts": [1, 2, 3, 4],
+        "rules": ["conjunctive", "dempster", "average", "cautious", "lns", "lnsa"],
+        "deterministic_w": None,
+        "min_singleton_mass": 0.5,
+        "eta": 1.0,
+    },
+    "timing": {
+        "seed": 42,
+        "sources_grid": [10_000, 100_000],
+        "frame_size": 8,
+        "kind": "ssf",
+        "num_focals": 5,
+        "repeats": 5,
+        "rules": ["conjunctive", "average", "cautious", "lns", "lnsa"],
+    },
+    "eknn-sweep": {
+        "seed": 42,
+        "n_per_class": 100,
+        "separation": 4.0,
+        "dim": 2,
+        "ks": list(range(1, 26)),
+        "rules": ["dempster", "lns", "conjunctive"],
+        "alpha": 0.95,
+    },
+}
+
+EXPERIMENT_NAMES = tuple(_DEFAULTS)
 
 #: Number of decimals used when rendering table cells.
 TABLE_DECIMALS = 5
@@ -42,7 +78,6 @@ class ExperimentReport:
     notes: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -88,10 +123,30 @@ def six_source_inputs(frame: FrameOfDiscernment | None = None) -> list[MassFunct
     return [s.to_mass() for s in supports]
 
 
+def _coerce(default, value):
+    """``value`` as the type of ``default``: a list, a float or None, or the
+    default's own scalar type."""
+    if isinstance(default, list):
+        return list(value)
+    if default is None:
+        return None if value is None else float(value)
+    return type(default)(value)
+
+
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
-    """Run a named experiment with optional parameter overrides."""
+    """Run a named experiment with optional parameter overrides.
+
+    The overrides are merged over the experiment's defaults, each coerced
+    to the type of its default; the merged set is the report's
+    ``parameters``.
+    """
     if name not in EXPERIMENT_NAMES:
         raise ParameterError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
+    defaults = _DEFAULTS[name]
+    params = params or {}
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ParameterError(f"unknown experiment parameters: {sorted(unknown)}")
     runner = {
         "table1": _run_table1,
         "eta-sweep": _run_eta_sweep,
@@ -99,7 +154,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         "timing": _run_timing,
         "eknn-sweep": _run_eknn_sweep,
     }[name]
-    return runner(dict(params or {}))
+    return runner({key: _coerce(d, params.get(key, d)) for key, d in defaults.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -107,33 +162,22 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _run_table1(params: dict) -> ExperimentReport:
-    eta = float(params.pop("eta", 1.0))
-    rule_names = tuple(
-        params.pop(
-            "rules",
-            ("conjunctive", "dempster", "disjunctive", "dp", "pcr6", "cautious", "average", "lns"),
-        )
-    )
-    _reject_unknown(params)
+def _run_table1(p: dict) -> ExperimentReport:
     frame = FrameOfDiscernment.numbered(3)
     inputs = six_source_inputs(frame)
     columns = []
     status = {}
-    for rule in rule_names:
-        res = combine(inputs, RuleConfig(rule=rule, eta=eta))
+    for rule in p["rules"]:
+        res = combine(inputs, RuleConfig(rule=rule, eta=p["eta"]))
         columns.append(res.mass.values)
         status[rule] = "ok"
     values = [
         [float(col[a]) for col in columns] for a in range(frame.powerset_size)
     ]
-    report = ExperimentReport(
-        name="table1",
-        parameters={"eta": eta, "rules": list(rule_names)},
-    )
+    report = ExperimentReport(name="table1", parameters=p)
     report.tables["fused"] = {
         "row_labels": [frame.format_subset(a) for a in range(frame.powerset_size)],
-        "column_labels": list(rule_names),
+        "column_labels": list(p["rules"]),
         "values": values,
         "column_status": status,
     }
@@ -145,21 +189,15 @@ def _run_table1(params: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _run_eta_sweep(params: dict) -> ExperimentReport:
-    seed = int(params.pop("seed", 42))
-    counts = tuple(params.pop("counts", (60, 50, 50)))
-    eta_max = float(params.pop("eta_max", 6.0))
-    eta_points = int(params.pop("eta_points", 31))
-    _reject_unknown(params)
-
+def _run_eta_sweep(p: dict) -> ExperimentReport:
     frame = FrameOfDiscernment.numbered(3)
     focals = (1, 2, 6)  # {theta1}, {theta2}, {theta2,theta3}
     inputs: list[MassFunction] = []
-    for i, (focal, count) in enumerate(zip(focals, counts)):
-        spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(seed, i))
+    for i, (focal, count) in enumerate(zip(focals, p["counts"])):
+        spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(p["seed"], i))
         inputs.extend(generate(spec, count))
 
-    etas = np.linspace(0.0, eta_max, eta_points)
+    etas = np.linspace(0.0, p["eta_max"], p["eta_points"])
     masses = np.empty((len(etas), frame.powerset_size))
     betps = np.empty((len(etas), frame.n))
     for i, eta in enumerate(etas):
@@ -169,12 +207,7 @@ def _run_eta_sweep(params: dict) -> ExperimentReport:
 
     report = ExperimentReport(
         name="eta-sweep",
-        parameters={
-            "seed": seed,
-            "counts": list(counts),
-            "eta_max": eta_max,
-            "eta_points": eta_points,
-        },
+        parameters=p,
         notes={
             "focal_elements": [frame.format_subset(a) for a in focals],
             "weight_distribution": "uniform[0,1)",
@@ -196,61 +229,38 @@ def _run_eta_sweep(params: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _run_conflict_sweep(params: dict) -> ExperimentReport:
-    seed = int(params.pop("seed", 42))
-    s2_grid = tuple(params.pop("s2_grid", tuple(range(5, 101, 5))))
-    ts = tuple(params.pop("ts", (1, 2, 3, 4)))
-    rule_names = tuple(
-        params.pop("rules", ("conjunctive", "dempster", "average", "cautious", "lns", "lnsa"))
-    )
-    deterministic_w = params.pop("deterministic_w", None)
-    min_singleton_mass = float(params.pop("min_singleton_mass", 0.5))
-    eta = float(params.pop("eta", 1.0))
-    _reject_unknown(params)
-
+def _run_conflict_sweep(p: dict) -> ExperimentReport:
     frame = FrameOfDiscernment.numbered(2)
+    w = p["deterministic_w"]
 
     def sources(t: int, s2: int) -> list[MassFunction]:
         s1 = t * s2
-        if deterministic_w is not None:
-            w = float(deterministic_w)
+        if w is not None:
             return [SimpleSupport(frame, 1, w).to_mass()] * s1 + [
                 SimpleSupport(frame, 2, w).to_mass()
             ] * s2
         out = generate(
-            GenSpec(frame, kind="ssf", focal_pool=(1,), min_singleton_mass=min_singleton_mass,
-                    seed=_spawn_seed(seed, t, s2, 1)),
+            GenSpec(frame, kind="ssf", focal_pool=(1,), min_singleton_mass=p["min_singleton_mass"],
+                    seed=_spawn_seed(p["seed"], t, s2, 1)),
             s1,
         )
         out += generate(
-            GenSpec(frame, kind="ssf", focal_pool=(2,), min_singleton_mass=min_singleton_mass,
-                    seed=_spawn_seed(seed, t, s2, 2)),
+            GenSpec(frame, kind="ssf", focal_pool=(2,), min_singleton_mass=p["min_singleton_mass"],
+                    seed=_spawn_seed(p["seed"], t, s2, 2)),
             s2,
         )
         return out
 
     report = ExperimentReport(
         name="conflict-sweep",
-        parameters={
-            "seed": seed,
-            "s2_grid": list(s2_grid),
-            "ts": list(ts),
-            "rules": list(rule_names),
-            "deterministic_w": deterministic_w,
-            "min_singleton_mass": min_singleton_mass,
-            "eta": eta,
-        },
-        notes={
-            "weight_distribution": "uniform[0,1) filtered"
-            if deterministic_w is None
-            else "constant",
-        },
+        parameters=p,
+        notes={"weight_distribution": "uniform[0,1) filtered" if w is None else "constant"},
     )
-    for rule in rule_names:
-        cfg = RuleConfig(rule=rule, eta=eta)
-        for t in ts:
+    for rule in p["rules"]:
+        cfg = RuleConfig(rule=rule, eta=p["eta"])
+        for t in p["ts"]:
             kappas, masses, notes = [], [], []
-            for s2 in s2_grid:
+            for s2 in p["s2_grid"]:
                 try:
                     res = combine(sources(t, int(s2)), cfg)
                 except TotalConflictError:
@@ -261,7 +271,7 @@ def _run_conflict_sweep(params: dict) -> ExperimentReport:
                 kappas.append(res.conflict)
                 masses.append(float(res.mass.values[1]))
                 notes.append("ok")
-            xs = list(s2_grid)
+            xs = list(p["s2_grid"])
             report.series[f"kappa/{rule}/t{t}"] = _series(xs, kappas, status=notes)
             report.series[f"m_theta1/{rule}/t{t}"] = _series(xs, masses, status=notes)
     return report
@@ -292,53 +302,33 @@ def median_timing(
     return statistics.median(samples), {k: statistics.median(v) for k, v in step_samples.items()}
 
 
-def _run_timing(params: dict) -> ExperimentReport:
-    seed = int(params.pop("seed", 42))
-    sources_grid = tuple(params.pop("sources_grid", (10_000, 100_000)))
-    frame_size = int(params.pop("frame_size", 8))
-    kind = str(params.pop("kind", "ssf"))
-    num_focals = int(params.pop("num_focals", 5))
-    repeats = int(params.pop("repeats", 5))
-    rule_names = tuple(
-        params.pop("rules", ("conjunctive", "average", "cautious", "lns", "lnsa"))
-    )
-    _reject_unknown(params)
-    if kind not in ("ssf", "consonant"):
+def _run_timing(p: dict) -> ExperimentReport:
+    if p["kind"] not in ("ssf", "consonant"):
         raise ParameterError("timing inputs are 'ssf' or 'consonant'")
 
-    frame = FrameOfDiscernment.numbered(frame_size)
+    frame = FrameOfDiscernment.numbered(p["frame_size"])
     report = ExperimentReport(
         name="timing",
-        parameters={
-            "seed": seed,
-            "sources_grid": list(sources_grid),
-            "frame_size": frame_size,
-            "kind": kind,
-            "num_focals": num_focals,
-            "repeats": repeats,
-            "rules": list(rule_names),
-        },
+        parameters=p,
         notes={"method": "median of repeats after one discarded warm-up run"},
     )
-    times: dict[str, list[float]] = {rule: [] for rule in rule_names}
+    times: dict[str, list[float]] = {rule: [] for rule in p["rules"]}
     steps: dict[str, list[float]] = {}
-    for si, S in enumerate(sources_grid):
-        spec = GenSpec(frame, kind=kind, num_focals=num_focals, seed=_spawn_seed(seed, si))
+    for si, S in enumerate(p["sources_grid"]):
+        spec = GenSpec(frame, kind=p["kind"], num_focals=p["num_focals"],
+                       seed=_spawn_seed(p["seed"], si))
         inputs = generate(spec, int(S))
-        for rule in rule_names:
-            seconds, step_seconds = median_timing(inputs, RuleConfig(rule=rule), repeats)
+        for rule in p["rules"]:
+            seconds, step_seconds = median_timing(inputs, RuleConfig(rule=rule), p["repeats"])
             times[rule].append(seconds)
             if rule == "lns":
                 for key, val in step_seconds.items():
                     steps.setdefault(key, []).append(val)
-    xs = list(sources_grid)
-    for rule in rule_names:
+    xs = list(p["sources_grid"])
+    for rule in p["rules"]:
         report.series[f"time/{rule}"] = _series(xs, times[rule])
     for key, vals in steps.items():
         report.series[f"lns_step/{key}"] = _series(xs, vals)
-    report.timings = {
-        f"{rule}@{S}": t for rule in rule_names for S, t in zip(sources_grid, times[rule])
-    }
     return report
 
 
@@ -347,38 +337,16 @@ def _run_timing(params: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _run_eknn_sweep(params: dict) -> ExperimentReport:
-    seed = int(params.pop("seed", 42))
-    n_per_class = int(params.pop("n_per_class", 100))
-    separation = float(params.pop("separation", 4.0))
-    dim = int(params.pop("dim", 2))
-    ks = tuple(params.pop("ks", tuple(range(1, 26))))
-    rule_names = tuple(params.pop("rules", ("dempster", "lns", "conjunctive")))
-    alpha = float(params.pop("alpha", 0.95))
-    _reject_unknown(params)
-
-    ds = eknn.two_gaussian_dataset(n_per_class, separation, dim=dim, seed=seed)
+def _run_eknn_sweep(p: dict) -> ExperimentReport:
+    ds = eknn.two_gaussian_dataset(p["n_per_class"], p["separation"], dim=p["dim"], seed=p["seed"])
     report = ExperimentReport(
         name="eknn-sweep",
-        parameters={
-            "seed": seed,
-            "n_per_class": n_per_class,
-            "separation": separation,
-            "dim": dim,
-            "ks": list(ks),
-            "rules": list(rule_names),
-            "alpha": alpha,
-        },
+        parameters=p,
         notes={"gamma": "auto (inverse mean same-class pair distance)"},
     )
-    for rule in rule_names:
-        accs, maxk, err_counts = eknn._loo_sweep(ds, ks, alpha, RuleConfig(rule=rule))
-        xs = list(ks)
+    for rule in p["rules"]:
+        accs, maxk, err_counts = eknn._loo_sweep(ds, p["ks"], p["alpha"], RuleConfig(rule=rule))
+        xs = list(p["ks"])
         report.series[f"accuracy/{rule}"] = _series(xs, accs)
         report.series[f"max_kappa/{rule}"] = _series(xs, maxk, errors=err_counts)
     return report
-
-
-def _reject_unknown(params: dict) -> None:
-    if params:
-        raise ParameterError(f"unknown experiment parameters: {sorted(params)}")

@@ -214,7 +214,12 @@ def _resolve_format(target, fmt: str | None) -> str:
     if hasattr(target, "write"):
         return "csv"  # an open stream has no extension to go by
     ext = os.path.splitext(str(target))[1].lower().lstrip(".")
-    return ext if ext in FORMATS else "csv"
+    if ext not in FORMATS:
+        raise ParameterError(
+            f"cannot tell the format of {str(target)!r} from its extension;"
+            " name it .csv or .json, or choose one with --format"
+        )
+    return ext
 
 
 def read_bbas(path, fmt: str | None = None, labels: Sequence[str] | None = None) -> list[MassFunction]:

@@ -23,7 +23,6 @@ from . import core
 from .core import (
     FrameOfDiscernment,
     MassFunction,
-    SimpleSupport,
     WeightVector,
     recompose,
 )
@@ -75,15 +74,13 @@ class RuleConfig:
     (0 disables it).  ``global_rule`` picks the operator used for the final
     stage of ``lns``/``lnsa``.  ``enumeration_guard`` caps the number of
     focal tuples the Dubois-Prade and PCR6 enumerations may visit.
-    ``vacuous_in_denominator`` counts fully ignorant sources when
-    normalising group shares (off by default).  ``eta`` must be finite.
+    ``eta`` must be finite.
     """
 
     rule: str = "conjunctive"
     eta: float = 1.0
     global_rule: str = "conjunctive"
     enumeration_guard: int = 10_000_000
-    vacuous_in_denominator: bool = False
 
     def __post_init__(self):
         if self.rule not in RULE_NAMES:
@@ -122,9 +119,13 @@ class FusionResult:
     """
 
     mass: MassFunction
-    conflict: float
     groups: tuple[GroupSummary, ...] | None = None
     step_seconds: dict[str, float] | None = None
+
+    @property
+    def conflict(self) -> float:
+        """The fused mass on the empty set."""
+        return self.mass.conflict
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ class FusionResult:
 # ---------------------------------------------------------------------------
 
 
-def _common_frame(ms: Sequence[MassFunction | SimpleSupport]) -> FrameOfDiscernment:
+def _common_frame(ms: Sequence[MassFunction]) -> FrameOfDiscernment:
     if not ms:
         raise ParameterError("need at least one mass function to combine")
     frame = ms[0].frame
@@ -197,8 +198,7 @@ def _column_chunks(ms: Sequence[MassFunction], frame: FrameOfDiscernment):
 def _from_commonality(frame: FrameOfDiscernment, q: np.ndarray) -> FusionResult:
     """The conjunctive result whose commonality is ``q`` (overwritten)."""
     core._moebius_superset(q, frame.n)
-    mass = MassFunction(frame, q)
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(MassFunction(frame, q))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,7 @@ def combine_disjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
         core._zeta_subset(v, frame.n)
         arr *= v.prod(axis=0)
     core._moebius_subset(arr, frame.n)
-    mass = MassFunction(frame, arr)
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(MassFunction(frame, arr))
 
 
 def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -265,8 +264,7 @@ def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     arr = conj.mass.values.copy()
     arr[0] = 0.0
     arr /= arr.sum()
-    mass = MassFunction(conj.mass.frame, arr)
-    return FusionResult(mass=mass, conflict=0.0)
+    return FusionResult(MassFunction(conj.mass.frame, arr))
 
 
 def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -275,8 +273,7 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
     acc = np.zeros(frame.powerset_size)
     for block in _chunks(ms):
         acc += _stack(block).sum(axis=0)
-    mass = MassFunction(frame, acc / len(ms))
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(MassFunction(frame, acc / len(ms)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,7 @@ def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fus
     cfg = cfg or RuleConfig()
     frame = _common_frame(ms)
     if len(ms) == 1:
-        return FusionResult(mass=ms[0], conflict=ms[0].conflict)
+        return FusionResult(ms[0])
     full = frame.full_set
     out = np.zeros(frame.powerset_size)
     for subsets, masses in _focal_tuples(ms, cfg.enumeration_guard):
@@ -349,8 +346,7 @@ def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fus
             np.where(inter, inter, np.where(committed, committed, union)),
             _running(np.multiply, masses),
         )
-    mass = MassFunction(frame, out)
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(MassFunction(frame, out))
 
 
 def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -382,8 +378,7 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
         weights[0] = np.where(inter, p, weights[0])
         # tuple by tuple, each tuple's updates in source order
         np.add.at(out, targets.T.ravel(), weights.T.ravel())
-    mass = MassFunction(frame, out)
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(MassFunction(frame, out))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +405,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
             np.minimum.at(minw, focal, weight)
         if len(rest):
             np.minimum(minw, core._batched_weights(rest, frame).min(axis=0), out=minw)
-    mass = recompose(WeightVector(frame, minw))
-    return FusionResult(mass=mass, conflict=mass.conflict)
+    return FusionResult(recompose(WeightVector(frame, minw)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +480,7 @@ def _check_groupable(weights: np.ndarray, frame: FrameOfDiscernment) -> None:
         raise ParameterError("a component focused on the empty set cannot be grouped")
 
 
-def _group_shares(
-    counts: np.ndarray, vacuous: int, frame: FrameOfDiscernment, cfg: RuleConfig
-) -> np.ndarray:
+def _group_shares(counts: np.ndarray, frame: FrameOfDiscernment, cfg: RuleConfig) -> np.ndarray:
     """Reliability share of every group: count weighted by precision.
 
     ``share[A] = beta(A)**eta * counts[A] / sum over groups`` with
@@ -501,10 +493,7 @@ def _group_shares(
         return shares
     beta = frame.n / frame.cardinalities[active]
     scaled = beta**cfg.eta * counts[active]
-    denom = float(scaled.sum())
-    if cfg.vacuous_in_denominator:
-        denom += float(vacuous)
-    shares[active] = scaled / denom
+    shares[active] = scaled / float(scaled.sum())
     return shares
 
 
@@ -535,24 +524,6 @@ def _group_summaries(
     return summaries
 
 
-def lns_group(
-    ssfs: Sequence[SimpleSupport], cfg: RuleConfig | None = None
-) -> list[GroupSummary]:
-    """Cluster simple supports by focal element and score each group.
-
-    Every group reports its size, the product of its weights, and its
-    reliability share.  Fully ignorant inputs form the whole-frame group,
-    whose share is always zero.  Equals the ``groups`` of
-    :func:`combine_lns` on the same supports.
-    """
-    cfg = cfg or RuleConfig(rule="lns")
-    frame = _common_frame(ssfs)
-    ms = core._simple_supports(frame, [s.focal for s in ssfs], [s.weight for s in ssfs])
-    counts, pooled, vacuous, _ = _component_accumulators(ms, frame, need_products=True)
-    shares = _group_shares(counts, vacuous, frame, cfg)
-    return _group_summaries(counts, pooled, shares, vacuous, frame)
-
-
 def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: bool) -> FusionResult:
     frame = _common_frame(ms)
     counts, pooled, vacuous, seconds = _component_accumulators(
@@ -560,7 +531,7 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
     )
 
     t0 = time.perf_counter()
-    shares = _group_shares(counts, vacuous, frame, cfg)
+    shares = _group_shares(counts, frame, cfg)
     active = np.flatnonzero(counts)
     if approximate:
         group_weights = 1.0 - shares[active]
@@ -573,20 +544,18 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
         # every global rule is the identity on one normal simple support
         ssfs = core._simple_supports(frame, active, group_weights)
         mass = ssfs[0] if ssfs else MassFunction.vacuous(frame)
-        fused = FusionResult(mass=mass, conflict=0.0)
     elif cfg.global_rule == "conjunctive":
         logw = np.zeros(frame.powerset_size)
         with np.errstate(divide="ignore"):
             logw[active] = np.log(group_weights)
-        fused = _from_commonality(frame, core._conjoined_commonality(logw, frame.n))
+        mass = _from_commonality(frame, core._conjoined_commonality(logw, frame.n)).mass
     else:
         ssfs = core._simple_supports(frame, active, group_weights)
-        fused = _COMBINERS[cfg.global_rule](ssfs, replace(cfg, rule=cfg.global_rule))
+        mass = _COMBINERS[cfg.global_rule](ssfs, replace(cfg, rule=cfg.global_rule)).mass
     seconds["global_combine"] = time.perf_counter() - t0
 
     return FusionResult(
-        mass=fused.mass,
-        conflict=fused.conflict,
+        mass=mass,
         groups=tuple(_group_summaries(counts, pooled, shares, vacuous, frame)),
         step_seconds=seconds,
     )

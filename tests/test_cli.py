@@ -73,6 +73,13 @@ class TestFuse:
         assert main(["fuse", "--input", str(path), "--rule", "pcr6"]) == 2
         assert "source 0" in capsys.readouterr().err
 
+    def test_unknown_extension_needs_format(self, tmp_path, six_csv, capsys):
+        path = tmp_path / "x.txt"
+        path.write_bytes(six_csv.read_bytes())
+        assert main(["fuse", "--input", str(path), "--rule", "lns"]) == 2
+        assert "x.txt" in capsys.readouterr().err
+        assert main(["fuse", "--input", str(path), "--rule", "lns", "--format", "csv"]) == 0
+
 
 class TestFlagPrefixes:
     @pytest.mark.parametrize(
@@ -81,6 +88,7 @@ class TestFlagPrefixes:
             ["experiment", "table1", "--deterministic"],
             ["fuse", "--input", "in.csv", "--rul", "lns"],
             ["fuse", "--input", "in.csv", "--lambda", "2"],
+            ["eknn", "--train", "t.csv", "--loo"],
         ],
     )
     def test_abbreviated_flag_refused(self, argv, capsys):
@@ -176,6 +184,13 @@ class TestGen:
     def test_bad_pool_is_validation_error(self):
         assert main(["gen", "--focal-pool", "xyz"]) == 2
 
+    def test_unknown_extension_refused(self, tmp_path, capsys):
+        out = tmp_path / "out.jsn"
+        assert main(["gen", "--count", "2", "--output", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "out.jsn" in err and "--format" in err
+
 
 class TestEknnCommand:
     def test_loo_report(self, tmp_path):
@@ -184,8 +199,7 @@ class TestEknnCommand:
         train.write_text("\n".join(rows) + "\n")
         report = tmp_path / "rep.json"
         code = main(
-            ["eknn", "--train", str(train), "--k", "2", "--rule", "lns", "--loo",
-             "--report", str(report)]
+            ["eknn", "--train", str(train), "--k", "2", "--rule", "lns", "--report", str(report)]
         )
         assert code == 0
         doc = json.loads(report.read_text())
@@ -220,7 +234,7 @@ class TestEknnCommand:
         train = tmp_path / "train.csv"
         rows = ["0,0,a", "0.5,0,a", f"0.2,{cell},a", "5,0,b", "5.5,0,b", "5.2,0.4,b"]
         train.write_text("\n".join(rows) + "\n")
-        assert main(["eknn", "--train", str(train), "--k", "2", "--loo"]) == 2
+        assert main(["eknn", "--train", str(train), "--k", "2"]) == 2
         assert "line 3" in capsys.readouterr().err
 
 

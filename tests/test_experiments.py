@@ -84,7 +84,9 @@ class TestTiming:
         assert set(rep.series) >= {"time/lns", "time/lnsa"}
         assert "lns_step/decompose" in rep.series
         assert all(t >= 0 for t in rep.series["time/lns"]["y"])
-        assert "lns@200" in rep.timings
+        assert rep.series["time/lns"]["x"] == [200, 400]
+        assert len(rep.series["time/lns"]["y"]) == 2
+        assert "timings" not in rep.to_dict()
 
     def test_kind_validated(self):
         with pytest.raises(ParameterError):

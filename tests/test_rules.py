@@ -35,7 +35,6 @@ from masscomb.rules import (
     combine_lnsa,
     combine_pcr6,
     evidential_distance,
-    lns_group,
     martin_reliability,
 )
 
@@ -48,6 +47,11 @@ from conftest import (
     dense_conjunctive,
     random_mass,
 )
+
+
+def lns_groups(ssfs, cfg=None):
+    """The groups :func:`combine_lns` forms from simple supports."""
+    return list(combine_lns([s.to_mass() for s in ssfs], cfg).groups)
 
 
 @pytest.fixture
@@ -305,12 +309,17 @@ class TestRuleConfig:
         with pytest.raises(TypeError):
             RuleConfig(lam=1.0)
 
+    def test_no_vacuous_denominator_field(self):
+        # fully ignorant inputs never change an lns result, so they take no share
+        with pytest.raises(TypeError):
+            RuleConfig(vacuous_in_denominator=True)
+
 
 class TestGrouping:
     def test_six_source_groups(self, frame3):
         ssfs = [SimpleSupport(frame3, 1, w) for w in (0.88, 0.84, 0.85, 0.89, 0.86)]
         ssfs.append(SimpleSupport(frame3, 2, 0.05))
-        groups = {g.focal: g for g in lns_group(ssfs)}
+        groups = {g.focal: g for g in lns_groups(ssfs)}
         assert groups[1].count == 5
         assert math.isclose(groups[1].inner_weight, 0.88 * 0.84 * 0.85 * 0.89 * 0.86, abs_tol=1e-12)
         assert math.isclose(groups[1].alpha, 5 / 6, abs_tol=1e-12)
@@ -319,7 +328,7 @@ class TestGrouping:
         assert math.isclose(groups[2].alpha, 1 / 6, abs_tol=1e-12)
 
     def test_all_vacuous(self, frame3):
-        groups = lns_group([SimpleSupport(frame3, frame3.full_set, 1.0)] * 3)
+        groups = lns_groups([SimpleSupport(frame3, frame3.full_set, 1.0)] * 3)
         assert len(groups) == 1
         assert groups[0].focal == frame3.full_set
         assert groups[0].alpha == 0.0
@@ -327,13 +336,13 @@ class TestGrouping:
 
     def test_precision_weighting(self, frame3):
         ssfs = [SimpleSupport(frame3, 1, 0.5)] * 2 + [SimpleSupport(frame3, 6, 0.5)] * 2
-        groups = {g.focal: g for g in lns_group(ssfs, RuleConfig(rule="lns", eta=1.0))}
+        groups = {g.focal: g for g in lns_groups(ssfs, RuleConfig(rule="lns", eta=1.0))}
         assert math.isclose(groups[1].alpha, 2 / 3, abs_tol=1e-12)
         assert math.isclose(groups[6].alpha, 1 / 3, abs_tol=1e-12)
 
     def test_eta_zero_is_count_share(self, frame3):
         ssfs = [SimpleSupport(frame3, 1, 0.5)] * 2 + [SimpleSupport(frame3, 6, 0.5)] * 2
-        groups = {g.focal: g for g in lns_group(ssfs, RuleConfig(rule="lns", eta=0.0))}
+        groups = {g.focal: g for g in lns_groups(ssfs, RuleConfig(rule="lns", eta=0.0))}
         assert math.isclose(groups[1].alpha, 0.5, abs_tol=1e-12)
         assert math.isclose(groups[6].alpha, 0.5, abs_tol=1e-12)
 
@@ -343,27 +352,23 @@ class TestGrouping:
             SimpleSupport(frame3, int(rng.integers(1, frame3.full_set)), float(rng.random()))
             for _ in range(40)
         ] + [SimpleSupport(frame3, frame3.full_set, 1.0)] * 5
-        groups = lns_group(ssfs)
+        groups = lns_groups(ssfs)
         proper = sum(g.count for g in groups if g.focal != frame3.full_set)
         assert proper == 40
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
-            lns_group([])
+            lns_groups([])
 
     def test_mixed_frames_rejected(self, frame2, frame3):
         with pytest.raises(EncodingError):
-            lns_group([SimpleSupport(frame3, 1, 0.5), SimpleSupport(frame2, 1, 0.5)])
+            lns_groups([SimpleSupport(frame3, 1, 0.5), SimpleSupport(frame2, 1, 0.5)])
         # equal frames need not be one object
         twin = FrameOfDiscernment.numbered(3)
-        groups = lns_group([SimpleSupport(frame3, 1, 0.5), SimpleSupport(twin, 1, 0.5)])
+        groups = lns_groups([SimpleSupport(frame3, 1, 0.5), SimpleSupport(twin, 1, 0.5)])
         assert groups[0].count == 2
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [None, RuleConfig(rule="lns", eta=2.5), RuleConfig(rule="lns", vacuous_in_denominator=True)],
-    )
-    def test_matches_combine_lns_groups(self, frame3, cfg):
+    def test_zero_and_unit_weights(self, frame3):
         rng = np.random.default_rng(11)
         ssfs = [
             SimpleSupport(frame3, int(rng.integers(1, frame3.full_set)), float(rng.random()))
@@ -372,26 +377,15 @@ class TestGrouping:
         ssfs += [SimpleSupport(frame3, 3, 0.0), SimpleSupport(frame3, 5, 0.0)]
         ssfs += [SimpleSupport(frame3, frame3.full_set, 1.0), SimpleSupport(frame3, 2, 1.0)]
         rng.shuffle(ssfs)
-        groups = lns_group(ssfs, cfg)
-        assert groups == list(combine_lns([s.to_mass() for s in ssfs], cfg).groups)
-        inner = {g.focal: g.inner_weight for g in groups}
+        inner = {g.focal: g.inner_weight for g in lns_groups(ssfs)}
         assert inner[3] == inner[5] == 0.0
         assert inner[frame3.full_set] == 1.0
 
-    def test_vacuous_denominator_switch_sensitivity(self, frame3):
+    def test_vacuous_inputs_take_no_share(self, frame3):
         ssfs = [SimpleSupport(frame3, 1, 0.5)] * 3 + [SimpleSupport(frame3, frame3.full_set, 1.0)]
-        excl = {g.focal: g for g in lns_group(ssfs, RuleConfig(rule="lns"))}
-        incl = {g.focal: g for g in lns_group(
-            ssfs, RuleConfig(rule="lns", vacuous_in_denominator=True)
-        )}
-        assert math.isclose(excl[1].alpha, 1.0, abs_tol=1e-15)
-        assert math.isclose(incl[1].alpha, 3 * 3 / (3 * 3 + 1), abs_tol=1e-12)
-        assert excl[frame3.full_set].alpha == incl[frame3.full_set].alpha == 0.0
-        # without vacuous inputs the switch has no effect
-        plain = ssfs[:3]
-        a = lns_group(plain, RuleConfig(rule="lns"))
-        b = lns_group(plain, RuleConfig(rule="lns", vacuous_in_denominator=True))
-        assert a == b
+        groups = {g.focal: g for g in lns_groups(ssfs)}
+        assert math.isclose(groups[1].alpha, 1.0, abs_tol=1e-15)
+        assert groups[frame3.full_set].alpha == 0.0
 
 
 class TestLns:
@@ -543,7 +537,7 @@ class TestEtaMonotonicity:
         ssfs = [SimpleSupport(frame3, 1, 0.5)] * 3 + [SimpleSupport(frame3, 6, 0.5)] * 5
         a_small, a_big = [], []
         for eta in np.linspace(0.0, 6.0, 13):
-            groups = {g.focal: g for g in lns_group(ssfs, RuleConfig(rule="lns", eta=float(eta)))}
+            groups = {g.focal: g for g in lns_groups(ssfs, RuleConfig(rule="lns", eta=float(eta)))}
             a_small.append(groups[1].alpha)  # |A| = 1
             a_big.append(groups[6].alpha)  # |A| = 2
         assert all(x <= y + 1e-15 for x, y in zip(a_small, a_small[1:]))
