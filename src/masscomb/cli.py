@@ -18,7 +18,7 @@ from .core import FrameOfDiscernment, MassFunction, transform
 from .errors import ComplexityGuardError, MassCombError, ParameterError, TotalConflictError
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .genrand import GEN_KINDS, GenSpec, generate
-from .rules import GLOBAL_RULE_NAMES, RULE_NAMES, RuleConfig, combine
+from .rules import RULE_NAMES, RuleConfig, combine
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,18 +36,11 @@ def _add_io_flags(p: argparse.ArgumentParser, need_input: bool = True) -> None:
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=RULE_NAMES, default="conjunctive")
     p.add_argument("--eta", type=float, default=1.0, help="precision exponent for grouped rules")
-    p.add_argument("--global-rule", choices=GLOBAL_RULE_NAMES, default="conjunctive",
-                   help="rule for the final stage of lns/lnsa")
     p.add_argument("--enumeration-guard", type=int, default=10_000_000)
 
 
 def _rule_config(args: argparse.Namespace) -> RuleConfig:
-    return RuleConfig(
-        rule=args.rule,
-        eta=args.eta,
-        global_rule=args.global_rule,
-        enumeration_guard=args.enumeration_guard,
-    )
+    return RuleConfig(rule=args.rule, eta=args.eta, enumeration_guard=args.enumeration_guard)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.95)
     _add_rule_flags(p)
     p.add_argument("--sweep-k", metavar="A:B", help="leave-one-out for every K in the range")
-    p.add_argument("--standardize", action="store_true")
     p.add_argument("--report", help="write the evaluation report as JSON")
     p.set_defaults(handler=_cmd_eknn)
 
@@ -252,10 +244,9 @@ def _cmd_eknn(args) -> int:
         "rule": args.rule,
         "alpha": args.alpha,
         "gamma": "auto (inverse mean same-class pair distance)",
-        "standardize": args.standardize,
     }
     ks = list(_parse_k_range(args.sweep_k)) if args.sweep_k else [args.k]
-    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg, args.standardize)
+    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg)
     payload["k"] = ks
     payload["accuracy"] = accs
     payload["max_kappa"] = maxk

@@ -134,12 +134,6 @@ class FrameOfDiscernment:
             )
         return a
 
-    def singleton(self, position: int) -> int:
-        """Subset index of the hypothesis at ``position`` (0-based)."""
-        if not 0 <= position < self.n:
-            raise EncodingError(f"hypothesis position {position} out of range")
-        return 1 << position
-
     def subset_index(self, members: Iterable[str]) -> int:
         """Subset index of the set of hypothesis labels ``members``."""
         idx = 0
@@ -171,9 +165,6 @@ class FrameOfDiscernment:
     def is_subset(self, a: int, b: int) -> bool:
         """True when subset ``a`` is contained in subset ``b``."""
         return self.check_index(a) & self.check_index(b) == a
-
-    def complement(self, a: int) -> int:
-        return self.full_set ^ self.check_index(a)
 
 
 # ---------------------------------------------------------------------------

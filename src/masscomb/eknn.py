@@ -59,16 +59,12 @@ class LabeledDataset:
 class EknnConfig:
     """Neighbour count, focal-mass ceiling ``alpha``, per-class scales
     ``gamma`` (or "auto" to derive them from the data), and the fusion rule.
-
-    ``standardize`` rescales features to zero mean and unit variance
-    before any distance is computed; off by default.
     """
 
     k: int = 5
     alpha: float = 0.95
     gamma: object = "auto"
     rule: RuleConfig = field(default_factory=lambda: RuleConfig(rule="dempster"))
-    standardize: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -131,10 +127,7 @@ def resolve_gamma(ds: LabeledDataset, cfg: EknnConfig) -> np.ndarray:
         if cfg.gamma != "auto":
             raise ParameterError(f"gamma must be 'auto' or per-class values, got {cfg.gamma!r}")
         return gamma_auto(ds)
-    if isinstance(cfg.gamma, dict):
-        arr = np.array([cfg.gamma[q] for q in range(ds.frame.n)], dtype=float)
-    else:
-        arr = np.array(cfg.gamma, dtype=float)
+    arr = np.array(cfg.gamma, dtype=float)
     if arr.shape != (ds.frame.n,) or not (np.isfinite(arr) & (arr > 0)).all():
         raise ParameterError("gamma needs one finite positive value per class")
     return arr
@@ -157,12 +150,6 @@ def neighbor_bba(
     return SimpleSupport(frame, 1 << klass, float(w[0]))
 
 
-def _standardized(points: np.ndarray) -> np.ndarray:
-    std = points.std(axis=0)
-    std[std == 0] = 1.0
-    return (points - points.mean(axis=0)) / std
-
-
 def classify(
     x,
     ds: LabeledDataset,
@@ -170,7 +157,6 @@ def classify(
     *,
     exclude: int | None = None,
     gamma: np.ndarray | None = None,
-    points: np.ndarray | None = None,
 ) -> Classification:
     """Classify a feature vector from its K nearest training neighbours.
 
@@ -178,7 +164,6 @@ def classify(
     index, and decision ties toward the lower class index, so results are
     reproducible.  Total-conflict failures of the fusion rule propagate.
     """
-    pts = points if points is not None else (_standardized(ds.points) if cfg.standardize else ds.points)
     x = np.asarray(x, dtype=float)
     if x.shape != (ds.n_features,):
         raise ParameterError(f"query must have {ds.n_features} features")
@@ -189,7 +174,7 @@ def classify(
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
     if gamma is None:
         gamma = resolve_gamma(ds, cfg)
-    dist = np.sqrt(((pts - x) ** 2).sum(axis=1))
+    dist = np.sqrt(((ds.points - x) ** 2).sum(axis=1))
     if exclude is not None:
         dist[exclude] = np.inf
     order = np.argsort(dist, kind="stable")[: cfg.k]
@@ -210,14 +195,13 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
     gamma = resolve_gamma(ds, cfg)
-    pts = _standardized(ds.points) if cfg.standardize else ds.points
     predictions = np.full(ds.n_samples, -1, dtype=np.int64)
     kappa = np.full(ds.n_samples, np.nan)
     errors: list[tuple[int, str]] = []
     hits = 0
     for i in range(ds.n_samples):
         try:
-            result = classify(pts[i], ds, cfg, exclude=i, gamma=gamma, points=pts)
+            result = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
         except MassCombError as exc:
             errors.append((i, str(exc)))
             continue
@@ -236,7 +220,7 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
 
 
 def _loo_sweep(
-    ds: LabeledDataset, ks: Sequence[int], alpha: float, rule: RuleConfig, standardize: bool = False
+    ds: LabeledDataset, ks: Sequence[int], alpha: float, rule: RuleConfig
 ) -> tuple[list[float], list[float | None], list[int]]:
     """Leave-one-out accuracy, maximum conflict and failure count at each K.
 
@@ -245,7 +229,7 @@ def _loo_sweep(
     """
     accs, maxk, errs = [], [], []
     for k in ks:
-        cfg = EknnConfig(k=int(k), alpha=alpha, rule=rule, standardize=standardize)
+        cfg = EknnConfig(k=int(k), alpha=alpha, rule=rule)
         rep = evaluate_loo(ds, cfg)
         accs.append(rep.accuracy)
         maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)

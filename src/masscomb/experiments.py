@@ -42,7 +42,6 @@ _DEFAULTS: dict[str, dict] = {
         "sources_grid": [10_000, 100_000],
         "frame_size": 8,
         "kind": "ssf",
-        "num_focals": 5,
         "repeats": 5,
         "rules": ["conjunctive", "average", "cautious", "lns", "lnsa"],
     },
@@ -123,14 +122,23 @@ def six_source_inputs(frame: FrameOfDiscernment | None = None) -> list[MassFunct
     return [s.to_mass() for s in supports]
 
 
-def _coerce(default, value):
+def _coerce(key: str, default, value):
     """``value`` as the type of ``default``: a list, a float or None, or the
-    default's own scalar type."""
-    if isinstance(default, list):
-        return list(value)
-    if default is None:
-        return None if value is None else float(value)
-    return type(default)(value)
+    default's own scalar type.  A value that does not convert, a string or
+    scalar for a list, or a non-integral number for an int raises
+    :class:`ParameterError` naming ``key``."""
+    try:
+        if isinstance(default, list):
+            if isinstance(value, str):
+                raise TypeError
+            return list(value)
+        if default is None:
+            return None if value is None else float(value)
+        if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return type(default)(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"bad value {value!r} for experiment parameter {key!r}") from None
 
 
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
@@ -154,7 +162,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         "timing": _run_timing,
         "eknn-sweep": _run_eknn_sweep,
     }[name]
-    return runner({key: _coerce(d, params.get(key, d)) for key, d in defaults.items()})
+    return runner({key: _coerce(key, d, params.get(key, d)) for key, d in defaults.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +323,7 @@ def _run_timing(p: dict) -> ExperimentReport:
     times: dict[str, list[float]] = {rule: [] for rule in p["rules"]}
     steps: dict[str, list[float]] = {}
     for si, S in enumerate(p["sources_grid"]):
-        spec = GenSpec(frame, kind=p["kind"], num_focals=p["num_focals"],
+        spec = GenSpec(frame, kind=p["kind"], num_focals=min(5, frame.n),
                        seed=_spawn_seed(p["seed"], si))
         inputs = generate(spec, int(S))
         for rule in p["rules"]:

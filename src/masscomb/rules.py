@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -47,9 +47,6 @@ RULE_NAMES = (
     "lnsa",
 )
 
-#: Rules usable for the final stage of the grouped combination.
-GLOBAL_RULE_NAMES = tuple(r for r in RULE_NAMES if r not in ("lns", "lnsa"))
-
 #: Components with a weight above ``1 + SEPARABILITY_TOL`` are inverse
 #: simple supports and cannot be grouped.
 SEPARABILITY_TOL = 1e-9
@@ -71,24 +68,18 @@ class RuleConfig:
     """Rule selector plus parameters.
 
     ``eta`` sharpens the precision-aware discounting of the grouped rules
-    (0 disables it).  ``global_rule`` picks the operator used for the final
-    stage of ``lns``/``lnsa``.  ``enumeration_guard`` caps the number of
-    focal tuples the Dubois-Prade and PCR6 enumerations may visit.
+    (0 disables it).  ``enumeration_guard`` caps the number of focal
+    tuples the Dubois-Prade and PCR6 enumerations may visit.
     ``eta`` must be finite.
     """
 
     rule: str = "conjunctive"
     eta: float = 1.0
-    global_rule: str = "conjunctive"
     enumeration_guard: int = 10_000_000
 
     def __post_init__(self):
         if self.rule not in RULE_NAMES:
             raise ParameterError(f"unknown rule {self.rule!r}; choose one of {RULE_NAMES}")
-        if self.global_rule not in GLOBAL_RULE_NAMES:
-            raise ParameterError(
-                f"unknown global rule {self.global_rule!r}; choose one of {GLOBAL_RULE_NAMES}"
-            )
         if not (self.eta >= 0.0 and math.isfinite(self.eta)):
             raise ParameterError(f"eta must be finite and non-negative, got {self.eta!r}")
         if self.enumeration_guard < 1:
@@ -290,15 +281,23 @@ def _focal_tuples(ms: Sequence[MassFunction], guard: int):
     one column per tuple, so memory stays bounded however high the guard
     is set.
     """
-    values = _stack(ms)
+    blocks = []
+    total = 1
+    for block in _chunks(ms):
+        blocks.append(_stack(block))
+        sizes = (blocks[-1] != 0.0).sum(axis=1)
+        # stop once past the guard: the product over many sources has more
+        # digits than Python will format
+        for size in sizes[sizes > 1].tolist():
+            total *= size
+            if total > guard:
+                raise ComplexityGuardError(
+                    f"more than {guard} focal tuples, beyond the enumeration guard;"
+                    " the grouped 'lns' rule handles large source counts"
+                )
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     nonzero = values != 0.0
     sizes = nonzero.sum(axis=1)
-    total = math.prod(sizes.tolist())
-    if total > guard:
-        raise ComplexityGuardError(
-            f"{total} focal tuples exceed the enumeration guard ({guard});"
-            " the grouped 'lns' rule handles large source counts"
-        )
     # every focal (source, subset) cell, source by source, subsets ascending
     cells = np.flatnonzero(nonzero)
     focal_subsets = cells & (values.shape[1] - 1)
@@ -541,17 +540,14 @@ def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: b
 
     t0 = time.perf_counter()
     if len(active) <= 1:
-        # every global rule is the identity on one normal simple support
+        # the conjunction is the identity on one normal simple support
         ssfs = core._simple_supports(frame, active, group_weights)
         mass = ssfs[0] if ssfs else MassFunction.vacuous(frame)
-    elif cfg.global_rule == "conjunctive":
+    else:
         logw = np.zeros(frame.powerset_size)
         with np.errstate(divide="ignore"):
             logw[active] = np.log(group_weights)
         mass = _from_commonality(frame, core._conjoined_commonality(logw, frame.n)).mass
-    else:
-        ssfs = core._simple_supports(frame, active, group_weights)
-        mass = _COMBINERS[cfg.global_rule](ssfs, replace(cfg, rule=cfg.global_rule)).mass
     seconds["global_combine"] = time.perf_counter() - t0
 
     return FusionResult(
@@ -567,8 +563,9 @@ def combine_lns(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fu
     Inputs must be simple supports or separable assignments (these are
     decomposed first).  Components are clustered by focal element, pooled
     conjunctively inside each group, discounted by the group's reliability
-    share, and the resulting handful of simple supports is combined with
-    ``cfg.global_rule``.  Fully ignorant inputs never change the result.
+    share, and the resulting handful of simple supports is combined
+    conjunctively, the mass on the empty set being the conflict.  Fully
+    ignorant inputs never change the result.
     """
     cfg = cfg or RuleConfig(rule="lns")
     return _combine_grouped(ms, cfg, approximate=False)

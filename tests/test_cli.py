@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from masscomb.cli import main
+from masscomb.cli import build_parser, main
 from masscomb.core import MassFunction, SimpleSupport
 from masscomb.io import read_bbas, write_bbas, write_csv
 
@@ -55,6 +58,14 @@ class TestFuse:
         write_csv(path, ms)
         assert main(["fuse", "--input", str(path), "--rule", "dp", "--enumeration-guard", "2"]) == 4
 
+    @pytest.mark.parametrize("rule", ["dp", "pcr6"])
+    def test_guard_exit_code_at_many_sources(self, tmp_path, frame2, capsys, rule):
+        # the count of focal tuples, 2**15000, is too long for Python to print
+        path = tmp_path / "big.csv"
+        write_csv(path, [SimpleSupport(frame2, 1, 0.5).to_mass()] * 15_000)
+        assert main(["fuse", "--input", str(path), "--rule", rule]) == 4
+        assert "more than 10000000 focal tuples" in capsys.readouterr().err
+
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("00,01,10,11\n0,0.5,0,0.4\n")
@@ -89,6 +100,8 @@ class TestFlagPrefixes:
             ["fuse", "--input", "in.csv", "--rul", "lns"],
             ["fuse", "--input", "in.csv", "--lambda", "2"],
             ["eknn", "--train", "t.csv", "--loo"],
+            ["fuse", "--input", "in.csv", "--rule", "lns", "--global-rule", "dp"],
+            ["eknn", "--train", "t.csv", "--standardize"],
         ],
     )
     def test_abbreviated_flag_refused(self, argv, capsys):
@@ -300,6 +313,16 @@ class TestBench:
         assert doc["series"]["time/lns"]["y"][0] >= 0
         assert "lns_step/decompose" in doc["series"]
 
+    def test_consonant_below_five_hypotheses(self, tmp_path):
+        # the consonant chains have min(5, frame) sets
+        out = tmp_path / "timing.json"
+        code = main(
+            ["experiment", "timing", "--kind", "consonant", "--frame", "4", "--sources", "200",
+             "--repeats", "1", "--output", str(out)]
+        )
+        assert code == 0
+        assert "num_focals" not in json.loads(out.read_text())["parameters"]
+
     def test_zero_repeats_exit_code(self):
         assert main(
             ["experiment", "timing", "--rule", "average", "--sources", "10", "--repeats", "0"]
@@ -310,3 +333,30 @@ class TestBench:
             main(["bench", "--rule", "lns"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def _readme_command_lines() -> list[str]:
+    """Each ``masscomb`` line of the README's command-line block, every
+    ``{a|b}`` expanded to each alternative and ``[ ]`` brackets dropped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    pending = [line for line in block.splitlines() if line.startswith("masscomb ")]
+    lines = []
+    while pending:
+        line = pending.pop(0)
+        choice = re.search(r"\{([^}]*)\}", line)
+        if choice:
+            pending += [line[: choice.start()] + alt + line[choice.end() :]
+                        for alt in choice.group(1).split("|")]
+        else:
+            lines.append(" ".join(line.replace("[", "").replace("]", "").split()))
+    return lines
+
+
+class TestReadme:
+    def test_block_found(self):
+        assert len(_readme_command_lines()) >= 8
+
+    @pytest.mark.parametrize("line", _readme_command_lines())
+    def test_command_line_parses(self, line):
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -170,10 +170,10 @@ class TestLeaveOneOut:
             rep = evaluate_loo(ds, EknnConfig(k=k, rule=RuleConfig(rule="lns")))
             assert rep.max_kappa <= 0.95 - 0.05
 
-    def test_standardize_flag_runs(self):
-        ds = two_gaussian_dataset(30, 4.0, seed=2)
-        rep = evaluate_loo(ds, EknnConfig(k=3, standardize=True))
-        assert rep.accuracy > 0.8
+    def test_no_standardize_field(self):
+        # features enter the distances as given
+        with pytest.raises(TypeError):
+            EknnConfig(standardize=True)
 
 
 class TestNonFinitePoints:

@@ -146,6 +146,20 @@ class TestReplay:
         with pytest.raises(ParameterError):
             run_experiment("table1", {"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("table1", "eta", "x"),
+            ("eknn-sweep", "ks", 5),
+            ("timing", "repeats", "2.5"),
+            ("timing", "repeats", 2.7),
+            ("conflict-sweep", "rules", "lns"),
+        ],
+    )
+    def test_bad_parameter_value_named(self, name, key, value):
+        with pytest.raises(ParameterError, match=repr(key)):
+            run_experiment(name, {key: value})
+
     def test_save(self, tmp_path):
         rep = run_experiment("table1")
         out = tmp_path / "report.json"

@@ -21,7 +21,6 @@ from masscomb.errors import (
     TotalConflictError,
 )
 from masscomb.rules import (
-    GLOBAL_RULE_NAMES,
     RULE_NAMES,
     RuleConfig,
     combine,
@@ -290,12 +289,10 @@ class TestRuleConfig:
         "params",
         [
             {"rule": "bogus"},
-            {"global_rule": "lns"},
             {"eta": -1.0},
             {"eta": math.inf},
             {"eta": math.nan},
             {"eta": -math.inf},
-            {"global_rule": "lnsa"},
             {"enumeration_guard": -1},
             {"enumeration_guard": 0},
         ],
@@ -308,6 +305,11 @@ class TestRuleConfig:
         # the conflict-based reliability shape is martin_reliability's own argument
         with pytest.raises(TypeError):
             RuleConfig(lam=1.0)
+
+    def test_no_global_rule_field(self):
+        # the global stage of lns/lnsa is always the conjunction
+        with pytest.raises(TypeError):
+            RuleConfig(global_rule="dp")
 
     def test_no_vacuous_denominator_field(self):
         # fully ignorant inputs never change an lns result, so they take no share
@@ -433,17 +435,6 @@ class TestLns:
         res = combine_lns([mixed])
         assert math.isclose(float(res.mass.values.sum()), 1.0, abs_tol=1e-9)
 
-    def test_global_rule_switch(self, frame3):
-        ms = six_sources(frame3)
-        dp_res = combine_lns(ms, RuleConfig(rule="lns", global_rule="dp"))
-        conj_res = combine_lns(ms)
-        # with the mixed rule the group conflict moves to the union instead
-        assert dp_res.conflict == 0.0
-        assert conj_res.conflict > 0.0
-        assert math.isclose(
-            dp_res.mass.values[3], conj_res.mass.values[0], abs_tol=1e-12
-        )
-
     def test_step_timings_present(self, frame3):
         res = combine_lns(six_sources(frame3))
         assert set(res.step_seconds) == {"decompose", "inner_combine", "discount", "global_combine"}
@@ -462,12 +453,15 @@ class TestLns:
 
 class TestOneGroup:
     @pytest.mark.parametrize("rule", ["lns", "lnsa"])
-    @pytest.mark.parametrize("global_rule", GLOBAL_RULE_NAMES)
-    def test_every_global_rule_is_the_identity(self, frame3, rule, global_rule):
+    def test_result_is_the_groups_own_simple_support(self, frame3, rule):
         ms = [SimpleSupport(frame3, 1, w).to_mass() for w in (0.3, 0.5, 0.8)]
-        want = combine(ms, RuleConfig(rule=rule)).mass.values
-        got = combine(ms, RuleConfig(rule=rule, global_rule=global_rule)).mass.values
-        assert np.array_equal(got, want)
+        res = combine(ms, RuleConfig(rule=rule))
+        (group,) = res.groups
+        assert group.alpha == 1.0
+        # the approximate rule enters the group with inner weight 0
+        inner = 0.0 if group.inner_weight is None else group.inner_weight
+        weight = 1.0 - group.alpha + group.alpha * inner
+        assert np.array_equal(res.mass.values, SimpleSupport(frame3, 1, weight).to_mass().values)
 
 
 class TestLnsa:
@@ -662,6 +656,13 @@ class TestEnumerationOracle:
         with pytest.raises(ComplexityGuardError):
             fn(ms, RuleConfig(enumeration_guard=11))
 
+    @pytest.mark.parametrize("fn", [combine_dp, combine_pcr6])
+    def test_guard_refuses_many_sources(self, frame2, fn):
+        # 2**15000 focal tuples: a number too long for Python to print
+        ms = [SimpleSupport(frame2, 1, 0.5).to_mass()] * 15_000
+        with pytest.raises(ComplexityGuardError, match="more than 10000000 focal tuples"):
+            fn(ms, RuleConfig())
+
 
 @st.composite
 def _source(draw, frame, kind):
@@ -700,10 +701,10 @@ def _batches(draw):
 
 
 class TestValidResultOrDocumentedError:
-    @given(_batches(), st.sampled_from(RULE_NAMES), st.sampled_from(GLOBAL_RULE_NAMES))
+    @given(_batches(), st.sampled_from(RULE_NAMES))
     @settings(max_examples=400, deadline=None)
-    def test_every_rule(self, ms, rule, global_rule):
-        cfg = RuleConfig(rule=rule, global_rule=global_rule, enumeration_guard=512)
+    def test_every_rule(self, ms, rule):
+        cfg = RuleConfig(rule=rule, enumeration_guard=512)
         try:
             res = combine(ms, cfg)
         except (TotalConflictError, ComplexityGuardError, DecompositionError, NotSeparableError):
