@@ -289,10 +289,12 @@ class TestRuleConfig:
         "params",
         [
             {"rule": "bogus"},
+            {"rule": "LNS"},
             {"eta": -1.0},
             {"eta": math.inf},
             {"eta": math.nan},
             {"eta": -math.inf},
+            {"rule": ""},
             {"enumeration_guard": -1},
             {"enumeration_guard": 0},
         ],
@@ -459,6 +461,29 @@ class TestOneGroup:
         (group,) = res.groups
         assert group.alpha == 1.0
         # the approximate rule enters the group with inner weight 0
+        inner = 0.0 if group.inner_weight is None else group.inner_weight
+        weight = 1.0 - group.alpha + group.alpha * inner
+        assert np.array_equal(res.mass.values, SimpleSupport(frame3, 1, weight).to_mass().values)
+
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    @pytest.mark.parametrize(
+        "global_rule",
+        ["average", "cautious", "conjunctive", "dempster", "disjunctive", "dp", "pcr6"],
+    )
+    def test_every_global_rule_is_the_identity(self, frame3, rule, global_rule):
+        # sources built by any rule from supports of {theta1} form one group,
+        # and one group passes the global stage as its own simple support
+        pairs = [(0.3, 0.5), (0.5, 0.8), (0.8, 0.3)]
+        ms = [
+            combine(
+                [SimpleSupport(frame3, 1, a).to_mass(), SimpleSupport(frame3, 1, b).to_mass()],
+                RuleConfig(rule=global_rule),
+            ).mass
+            for a, b in pairs
+        ]
+        res = combine(ms, RuleConfig(rule=rule))
+        (group,) = res.groups
+        assert (group.focal, group.count, group.alpha) == (1, 3, 1.0)
         inner = 0.0 if group.inner_weight is None else group.inner_weight
         weight = 1.0 - group.alpha + group.alpha * inner
         assert np.array_equal(res.mass.values, SimpleSupport(frame3, 1, weight).to_mass().values)
