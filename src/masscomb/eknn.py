@@ -127,8 +127,11 @@ def resolve_gamma(ds: LabeledDataset, cfg: EknnConfig) -> np.ndarray:
         if cfg.gamma != "auto":
             raise ParameterError(f"gamma must be 'auto' or per-class values, got {cfg.gamma!r}")
         return gamma_auto(ds)
-    arr = np.array(cfg.gamma, dtype=float)
-    if arr.shape != (ds.frame.n,) or not (np.isfinite(arr) & (arr > 0)).all():
+    try:
+        arr = np.array(cfg.gamma, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (ds.frame.n,) or not (np.isfinite(arr) & (arr > 0)).all():
         raise ParameterError("gamma needs one finite positive value per class")
     return arr
 

@@ -123,15 +123,16 @@ def six_source_inputs(frame: FrameOfDiscernment | None = None) -> list[MassFunct
 
 
 def _coerce(key: str, default, value):
-    """``value`` as the type of ``default``: a list, a float or None, or the
-    default's own scalar type.  A value that does not convert, a string or
-    scalar for a list, or a non-integral number for an int raises
-    :class:`ParameterError` naming ``key``."""
+    """``value`` as the type of ``default``: a list of elements each coerced
+    like the default's first element, a float or None, or the default's own
+    scalar type.  A value that does not convert, a string or scalar for a
+    list, or a non-integral number for an int raises :class:`ParameterError`
+    naming ``key``."""
     try:
         if isinstance(default, list):
             if isinstance(value, str):
                 raise TypeError
-            return list(value)
+            return [_coerce(key, default[0], v) for v in value]
         if default is None:
             return None if value is None else float(value)
         if isinstance(default, int) and isinstance(value, float) and not value.is_integer():

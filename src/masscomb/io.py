@@ -7,13 +7,15 @@ Two formats round-trip losslessly:
   first hypothesis in the lowest bit, so the all-ones column is the whole
   frame).  The CSV carries no hypothesis labels; readers may supply them.
 * sparse JSON: ``{"frame": [labels], "bbas": [{"focal elements":
-  [[label, ...], ...], "masses": [...]}]}``.
+  [[label, ...], ...], "masses": [...]}]}``, written one assignment per
+  line; any valid JSON document of that shape is read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 from typing import Sequence
@@ -54,32 +56,68 @@ def _sink(target, **open_kw):
             yield fh
 
 
+#: Cells per block of assignments that the writers format at once.
+_WRITE_CELLS = 1 << 18
+
+
+def _blocks(bbas: Sequence[MassFunction]):
+    """The assignments' values, stacked in blocks of about ``_WRITE_CELLS`` cells."""
+    step = max(1, _WRITE_CELLS // bbas[0].frame.powerset_size)
+    for start in range(0, len(bbas), step):
+        yield np.array([m.values for m in bbas[start : start + step]])
+
+
+def _sparse_rows(block: np.ndarray, mask: np.ndarray) -> tuple[list, list, list]:
+    """The columns of ``block`` where ``mask`` holds, their values, and the end
+    of each row's run in those two lists."""
+    rows, cols = np.nonzero(mask)
+    ends = np.cumsum(np.bincount(rows, minlength=len(block)))
+    return cols.tolist(), block[rows, cols].tolist(), ends.tolist()
+
+
 def write_csv(target, bbas: Sequence[MassFunction]) -> None:
+    """Write one row per assignment, each cell the ``repr`` of its mass, lines
+    ending in CRLF as :mod:`csv` writes them."""
     if not bbas:
         raise ParameterError("nothing to write")
     frame = bbas[0].frame
+    zeros = ",".join(["0.0"] * frame.powerset_size)  # a row of +0.0; cell i starts at 4 * i
     with _sink(target, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(bitmask_header(frame.n))
-        for m in bbas:
-            writer.writerow([repr(v) for v in m.values.tolist()])
+        fh.write(",".join(bitmask_header(frame.n)) + "\r\n")
+        for block in _blocks(bbas):
+            # every cell but +0.0, -0.0 included, is spliced into the zero row
+            cols, values, ends = _sparse_rows(block, (block != 0) | np.signbit(block))
+            out = []
+            start = 0
+            for end in ends:
+                pos = 0
+                for col, value in zip(cols[start:end], values[start:end]):
+                    out += (zeros[pos : 4 * col], repr(value))
+                    pos = 4 * col + 3
+                out += (zeros[pos:], "\r\n")
+                start = end
+            fh.write("".join(out))
 
 
 def read_csv(path, labels: Sequence[str] | None = None) -> list[MassFunction]:
+    """Read a dense CSV file.
+
+    The body is parsed by one :func:`numpy.loadtxt` call, which agrees with
+    ``float()`` on every cell it accepts.  Whatever it refuses (quoted
+    cells, ``1_0``, ragged or bad rows), or a block that fails validation,
+    goes to the token parser, which reports the earliest bad line.
+    """
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        frame = _csv_frame(next(reader, None), labels)
+        if reader.line_num == 1:  # a header spanning lines is left to the token parser
+            try:
+                return _mass_rows(frame, _loadtxt_body(fh, frame.powerset_size), FILE_MASS_TOL)
+            except (ValueError, ParameterError):
+                pass
+        fh.seek(0)
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("empty file", line=1)
-    header = [tok.strip() for tok in rows[0]]
-    size = len(header)
-    if size < 2 or size & (size - 1):
-        raise ParseError(f"{size} columns is not a power-set size", line=1)
-    n = size.bit_length() - 1
-    if header != bitmask_header(n):
-        raise ParseError("header must list binary subset bitmasks in natural order", line=1)
-    frame = FrameOfDiscernment(tuple(labels) if labels else default_labels(n))
-    if frame.n != n:
-        raise ParameterError(f"{frame.n} labels supplied for {n}-element data")
+    size = frame.powerset_size
     body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
     if not body:
         raise ParseError("no assignments in file", line=1)
@@ -94,6 +132,38 @@ def read_csv(path, labels: Sequence[str] | None = None) -> list[MassFunction]:
             raise ParseError(str(exc), line=lineno) from None
 
     return _read_rows(frame, len(body), fill, lambda i, msg: ParseError(msg, line=body[i][0]))
+
+
+def _csv_frame(header: list[str] | None, labels: Sequence[str] | None) -> FrameOfDiscernment:
+    """The frame a CSV header row describes, named by ``labels`` if given."""
+    if header is None:
+        raise ParseError("empty file", line=1)
+    header = [tok.strip() for tok in header]
+    size = len(header)
+    if size < 2 or size & (size - 1):
+        raise ParseError(f"{size} columns is not a power-set size", line=1)
+    n = size.bit_length() - 1
+    if header != bitmask_header(n):
+        raise ParseError("header must list binary subset bitmasks in natural order", line=1)
+    frame = FrameOfDiscernment(tuple(labels) if labels else default_labels(n))
+    if frame.n != n:
+        raise ParameterError(f"{frame.n} labels supplied for {n}-element data")
+    return frame
+
+
+def _loadtxt_body(fh, size: int) -> np.ndarray:
+    """The rest of ``fh`` as one ``(S, size)`` block; a ``ValueError`` if
+    :func:`numpy.loadtxt` cannot parse it, it is empty, or its width is not
+    ``size``."""
+    for first in fh:
+        if first.strip("\r\n"):
+            break
+    else:
+        raise ValueError("no assignments")  # checked first: loadtxt warns on no data
+    block = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+    if block.shape[1] != size:
+        raise ValueError(f"{block.shape[1]} columns")
+    return block
 
 
 def _read_rows(frame: FrameOfDiscernment, count: int, fill, error) -> list[MassFunction]:
@@ -127,29 +197,30 @@ def _validated(frame: FrameOfDiscernment, block: np.ndarray, error) -> list[Mass
 # ---------------------------------------------------------------------------
 
 
-def to_json_doc(bbas: Sequence[MassFunction]) -> dict:
+def write_json(target, bbas: Sequence[MassFunction]) -> None:
+    """Write the sparse JSON document, one assignment per line."""
     if not bbas:
         raise ParameterError("nothing to write")
     frame = bbas[0].frame
-    return {
-        "frame": list(frame.labels),
-        "bbas": [
-            {
-                "focal elements": [
-                    list(frame.subset_labels(int(a))) for a in m.focal_elements()
-                ],
-                "masses": [float(m.values[a]) for a in m.focal_elements()],
-            }
-            for m in bbas
-        ],
-    }
-
-
-def write_json(target, bbas: Sequence[MassFunction]) -> None:
-    doc = to_json_doc(bbas)
+    encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
+    members = {}  # focal index -> its label list, built on first sight
     with _sink(target) as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(f'{{"frame": {encode(list(frame.labels))}, "bbas": [\n')
+        sep = ""
+        for block in _blocks(bbas):
+            focals, masses, ends = _sparse_rows(block, block != 0)
+            members.update((a, list(frame.subset_labels(a))) for a in set(focals) - members.keys())
+            lines = []
+            start = 0
+            for end in ends:
+                lines.append(encode({
+                    "focal elements": [members[a] for a in focals[start:end]],
+                    "masses": masses[start:end],
+                }))
+                start = end
+            fh.write(sep + ",\n".join(lines))
+            sep = ",\n"
+        fh.write("\n]}\n")
 
 
 def read_json(path) -> list[MassFunction]:

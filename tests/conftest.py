@@ -409,3 +409,28 @@ def per_row_read_json(path) -> list[MassFunction]:
             values[frame.subset_index(members)] = float(mass)
         out.append(MassFunction(frame, values, tol=FILE_MASS_TOL))
     return out
+
+
+def csv_module_write(path, bbas) -> None:
+    """The dense CSV writer as it was: :mod:`csv` over every cell's ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        n = bbas[0].frame.n
+        writer.writerow([format(i, f"0{n}b") for i in range(1 << n)])
+        for m in bbas:
+            writer.writerow([repr(v) for v in m.values.tolist()])
+
+
+def per_row_json_doc(bbas) -> dict:
+    """The sparse JSON document built one assignment and one focal set at a time."""
+    frame = bbas[0].frame
+    return {
+        "frame": list(frame.labels),
+        "bbas": [
+            {
+                "focal elements": [list(frame.subset_labels(int(a))) for a in m.focal_elements()],
+                "masses": [float(m.values[a]) for a in m.focal_elements()],
+            }
+            for m in bbas
+        ],
+    }

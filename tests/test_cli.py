@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -132,6 +133,70 @@ class TestStdoutMatchesFile:
         capsysbinary.readouterr()
         assert main(argv) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+class TestGenBytesPinned:
+    """``masscomb gen`` output, pinned by sha256.
+
+    The hashes were computed with the writers and the ssf generator as they
+    stood before the sparse CSV writer, the line-per-assignment JSON writer
+    and the raw-word ssf replay: the CSV bytes must not move, and the JSON
+    document, loaded and re-dumped with sorted keys, must not either.
+    """
+
+    CASES = [
+        (["--kind", "ssf", "--frame-size", "3"],
+         "e23dab5d75b8a8db5b67acac16c6886eabc06fdf3fe611ebfc7f2b79fd24ca62",
+         "b5b1ba3fc6717a630d64d98e21afa380d513a829024e0948f68d9bcfce48b3e0"),
+        (["--kind", "ssf", "--frame-size", "8"],
+         "c3e30f0cf130e5635e55c0b7a9d2af87ec0ba20b6d8c95676db008a504f15db5",
+         "af3ea7bb4c4e378c3f3d385be06da213d86b405af3760eba239b78d0837bf185"),
+        (["--kind", "consonant", "--frame-size", "3"],
+         "e14dc9a0fa1c1dc7ecc169f95cadb82c235267cb0b512e61d4f9f90e841b604e",
+         "6089977114cbd5b374f89ec22d38c43730939f7c1dbbe50b1ca80cafa3533e0a"),
+        (["--kind", "consonant", "--frame-size", "8"],
+         "9c3d9e023d1f270107b87cb9c6283f7e3e8339dd6781534d64cf07b6f0a10829",
+         "a5917dc1eb6555f3ce819da8f56a5ed6529b5f852a76995ded612f330f2ada57"),
+        (["--kind", "general", "--frame-size", "3"],
+         "bb2164dd7b318099ebdf8bf278898a1b443366c500a13d248c76c765a77f021f",
+         "6fd9f88cfa977649ab58b67b07f007b0f98acb7896c3f1aa83fb26b71cce02a7"),
+        (["--kind", "general", "--frame-size", "8"],
+         "6979dfaad572f2a060208bb9ad67fda3e8adc73d88dde5ce52fdfbe81ee97694",
+         "ff4c899e98b96d50e8f1a01b5a6b912897e009bf4d6c9c60335c827492ba3b35"),
+        (["--kind", "ssf", "--frame-size", "8", "--min-singleton-mass", "0.3", "--stream", "2"],
+         "7437bfbf6e9125c19f1e7f526d7901fedbe1a5dda06e2dab14db24ba240d4271",
+         "cfb61c58d227eb599dd1fdd7c1aa76fa332adb3f0b3d8b272bb7ef1997827db5"),
+        (["--kind", "ssf", "--frame-size", "3", "--focal-pool", "001", "--count", "151", "--stream", "1"],
+         "9ba00e2b313c4a75ea494c114737a2361d84a1a7327f9611cf68c1ec959bf4e5",
+         "3e9484ea56123ca805cdbe6fa45c7a21e4601de8ee490f7a0b3d624d9b92866d"),
+    ]
+
+    @staticmethod
+    def _argv(flags):
+        return ["gen", "--count", "150", "--seed", "11", *flags]
+
+    @pytest.mark.parametrize("flags, csv_sha, json_sha", CASES)
+    def test_csv_bytes(self, tmp_path, capsysbinary, flags, csv_sha, json_sha):
+        out = tmp_path / "out.csv"
+        assert main(self._argv(flags) + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        capsysbinary.readouterr()
+        assert main(self._argv(flags) + ["--format", "csv"]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == csv_sha
+
+    @pytest.mark.parametrize("flags, csv_sha, json_sha", CASES)
+    def test_json_document(self, tmp_path, flags, csv_sha, json_sha):
+        out = tmp_path / "out.json"
+        assert main(self._argv(flags) + ["--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == json_sha
+
+    def test_json_one_assignment_per_line(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(self._argv(["--kind", "general", "--count", "4"]) + ["--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4 + 2
+        assert all(json.loads(line.rstrip(","))["masses"] for line in lines[1:-1])
 
 
 class TestTransformAndDiscount:

@@ -70,6 +70,11 @@ class TestGamma:
         with pytest.raises(ParameterError):
             evaluate_loo(toy, EknnConfig(k=2, gamma=[bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", [{0: 1.0, 1: 2.0}, ["a", "b"], [[1.0], [2.0, 3.0]], None])
+    def test_non_numeric_gamma_rejected(self, toy, bad):
+        with pytest.raises(ParameterError, match="one finite positive value per class"):
+            resolve_gamma(toy, EknnConfig(k=1, gamma=bad))
+
 
 class TestNeighborBba:
     def test_zero_distance(self, toy):

@@ -154,6 +154,10 @@ class TestReplay:
             ("timing", "repeats", "2.5"),
             ("timing", "repeats", 2.7),
             ("conflict-sweep", "rules", "lns"),
+            ("eknn-sweep", "ks", ["a"]),
+            ("timing", "sources_grid", ["x"]),
+            ("eknn-sweep", "ks", [1.5]),
+            ("conflict-sweep", "ts", [1, "2.5"]),
         ],
     )
     def test_bad_parameter_value_named(self, name, key, value):

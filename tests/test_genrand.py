@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from masscomb import genrand
 from masscomb.core import FrameOfDiscernment, as_simple_support
 from masscomb.errors import ParameterError
 from masscomb.genrand import GenSpec, generate
@@ -140,3 +141,63 @@ class TestOneBlock:
         assert all(not m.values.flags.writeable for m in out)
         with pytest.raises(ValueError):
             out[3].values[0] = 1.0
+
+
+def _outcome(gen, spec, count):
+    """The rows ``gen`` draws, or ``"exhausted"`` if rejection sampling gives up."""
+    try:
+        return [m.values.tobytes() for m in gen(spec, count)]
+    except ParameterError as exc:
+        assert str(exc).startswith("rejection sampling failed")
+        return "exhausted"
+
+
+class TestSsfReplay:
+    """ssf rows are replayed from raw PCG64 words; each hazard of the replay
+    must give the rows, or the error, of the per-draw oracle."""
+
+    @pytest.mark.parametrize("n, pool", [(1, (1,)), (3, (2,)), (3, (7,)), (3, (1, 6)), (4, None)])
+    @pytest.mark.parametrize("count", [1, 2, 7, 40])
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("threshold", [None, 0.0, 0.4])
+    def test_equals_per_draw(self, n, pool, count, stream, threshold):
+        spec = GenSpec(FrameOfDiscernment.numbered(n), kind="ssf", focal_pool=pool,
+                       min_singleton_mass=threshold, seed=count, stream=stream)
+        assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)
+
+    @pytest.mark.parametrize("limit", [2, 6, 8, 40])
+    @pytest.mark.parametrize("batch", [2, 5, 1 << 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exhausted_rejections_equal_per_draw(self, monkeypatch, limit, batch, seed):
+        # short limits and batches make runs of failed attempts cross batch
+        # edges; seeds 0, 1 and 5 exhaust a limit of 8 part way through the
+        # block, seeds 2, 3 and 4 do not
+        monkeypatch.setattr(genrand, "_MAX_REJECTIONS", limit)
+        monkeypatch.setattr(genrand, "_REPLAY_BATCH", batch)
+        spec = GenSpec(FrameOfDiscernment.numbered(3), kind="ssf", min_singleton_mass=0.3, seed=seed)
+        assert _outcome(generate, spec, 30) == _outcome(per_draw_generate, spec, 30)
+
+    def test_exhausted_rejections_message(self, frame4):
+        spec = GenSpec(frame4, kind="ssf", focal_pool=(3, 6), min_singleton_mass=0.5, seed=6)
+        with pytest.raises(ParameterError, match="rejection sampling failed 10000 times"):
+            generate(spec, 3)
+
+    # Seeds whose first 120 draws from 4056 focal sets meet a Lemire rejection
+    # on the high half of a word (attempt 5) and on the low half (attempt 70).
+    LEMIRE = [(18612, 5), (44316, 70)]
+    POOL_4056 = tuple(range(1, 4057))
+
+    @pytest.mark.parametrize("seed, attempt", LEMIRE)
+    def test_words_meet_a_lemire_rejection(self, seed, attempt):
+        m = len(self.POOL_4056)
+        words = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(3 * 60).reshape(60, 3)
+        halves = np.stack([words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32], axis=1).ravel()
+        low = (halves * np.uint64(m)) & np.uint64(0xFFFFFFFF)
+        assert np.flatnonzero(low < (2**32 - m) % m).tolist()[:1] == [attempt]
+
+    @pytest.mark.parametrize("seed, attempt", LEMIRE)
+    @pytest.mark.parametrize("threshold, count", [(None, 120), (0.2, 3)])
+    def test_lemire_rejection_equals_per_draw(self, seed, attempt, threshold, count):
+        spec = GenSpec(FrameOfDiscernment.numbered(12), kind="ssf", focal_pool=self.POOL_4056,
+                       min_singleton_mass=threshold, seed=seed)
+        assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)

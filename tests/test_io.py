@@ -1,9 +1,16 @@
 """Dense-CSV and sparse-JSON round trips and error reporting."""
 
+import csv
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
+from masscomb import io as mio
+from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted
 from masscomb.errors import ParseError
 from masscomb.genrand import GenSpec, generate
 from masscomb.io import (
@@ -15,7 +22,12 @@ from masscomb.io import (
     write_json,
 )
 
-from conftest import per_row_read_csv, per_row_read_json
+from conftest import (
+    csv_module_write,
+    per_row_json_doc,
+    per_row_read_csv,
+    per_row_read_json,
+)
 
 
 @pytest.fixture
@@ -225,3 +237,150 @@ class TestConversion:
         cpath = tmp_path / "six.csv"
         write_bbas(cpath, six)
         assert len(read_bbas(cpath)) == 6
+
+
+def _outcome(path):
+    """The rows ``read_csv`` returns, or the message and line of its ``ParseError``."""
+    try:
+        return [m.values.tobytes() for m in read_csv(path)]
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _token_outcome(path):
+    """``_outcome`` with the ``np.loadtxt`` body parse refused, so the token
+    parser reads every file."""
+    with mock.patch.object(mio, "_loadtxt_body", side_effect=ValueError("refused")):
+        return _outcome(path)
+
+
+_VALID_ROWS = [
+    ["0", "0", "0", "1"],
+    ["0", "0.5", "0.5", "0"],
+    ["0.25", "0.25", "0.25", "0.25"],
+    ["1.0", "0", "-0.0", "0"],
+    ["0", "2.5e-1", "0.75", "0"],
+]
+_QUIRKS = ["", "x", "nan", "inf", "-inf", "1_0", '"0.5"', " ", "0.5 ", "\t1", "1e", "0x1p0"]
+_NEWLINES = ["\n", "\r\n", "\r"]
+
+
+def _dressed(cell: str) -> list[str]:
+    """Spellings of ``cell`` that ``float()`` reads as the same value."""
+    forms = [f" {cell} ", f"\t{cell}", f'"{cell}"']
+    if "." in cell:
+        forms.append(f"{cell}_0")
+    elif cell == "0":
+        forms.append("0_0")
+    return forms
+
+
+@st.composite
+def csv_bodies(draw):
+    """Bodies of a 2-hypothesis dense CSV with the quirks a CSV can carry:
+    blank and whitespace lines, LF, CRLF and CR-only newlines, padded and
+    quoted cells, underscores, non-finite and unparsable cells, short rows
+    and trailing commas."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "dressed", "quirk", "short", "long", "blank", "space"]))
+        row = list(draw(st.sampled_from(_VALID_ROWS)))
+        at = draw(st.integers(0, 3))
+        if kind == "dressed":
+            row[at] = draw(st.sampled_from(_dressed(row[at])))
+        elif kind == "quirk":
+            row[at] = draw(st.sampled_from(_QUIRKS))
+        elif kind == "short":
+            row = row[:-1]
+        elif kind == "long":
+            row.append("")  # a trailing comma
+        if kind == "blank":
+            text = ""
+        elif kind == "space":
+            text = draw(st.sampled_from([" ", "\t", ",,,"]))
+        else:
+            text = ",".join(row)
+        lines.append(text + draw(st.sampled_from(_NEWLINES)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no newline at the end of the file
+    return "".join(lines)
+
+
+class TestFastCsvPath:
+    """``read_csv`` parses a body with one ``np.loadtxt`` call and hands
+    anything that fails to the token parser; the two must agree on every file."""
+
+    @given(csv_bodies(), st.sampled_from(_NEWLINES))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_token_parser(self, tmp_path_factory, body, newline):
+        path = tmp_path_factory.mktemp("fast") / "body.csv"
+        path.write_bytes(("00,01,10,11" + newline + body).encode())
+        assert _outcome(path) == _token_outcome(path)
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh)][1:]
+            fh.seek(0)
+            fh.readline()
+            try:
+                block = mio._loadtxt_body(fh, 4)
+            except ValueError:
+                return
+        # where loadtxt accepts a body, it reads every cell as float() does
+        want = np.array([[float(tok) for tok in row] for row in rows if row])
+        assert block.tobytes() == want.tobytes()
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path):
+        ms = generate(GenSpec(FrameOfDiscernment.numbered(4), kind="general", seed=2), 50)
+        path = tmp_path / "clean.csv"
+        write_csv(path, ms)
+        with mock.patch.object(mio, "_loadtxt_body", wraps=mio._loadtxt_body) as spy:
+            got = read_csv(path)
+        assert spy.call_count == 1
+        assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in per_row_read_csv(path)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n\r"])
+    def test_blank_body_is_no_assignments_without_warning(self, tmp_path, body):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(("00,01,10,11\n" + body).encode())
+        with pytest.raises(ParseError, match="no assignments in file") as err:
+            read_csv(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        ['"0",0,0,1\r\n', "0,0,0,1\r0,0.5,0.5,0\r", "0_0,0,0,1.0_0\n0,0,0,1\n", "\n\n0,0,0,1\n\n"],
+    )
+    def test_quirky_but_valid_bodies_read(self, tmp_path, body):
+        path = tmp_path / "q.csv"
+        path.write_bytes(("00,01,10,11\n" + body).encode())
+        got = read_csv(path)
+        assert [m.values.tobytes() for m in got] == _token_outcome(path)
+        assert all(float(m.values.sum()) == 1.0 for m in got)
+
+
+class TestWriters:
+    """The writers' bytes and documents equal the per-row writers they replaced."""
+
+    @pytest.fixture
+    def batch(self):
+        frame = FrameOfDiscernment.numbered(3)
+        ms = generate(GenSpec(frame, kind="general", seed=4), 40)
+        ms += generate(GenSpec(frame, kind="ssf", seed=5), 40)
+        ms.append(MassFunction.from_dict(frame, {1: 5e-324, 7: 1.0 - 5e-324}))
+        ms.append(_trusted(frame, np.array([-0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])))
+        return ms
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 18])
+    def test_csv_bytes_equal_csv_module(self, tmp_path, monkeypatch, batch, cells):
+        monkeypatch.setattr(mio, "_WRITE_CELLS", cells)
+        write_csv(tmp_path / "got.csv", batch)
+        csv_module_write(tmp_path / "want.csv", batch)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 18])
+    def test_json_document_equals_per_row(self, tmp_path, monkeypatch, batch, cells):
+        monkeypatch.setattr(mio, "_WRITE_CELLS", cells)
+        path = tmp_path / "got.json"
+        write_json(path, batch)
+        assert json.loads(path.read_text()) == per_row_json_doc(batch)
+        assert len(path.read_text().splitlines()) == len(batch) + 2
