@@ -109,47 +109,20 @@ def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, a
     arr[focals] = _simplex(rng, len(focals))
 
 
-#: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed
-#: row; ssf rows are replayed by :class:`_SsfReplay`, which draws with
-#: :func:`_draw_ssf` only where the replay cannot.
-_DRAWERS = {"general": _draw_general, "consonant": _draw_consonant}
+#: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
+_DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_consonant}
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-#: Most ssf attempts replayed from one batch of raw words.
-_REPLAY_BATCH = 1 << 16
+
+def _singleton_masses(arr: np.ndarray, n: int) -> np.ndarray:
+    return arr[[1 << i for i in range(n)]]
 
 
-def _accepted(spec: GenSpec, arr: np.ndarray) -> bool:
-    if spec.min_singleton_mass is None:
-        return True
-    singles = arr[[1 << i for i in range(spec.frame.n)]]
-    return bool(singles.max() > spec.min_singleton_mass)
-
-
-def _exhausted() -> ParameterError:
-    return ParameterError(
-        f"rejection sampling failed {_MAX_REJECTIONS} times; no draw from this"
-        " recipe satisfies the singleton-mass threshold"
-    )
-
-
-def _draw_rows(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
-    """Fill each row of ``block`` with the first accepted draw."""
-    draw = _DRAWERS[spec.kind]
-    for arr in block:
-        for _ in range(_MAX_REJECTIONS):
-            draw(rng, spec, pool, arr)
-            if _accepted(spec, arr):
-                break
-            arr[:] = 0.0
-        else:
-            raise _exhausted()
-
-
-class _SsfReplay:
-    """Fill a block with the rows :func:`_draw_rows` gives for ``ssf``, from
-    raw PCG64 words.
+def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
+    """Fill ``block`` with the rows that :func:`generate` draws one by one for
+    ``ssf`` with no threshold and at least two pool entries, from raw PCG64
+    words.
 
     An ssf draw calls ``integers(0, m)`` and then ``random()``.  The integer
     takes the low half of a fresh 64-bit word, and the next draw's integer
@@ -157,97 +130,40 @@ class _SsfReplay:
     to ``(u * m) >> 32`` by Lemire's rule, rejecting ``u`` when
     ``(u * m) mod 2**32 < (2**32 - m) mod m``.  The weight is the top 53
     bits of the next word times ``2**-53``.  So a pair of draws uses three
-    words, and a one-element pool draws no integer word at all.  A draw
-    that meets a rejection runs through :func:`_draw_ssf` from the words
-    before it.  The buffered half it rejects need not be restored: the
-    rejection drops it and takes the low half of a fresh word either way.
-    A draw that starts on a buffered half also runs through
+    words.  A draw that meets a rejection runs through :func:`_draw_ssf`
+    from the words before it.  The buffered half it rejects need not be
+    restored: the rejection drops it and takes the low half of a fresh word
+    either way.  A draw that starts on a buffered half also runs through
     :func:`_draw_ssf`.
-
-    Every attempt uses the same words whether or not it is accepted, so
-    under ``min_singleton_mass`` the rows are a selection of the attempts.
     """
-
-    def __init__(self, rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray):
-        self.rng, self.spec, self.pool, self.block = rng, spec, pool, block
-        self.filled = 0  # rows written
-        self.tried = 0  # attempts made
-        self.fails = 0  # attempts rejected since the last accepted one
-
-    def run(self) -> None:
-        bitgen = self.rng.bit_generator
-        m = len(self.pool)
-        count = len(self.block)
-        while self.filled < count:
-            if m > 1 and bitgen.state["has_uint32"]:
-                self._one_draw()
-                continue
-            size = min(self._batch_size(count - self.filled), _REPLAY_BATCH)
-            if m == 1:
-                words = bitgen.random_raw(size)
-                self._take(np.full(size, self.pool[0]), words)
-                continue
-            pairs = (size + 1) // 2
-            start = bitgen.state
-            words = bitgen.random_raw(3 * pairs).reshape(pairs, 3)
-            u = np.stack([words[:, 0] & _LOW32, words[:, 0] >> np.uint64(32)], axis=1).ravel()
-            scaled = u * np.uint64(m)
-            rejected = np.flatnonzero((scaled & _LOW32) < np.uint64((2**32 - m) % m))
-            stop = int(rejected[0]) if rejected.size else 2 * pairs
-            picks = (scaled[:stop] >> np.uint64(32)).astype(np.intp)
-            self._take(self.pool[picks], words[:, 1:].ravel()[:stop])
-            if stop < 2 * pairs and self.filled < count:
-                # back to the words before the rejected draw, then draw it one by one
-                bitgen.state = start
-                bitgen.random_raw(3 * (stop // 2) + 2 * (stop % 2))
-                self._one_draw()
-
-    def _batch_size(self, need: int) -> int:
-        """Attempts to replay next: ``need``, or as many as the acceptance
-        rate so far suggests will yield ``need`` rows."""
-        if self.spec.min_singleton_mass is None or not self.tried:
-            return need
-        if not self.filled:
-            return 2 * self.tried
-        return -(-need * self.tried // self.filled) + 16
-
-    def _one_draw(self) -> None:
-        arr = np.zeros(self.block.shape[1])
-        _draw_ssf(self.rng, self.spec, self.pool, arr)
-        self.tried += 1
-        if _accepted(self.spec, arr):
-            self.block[self.filled] = arr
-            self.filled += 1
-            self.fails = 0
-        else:
-            self.fails += 1
-            if self.fails >= _MAX_REJECTIONS:
-                raise _exhausted()
-
-    def _take(self, focals: np.ndarray, words: np.ndarray) -> None:
-        """Write the accepted ones of these attempts, in order, to the next rows."""
-        full = self.spec.frame.full_set
-        w = (words >> np.uint64(11)).astype(float) * 2.0**-53
-        self.tried += len(w)
-        need = len(self.block) - self.filled
-        threshold = self.spec.min_singleton_mass
-        if threshold is None:
-            keep = np.arange(min(need, len(w)))
-        else:
-            # a singleton focal holds all of the draw's singleton mass
-            on_focal = np.where(focals == full, w, 0.0) + (1.0 - w)
-            ok = ((focals & (focals - 1)) == 0) & (on_focal > threshold)
-            keep = np.flatnonzero(ok)[:need]
-            gaps = np.diff(keep, prepend=-1 - self.fails) - 1
-            if keep.size < need:
-                gaps = np.append(gaps, len(w) - 1 - (keep[-1] if keep.size else -1 - self.fails))
-            if gaps.size and gaps.max() >= _MAX_REJECTIONS:
-                raise _exhausted()
-            self.fails = int(gaps[-1]) if keep.size < need else 0
-        rows = np.arange(self.filled, self.filled + len(keep))
-        self.block[rows, full] = w[keep]
-        self.block[rows, focals[keep]] += 1.0 - w[keep]
-        self.filled += len(keep)
+    bitgen = rng.bit_generator
+    m = len(pool)
+    full = spec.frame.full_set
+    filled = 0
+    while filled < len(block):
+        if bitgen.state["has_uint32"]:
+            _draw_ssf(rng, spec, pool, block[filled])
+            filled += 1
+            continue
+        need = len(block) - filled
+        pairs = (need + 1) // 2
+        start = bitgen.state
+        words = bitgen.random_raw(3 * pairs).reshape(pairs, 3)
+        u = np.stack([words[:, 0] & _LOW32, words[:, 0] >> np.uint64(32)], axis=1).ravel()
+        scaled = u[:need] * np.uint64(m)
+        rejected = np.flatnonzero((scaled & _LOW32) < np.uint64((2**32 - m) % m))
+        stop = int(rejected[0]) if rejected.size else need
+        rows = np.arange(filled, filled + stop)
+        w = (words[:, 1:].ravel()[:stop] >> np.uint64(11)).astype(float) * 2.0**-53
+        block[rows, full] = w
+        block[rows, pool[(scaled[:stop] >> np.uint64(32)).astype(np.intp)]] += 1.0 - w
+        filled += stop
+        if stop < need:
+            # back to the words before the rejected draw, then draw it one by one
+            bitgen.state = start
+            bitgen.random_raw(3 * (stop // 2) + 2 * (stop % 2))
+            _draw_ssf(rng, spec, pool, block[filled])
+            filled += 1
 
 
 def generate(spec: GenSpec, count: int) -> list[MassFunction]:
@@ -262,8 +178,21 @@ def generate(spec: GenSpec, count: int) -> list[MassFunction]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
     pool = _pool(spec)
     block = np.zeros((count, spec.frame.powerset_size))
-    if spec.kind == "ssf":
-        _SsfReplay(rng, spec, pool, block).run()
-    else:
-        _draw_rows(rng, spec, pool, block)
+    if spec.kind == "ssf" and spec.min_singleton_mass is None and len(pool) > 1:
+        _replay_ssf(rng, spec, pool, block)
+        return _mass_rows(spec.frame, block)
+    draw = _DRAWERS[spec.kind]
+    for arr in block:
+        for attempt in range(_MAX_REJECTIONS):
+            draw(rng, spec, pool, arr)
+            if spec.min_singleton_mass is None:
+                break
+            if _singleton_masses(arr, spec.frame.n).max() > spec.min_singleton_mass:
+                break
+            arr[:] = 0.0
+        else:
+            raise ParameterError(
+                f"rejection sampling failed {_MAX_REJECTIONS} times; no draw from this"
+                " recipe satisfies the singleton-mass threshold"
+            )
     return _mass_rows(spec.frame, block)

@@ -60,6 +60,16 @@ def _sink(target, **open_kw):
 _WRITE_CELLS = 1 << 18
 
 
+def _frame_to_write(bbas: Sequence[MassFunction]) -> FrameOfDiscernment:
+    """The first assignment's frame, whose size every assignment must share."""
+    if not bbas:
+        raise ParameterError("nothing to write")
+    frame = bbas[0].frame
+    if any(len(m.values) != frame.powerset_size for m in bbas):
+        raise ParameterError("assignments to write must share one frame size")
+    return frame
+
+
 def _blocks(bbas: Sequence[MassFunction]):
     """The assignments' values, stacked in blocks of about ``_WRITE_CELLS`` cells."""
     step = max(1, _WRITE_CELLS // bbas[0].frame.powerset_size)
@@ -78,9 +88,7 @@ def _sparse_rows(block: np.ndarray, mask: np.ndarray) -> tuple[list, list, list]
 def write_csv(target, bbas: Sequence[MassFunction]) -> None:
     """Write one row per assignment, each cell the ``repr`` of its mass, lines
     ending in CRLF as :mod:`csv` writes them."""
-    if not bbas:
-        raise ParameterError("nothing to write")
-    frame = bbas[0].frame
+    frame = _frame_to_write(bbas)
     zeros = ",".join(["0.0"] * frame.powerset_size)  # a row of +0.0; cell i starts at 4 * i
     with _sink(target, newline="") as fh:
         fh.write(",".join(bitmask_header(frame.n)) + "\r\n")
@@ -110,11 +118,10 @@ def read_csv(path, labels: Sequence[str] | None = None) -> list[MassFunction]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         frame = _csv_frame(next(reader, None), labels)
-        if reader.line_num == 1:  # a header spanning lines is left to the token parser
-            try:
-                return _mass_rows(frame, _loadtxt_body(fh, frame.powerset_size), FILE_MASS_TOL)
-            except (ValueError, ParameterError):
-                pass
+        try:
+            return _mass_rows(frame, _loadtxt_body(fh, frame.powerset_size), FILE_MASS_TOL)
+        except (ValueError, ParameterError):
+            pass
         fh.seek(0)
         rows = list(csv.reader(fh))
     size = frame.powerset_size
@@ -199,9 +206,7 @@ def _validated(frame: FrameOfDiscernment, block: np.ndarray, error) -> list[Mass
 
 def write_json(target, bbas: Sequence[MassFunction]) -> None:
     """Write the sparse JSON document, one assignment per line."""
-    if not bbas:
-        raise ParameterError("nothing to write")
-    frame = bbas[0].frame
+    frame = _frame_to_write(bbas)
     encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
     members = {}  # focal index -> its label list, built on first sight
     with _sink(target) as fh:

@@ -153,8 +153,9 @@ def _outcome(gen, spec, count):
 
 
 class TestSsfReplay:
-    """ssf rows are replayed from raw PCG64 words; each hazard of the replay
-    must give the rows, or the error, of the per-draw oracle."""
+    """ssf rows are replayed from raw PCG64 words, or drawn one by one under a
+    threshold or from a one-element pool; each hazard must give the rows, or
+    the error, of the per-draw oracle."""
 
     @pytest.mark.parametrize("n, pool", [(1, (1,)), (3, (2,)), (3, (7,)), (3, (1, 6)), (4, None)])
     @pytest.mark.parametrize("count", [1, 2, 7, 40])
@@ -166,14 +167,11 @@ class TestSsfReplay:
         assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)
 
     @pytest.mark.parametrize("limit", [2, 6, 8, 40])
-    @pytest.mark.parametrize("batch", [2, 5, 1 << 16])
     @pytest.mark.parametrize("seed", range(6))
-    def test_exhausted_rejections_equal_per_draw(self, monkeypatch, limit, batch, seed):
-        # short limits and batches make runs of failed attempts cross batch
-        # edges; seeds 0, 1 and 5 exhaust a limit of 8 part way through the
-        # block, seeds 2, 3 and 4 do not
+    def test_exhausted_rejections_equal_per_draw(self, monkeypatch, limit, seed):
+        # seeds 0, 1 and 5 exhaust a limit of 8 part way through the block,
+        # seeds 2, 3 and 4 do not
         monkeypatch.setattr(genrand, "_MAX_REJECTIONS", limit)
-        monkeypatch.setattr(genrand, "_REPLAY_BATCH", batch)
         spec = GenSpec(FrameOfDiscernment.numbered(3), kind="ssf", min_singleton_mass=0.3, seed=seed)
         assert _outcome(generate, spec, 30) == _outcome(per_draw_generate, spec, 30)
 

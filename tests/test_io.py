@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from masscomb import io as mio
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted
-from masscomb.errors import ParseError
+from masscomb.errors import ParameterError, ParseError
 from masscomb.genrand import GenSpec, generate
 from masscomb.io import (
     read_bbas,
@@ -384,3 +384,9 @@ class TestWriters:
         write_json(path, batch)
         assert json.loads(path.read_text()) == per_row_json_doc(batch)
         assert len(path.read_text().splitlines()) == len(batch) + 2
+
+    @pytest.mark.parametrize("write", [write_csv, write_json])
+    def test_mixed_frame_sizes_refused(self, tmp_path, write):
+        batch = [MassFunction.vacuous(FrameOfDiscernment.numbered(n)) for n in (3, 3, 4)]
+        with pytest.raises(ParameterError, match="must share one frame size"):
+            write(tmp_path / "out", batch)
