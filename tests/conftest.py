@@ -222,6 +222,103 @@ def dense_cautious(ms: list[MassFunction]) -> np.ndarray:
         raise InvalidWeightVectorError(str(exc)) from None
 
 
+# ---------------------------------------------------------------------------
+# Oracles: closed forms over (focal, weight) components
+# ---------------------------------------------------------------------------
+
+
+def _popcount(a: int) -> int:
+    return bin(a).count("1")
+
+
+def support_components(ms: list[MassFunction], chunk: int = 8192):
+    """Every input as canonical (focal, weight) components.
+
+    Inputs must be vacuous, simple supports, or consonant with the whole
+    frame as their largest focal set.  A simple support is its focal set
+    and its frame mass.  A consonant input with focal sets ``F1 ⊂ ... ⊂
+    Fk`` (ordered by size) and ``Q_i = m(F_i) + ... + m(F_k)``, summed in
+    Python floats from the largest set down, has weight ``Q_{i+1} / Q_i``
+    on ``F_i``.  Returns ``(focal, weight, chained)``, ``chained`` marking
+    the components of consonant inputs.
+    """
+    full = ms[0].frame.full_set
+    focal, weight, chained = [], [], []
+    for start in range(0, len(ms), chunk):
+        block = np.array([m.values for m in ms[start : start + chunk]])
+        proper = block[:, :full] != 0.0
+        count = proper.sum(axis=1)
+        simple = count == 1
+        focal.append(np.argmax(proper[simple], axis=1))
+        weight.append(block[simple, full])
+        chained.append(np.zeros(int(simple.sum()), dtype=bool))
+        comps = []
+        for row in block[count > 1]:
+            chain = sorted(np.flatnonzero(row).tolist(), key=_popcount)
+            assert chain[-1] == full, "a consonant input must end on the frame"
+            assert all(a & b == a for a, b in zip(chain, chain[1:])), "focal sets not nested"
+            q = [0.0] * len(chain)
+            tail = 0.0
+            for i in range(len(chain) - 1, -1, -1):
+                tail += float(row[chain[i]])
+                q[i] = tail
+            comps += [(chain[i], q[i + 1] / q[i]) for i in range(len(chain) - 1)]
+        if comps:
+            focal.append(np.array([a for a, _ in comps]))
+            weight.append(np.array([w for _, w in comps]))
+            chained.append(np.ones(len(comps), dtype=bool))
+    return (
+        np.concatenate(focal).astype(np.int64),
+        np.concatenate(weight),
+        np.concatenate(chained),
+    )
+
+
+def conjoined_supports(weights: np.ndarray, n: int) -> np.ndarray:
+    """Mass of the conjunction of the simple supports ``A^weights[A]``.
+
+    ``q(X)`` is the product of ``weights[A]`` over the ``A`` that do not
+    contain ``X``; the masses follow from the signed subset matrix
+    ``m(A) = sum over B ⊇ A of (-1)**|B - A| q(B)``.
+    """
+    idx = np.arange(1 << n)
+    contains = (idx[:, None] & idx[None, :]) == idx[:, None]  # X ⊆ A
+    q = np.where(contains, 1.0, weights[None, :]).prod(axis=1)
+    sign = np.array([-1.0 if _popcount(a) % 2 else 1.0 for a in range(1 << n)])
+    return (contains * sign[:, None] * sign[None, :]) @ q
+
+
+def per_focal_products(focal: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+    """The product of the weights of every focal set, 1 where it has none."""
+    prod = np.ones(1 << n)
+    np.multiply.at(prod, focal, weight)
+    return prod
+
+
+def per_focal_minima(focal: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+    """The smallest weight of every focal set, 1 where it has none."""
+    low = np.ones(1 << n)
+    np.minimum.at(low, focal, weight)
+    return low
+
+
+def grouped_supports(focal, weight, chained, n: int, eta: float, approximate: bool):
+    """``lns`` (or ``lnsa``) from component columns: components of consonant
+    inputs within 1e-12 of weight 1 are dropped, the rest grouped by focal
+    set, each group pooled, discounted by its share ``(n / |A|)**eta *
+    count`` of the total and conjoined.  Returns ``(mass, counts)``."""
+    keep = ~chained | (weight < 1.0 - 1e-12)
+    focal, weight = focal[keep], weight[keep]
+    counts = np.bincount(focal, minlength=1 << n)
+    active = np.flatnonzero(counts)
+    scaled = np.array([(n / _popcount(int(a))) ** eta for a in active]) * counts[active]
+    share = scaled / scaled.sum()
+    pooled = per_focal_products(focal, weight, n)[active]
+    weights = np.ones(1 << n)
+    weights[active] = 1.0 - share if approximate else 1.0 - share + share * pooled
+    return conjoined_supports(weights, n), counts
+
+
 def loop_pignistic(m: MassFunction) -> np.ndarray:
     """Pignistic probability with one boolean mask over all subsets per
     hypothesis."""
