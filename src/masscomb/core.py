@@ -387,7 +387,15 @@ def _mass_rows(
     """
     _check_rows(frame, block, tol)
     block.setflags(write=False)
-    return [_trusted(frame, row) for row in block]
+    # the rows of a read-only block are read-only views already
+    new = object.__new__
+    out = []
+    for row in block:
+        m = new(MassFunction)
+        m.frame = frame
+        m.values = row
+        out.append(m)
+    return out
 
 
 @dataclass(frozen=True)

@@ -99,14 +99,39 @@ def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np
 
 
 def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
-    full = spec.frame.full_set
-    order = rng.permutation(spec.frame.n)
-    sizes = np.sort(rng.choice(pool, size=spec.num_focals, replace=False))
-    # the chain's k-th set holds the first k hypotheses of the permutation
-    focals = np.cumsum(np.left_shift(1, order))[sizes - 1]
-    if focals[-1] != full:
-        focals = np.append(focals, full)
-    arr[focals] = _simplex(rng, len(focals))
+    _draw_chains(rng, spec, pool, arr[np.newaxis])
+
+
+def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
+    """Fill the zeroed rows of ``block`` with consonant draws.
+
+    Each draw permutes the hypotheses, picks ``num_focals`` distinct chain
+    sizes and draws one uniform per focal set; the chain's set of size ``s``
+    holds the first ``s`` hypotheses of the permutation, and the whole
+    frame is added on top unless a size is ``n``.  Only those random calls
+    run draw by draw; the sort, the chains and the simplex masses are
+    computed for all rows at once.
+    """
+    n, k = spec.frame.n, spec.num_focals
+    count = len(block)
+    orders = np.empty((count, n), dtype=np.int64)
+    sizes = np.empty((count, k), dtype=np.int64)
+    u = np.empty((count, k + 1))
+    topped = np.empty(count, dtype=bool)
+    for i in range(count):
+        orders[i] = rng.permutation(n)
+        sizes[i] = rng.choice(pool, size=k, replace=False)
+        topped[i] = top = sizes[i].max() < n
+        rng.random(out=u[i, : k + top])
+    sizes.sort(axis=1)
+    chains = np.take_along_axis(np.cumsum(np.left_shift(1, orders), axis=1), sizes - 1, axis=1)
+    for top in (False, True):
+        rows = np.flatnonzero(topped == top)
+        e = -np.log(np.maximum(u[rows, : k + top], 1e-300))
+        masses = e / e.sum(axis=1, keepdims=True)
+        block[rows[:, np.newaxis], chains[rows]] = masses[:, :k]
+        if top:
+            block[rows, spec.frame.full_set] = masses[:, k]
 
 
 #: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
@@ -180,6 +205,9 @@ def generate(spec: GenSpec, count: int) -> list[MassFunction]:
     block = np.zeros((count, spec.frame.powerset_size))
     if spec.kind == "ssf" and spec.min_singleton_mass is None and len(pool) > 1:
         _replay_ssf(rng, spec, pool, block)
+        return _mass_rows(spec.frame, block)
+    if spec.kind == "consonant" and spec.min_singleton_mass is None:
+        _draw_chains(rng, spec, pool, block)
         return _mass_rows(spec.frame, block)
     draw = _DRAWERS[spec.kind]
     for arr in block:

@@ -245,6 +245,7 @@ def read_json(path) -> list[MassFunction]:
         raise ParseError("'bbas' must be a list")
     if not bbas:
         raise ParseError("no assignments in file")
+    indices = {}  # label tuple -> subset index, filled on first sight
 
     def fill(pos: int, out: np.ndarray) -> None:
         entry = bbas[pos]
@@ -261,9 +262,13 @@ def read_json(path) -> list[MassFunction]:
         seen = set()
         for members, mass in zip(focals, masses):
             try:
-                idx = frame.subset_index(members)
-            except Exception as exc:
-                raise ParseError(f"bba {pos}: {exc}") from None
+                idx = indices[tuple(members)]
+            except (KeyError, TypeError):
+                try:
+                    idx = frame.subset_index(members)
+                except Exception as exc:
+                    raise ParseError(f"bba {pos}: {exc}") from None
+                indices[tuple(members)] = idx  # labels are strings, so hashable
             if idx in seen:
                 raise ParseError(
                     f"bba {pos}: duplicate focal element {frame.format_subset(idx)}"

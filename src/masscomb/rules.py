@@ -146,12 +146,14 @@ def _stack(ms: Sequence[MassFunction]) -> np.ndarray:
 
 
 def _split_rows(block: Sequence[MassFunction], frame: FrameOfDiscernment):
-    """Split one chunk of inputs by kind: vacuous, simple support, other.
+    """Split one chunk of inputs by kind: vacuous, simple support, chain, other.
 
-    Returns ``(vacuous, focal, weight, rest)``: the number of fully ignorant
-    rows, the focal element and weight of every simple-support row (mass
-    on one subset besides the frame) as two columns, and the other rows as
-    a fresh dense ``(rows, 2**n)`` array the caller may overwrite.
+    Returns ``(vacuous, focal, weight, simple, rest)``: the number of fully
+    ignorant rows; the canonical (focal, weight) components of the
+    simple-support rows (mass on one subset besides the frame), then of the
+    chain rows, as two columns whose first ``simple`` entries come from
+    simple supports; and the other rows as a fresh dense ``(rows, 2**n)``
+    array the caller may overwrite.
     """
     full = frame.full_set
     v = _stack(block)
@@ -162,7 +164,51 @@ def _split_rows(block: Sequence[MassFunction], frame: FrameOfDiscernment):
     focal = np.argmax(focal_cells[simple], axis=1)
     weight = v[simple, full]
     vacuous = len(block) - len(focal) - int(other.sum())
-    return vacuous, focal, weight, v if other.all() else v[other]
+    if not other.any():
+        return vacuous, focal, weight, len(focal), v[other]
+    rows = np.flatnonzero(other)
+    chain, chain_focal, chain_weight = _chain_components(v, rows, focal_cells[rows], full)
+    return (
+        vacuous,
+        np.concatenate([focal, chain_focal]),
+        np.concatenate([weight, chain_weight]),
+        len(focal),
+        v[rows[~chain]],
+    )
+
+
+def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, full: int):
+    """Canonical components of the chain rows among ``v[rows]``.
+
+    A chain row's focal sets are nested, ``A_1 ⊂ ... ⊂ A_k``, with ``A_k``
+    the whole frame.  With ``Q_i = m(A_i) + ... + m(A_k)``, its weight on
+    ``A_i`` is ``Q_{i+1} / Q_i`` (Denoeux 2008), the closed form of the
+    lattice decomposition.  ``focal_cells`` marks the focal sets of each
+    row other than the frame.  Returns ``(chain, focal, weight)``: which
+    of the rows are chains, and their components row by row.
+    """
+    sub, sets = np.nonzero(focal_cells)
+    # ascending index is chain order, since A ⊂ B implies A < B
+    broken = (sub[1:] == sub[:-1]) & (sets[:-1] & sets[1:] != sets[:-1])
+    chain = v[rows, full] > 0.0
+    chain[sub[1:][broken]] = False
+    if not chain.any():
+        return chain, _NO_FOCALS, _NO_WEIGHTS
+    rows = rows[chain]
+    cells = chain[sub]
+    owner = np.cumsum(chain)[sub[cells]] - 1  # the chain row of each component
+    sets = sets[cells]
+    # suffix sums row by row: a (rows, k_max) array holds each row's sets
+    # from the left and its frame mass in the last column, so the zeros
+    # between add nothing to the sums from the right
+    k = np.bincount(owner, minlength=len(rows))
+    first = np.cumsum(k) - k
+    col = np.arange(len(owner)) - first[owner]
+    q = np.zeros((len(rows), int(k.max()) + 1))
+    q[:, -1] = v[rows, full]
+    q[owner, col] = v[rows[owner], sets]
+    q = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
+    return chain, sets, q[owner, col + 1] / q[owner, col]
 
 
 #: A chunk whose dense lattice passes would update fewer cells than this
@@ -181,7 +227,7 @@ def _column_chunks(ms: Sequence[MassFunction], frame: FrameOfDiscernment):
     """:func:`_split_rows` of every chunk; a small chunk stays dense rows."""
     for block in _chunks(ms):
         if len(block) * frame.n * frame.powerset_size < _COLUMN_MIN_CELLS:
-            yield 0, _NO_FOCALS, _NO_WEIGHTS, _stack(block)
+            yield 0, _NO_FOCALS, _NO_WEIGHTS, 0, _stack(block)
         else:
             yield _split_rows(block, frame)
 
@@ -208,7 +254,7 @@ def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
     size = frame.powerset_size
     q = np.ones(size)
     logw = None
-    for _, focal, weight, rest in _column_chunks(ms, frame):
+    for _, focal, weight, _, rest in _column_chunks(ms, frame):
         if focal.size:
             if logw is None:
                 logw = np.zeros(size)
@@ -396,7 +442,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     frame = _common_frame(ms)
     full = frame.full_set
     minw = np.full(frame.powerset_size, np.inf)
-    for vacuous, focal, weight, rest in _column_chunks(ms, frame):
+    for vacuous, focal, weight, _, rest in _column_chunks(ms, frame):
         if weight.min(initial=1.0) <= 0.0 or rest[:, full].min(initial=1.0) <= 0.0:
             raise DecompositionError("cautious pooling requires non-dogmatic inputs")
         if vacuous or focal.size:
@@ -430,7 +476,12 @@ def _component_accumulators(ms: Sequence[MassFunction], frame: FrameOfDiscernmen
     logw = np.zeros(size)
     for block in _chunks(ms):
         t0 = time.perf_counter()
-        vac, focal_idx, weight_arr, rest = _split_rows(block, frame)
+        vac, focal_idx, weight_arr, simple, rest = _split_rows(block, frame)
+        if simple < len(weight_arr):
+            # chain components vacuous to rounding go, as they do from the lattice
+            keep = weight_arr < 1.0 - _VACUOUS_WEIGHT_TOL
+            keep[:simple] = True
+            focal_idx, weight_arr = focal_idx[keep], weight_arr[keep]
         if (focal_idx == 0).any():
             raise ParameterError("a component focused on the empty set cannot be grouped")
         comp_mask = wmat = None

@@ -135,6 +135,18 @@ class TestOneBlock:
         want = per_draw_generate(spec, 150)
         assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("count", [1, 2, 150])
+    def test_consonant_equals_per_draw(self, n, stream, count):
+        # every chain length, including chains whose last set is the frame
+        for num_focals in range(1, n + 1):
+            spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant",
+                           num_focals=num_focals, seed=count + num_focals, stream=stream)
+            got = generate(spec, count)
+            want = per_draw_generate(spec, count)
+            assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+
     def test_assignments_share_the_frame_and_stay_read_only(self, frame4):
         out = generate(GenSpec(frame4, kind="general", seed=1), 20)
         assert all(m.frame is frame4 for m in out)

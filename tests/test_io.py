@@ -194,6 +194,37 @@ class TestJson:
             read_json(path)
 
 
+    @pytest.mark.parametrize("focals, message", [
+        ([["b", "a"], ["c"]], "bba 1: unknown hypothesis label 'c'"),
+        ([5], "bba 1: 'int' object is not iterable"),
+        ([None], "bba 1: 'NoneType' object is not iterable"),
+        ([["a"], [["a"]]], "bba 1: unhashable type: 'list'"),
+        ([["a"], ["a"]], "bba 1: duplicate focal element {a}"),
+        ([["b", "a"], ["a", "b"]], "bba 1: duplicate focal element {a,b}"),
+    ])
+    def test_errors_after_labels_were_seen(self, tmp_path, focals, message):
+        # the first entry puts both focal sets in the per-call label table
+        first = {"focal elements": [["a"], ["b", "a"]], "masses": [0.5, 0.5]}
+        second = {"focal elements": focals, "masses": [1.0 / len(focals)] * len(focals)}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"frame": ["a", "b"], "bbas": [first, second]}))
+        with pytest.raises(ParseError) as err:
+            read_json(path)
+        assert str(err.value) == message
+
+    def test_label_orders_and_strings_resolve_as_sets(self, tmp_path):
+        doc = {"frame": ["a", "b"], "bbas": [
+            {"focal elements": [["a"], ["b", "a"]], "masses": [0.5, 0.5]},
+            {"focal elements": [["a"], "ab"], "masses": [0.5, 0.5]},
+            {"focal elements": [["a", "a"], ["a", "b"]], "masses": [0.5, 0.5]},
+        ]}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        got = read_json(path)
+        assert [m.values.tolist() for m in got] == [[0.0, 0.5, 0.0, 0.5]] * 3
+        assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in per_row_read_json(path)]
+
+
 class TestOneBlock:
     """Readers fill one block and validate it once; the result must equal
     validating one assignment at a time."""

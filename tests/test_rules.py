@@ -45,6 +45,7 @@ from conftest import (
     dense_cautious,
     dense_conjunctive,
     random_mass,
+    single_row_decompose,
 )
 
 
@@ -894,6 +895,151 @@ class TestColumnPath:
         # below the crossover the result is the dense product, bit for bit
         ms = generate(GenSpec(frame2, kind="ssf", seed=3), 10)
         assert np.array_equal(combine_conjunctive(ms).mass.values, dense_conjunctive(ms))
+
+
+def _chain(frame, masses: dict) -> MassFunction:
+    return MassFunction.from_dict(frame, masses)
+
+
+def _group_counts(result) -> dict:
+    """The count of every group but the whole frame's (the vacuous inputs)."""
+    full = result.mass.frame.full_set
+    return {g.focal: g.count for g in result.groups if g.focal != full}
+
+
+def _lattice_counts(ms) -> dict:
+    """Components per focal set as the lattice finds them: every weight
+    below ``1 - 1e-12`` of every input's own decomposition."""
+    counts = {}
+    for m in ms:
+        w = single_row_decompose(m)
+        for a in np.flatnonzero(w[: m.frame.full_set] < 1.0 - 1e-12):
+            counts[int(a)] = counts.get(int(a), 0) + 1
+    return counts
+
+
+class TestChainColumns:
+    """Rows whose focal sets are nested and end on the frame enter the rules
+    as (focal, Q_{i+1} / Q_i) columns; they must agree with the lattice
+    decomposition, and every other multi-focal row must stay on it."""
+
+    @pytest.fixture
+    def columns(self, monkeypatch):
+        import masscomb.rules as rules_mod
+
+        monkeypatch.setattr(rules_mod, "_COLUMN_MIN_CELLS", 0)
+
+    @staticmethod
+    def _consonant(rng, frame, with_empty: bool):
+        order = rng.permutation(frame.n)
+        sets = np.cumsum(np.left_shift(1, order))
+        sets = rng.choice(sets[:-1], size=int(rng.integers(0, frame.n)), replace=False).tolist()
+        sets = sorted(sets) + [frame.full_set] + ([0] if with_empty else [])
+        masses = rng.dirichlet(np.ones(len(sets)))
+        return _chain(frame, dict(zip(sets, masses)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_components_match_the_lattice(self, n):
+        import masscomb.rules as rules_mod
+
+        frame = FrameOfDiscernment.numbered(n)
+        rng = np.random.default_rng(n)
+        ms = [self._consonant(rng, frame, bool(i % 3 == 0)) for i in range(60)]
+        each = []
+        for m in ms:
+            _, focal, weight, simple, rest = rules_mod._split_rows([m], frame)
+            assert len(rest) == 0
+            w = np.ones(frame.powerset_size)
+            w[focal] = weight
+            assert np.max(np.abs(w - single_row_decompose(m))) <= 1e-12
+            each.append((focal[simple:], weight[simple:]))
+        # rows of every chain length in one chunk give each chain row's own
+        # components, after the simple supports
+        _, focal, weight, simple, rest = rules_mod._split_rows(ms, frame)
+        assert len(rest) == 0
+        assert np.array_equal(focal[simple:], np.concatenate([f for f, _ in each]))
+        assert weight[simple:].tobytes() == np.concatenate([w for _, w in each]).tobytes()
+
+    @pytest.mark.parametrize("delta", [2e-12, 1.1e-12, 0.9e-12, 5e-13])
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    def test_vacuous_threshold_counts_as_the_lattice(self, frame3, delta, rule):
+        # w({theta1}) = 1 - delta, on either side of 1 - 1e-12
+        row = _chain(frame3, {1: delta, 3: 0.5 - delta, 7: 0.5})
+        ms = [row] * 3 + [SimpleSupport(frame3, 2, 0.4).to_mass()]
+        got = _group_counts(combine(ms, RuleConfig(rule=rule)))
+        assert got == _lattice_counts(ms)
+        assert (1 in got) == (delta > 1e-12)
+
+    def test_simple_supports_stay_unthresholded(self, frame3):
+        # a simple support within 1e-12 of vacuous still joins its group
+        ms = [SimpleSupport(frame3, 2, 1.0 - 5e-13).to_mass(), _chain(frame3, {1: 0.2, 3: 0.3, 7: 0.5})]
+        for rule in ("lns", "lnsa"):
+            assert _group_counts(combine(ms, RuleConfig(rule=rule))) == {1: 1, 2: 1, 3: 1}
+
+    def test_empty_first_focal(self, frame3, columns):
+        ms = [_chain(frame3, {0: 0.2, 1: 0.3, 7: 0.5})] * 3
+        ms.append(SimpleSupport(frame3, 2, 0.4).to_mass())
+        for rule in ("lns", "lnsa"):
+            with pytest.raises(ParameterError, match="focused on the empty set"):
+                combine(ms, RuleConfig(rule=rule))
+        got = combine_conjunctive(ms).mass.values
+        assert np.max(np.abs(got - dense_conjunctive(ms))) <= 1e-12
+        got = combine_cautious(ms).mass.values
+        assert np.max(np.abs(got - dense_cautious(ms))) <= 1e-12
+        # an empty-set weight vacuous to rounding is dropped, as the lattice drops it
+        ms = [_chain(frame3, {0: 1e-13, 1: 0.3, 7: 0.7 - 1e-13})] * 2
+        assert _group_counts(combine_lns(ms)) == _lattice_counts(ms)
+
+    def test_dogmatic_chains_stay_on_the_lattice(self, frame3, columns):
+        import masscomb.rules as rules_mod
+
+        ms = [_chain(frame3, {1: 0.4, 3: 0.6})] + [SimpleSupport(frame3, 2, 0.4).to_mass()] * 3
+        assert len(rules_mod._split_rows(ms, frame3)[-1]) == 1
+        for rule in ("lns", "lnsa", "cautious"):
+            with pytest.raises(DecompositionError):
+                combine(ms, RuleConfig(rule=rule))
+        got = combine_conjunctive(ms).mass.values
+        assert np.max(np.abs(got - dense_conjunctive(ms))) <= 1e-12
+
+    def test_non_nested_rows_stay_on_the_lattice(self, frame3, columns):
+        import masscomb.rules as rules_mod
+
+        ms = [_chain(frame3, {1: 0.3, 2: 0.3, 7: 0.4}), _chain(frame3, {1: 0.2, 6: 0.3, 7: 0.5})]
+        ms += [_chain(frame3, {1: 0.2, 3: 0.3, 7: 0.5})] + [SimpleSupport(frame3, 4, 0.5).to_mass()]
+        _, focal, weight, simple, rest = rules_mod._split_rows(ms, frame3)
+        assert len(rest) == 2 and list(focal[simple:]) == [1, 3]
+        for fn, oracle in ((combine_conjunctive, dense_conjunctive), (combine_cautious, dense_cautious)):
+            assert np.max(np.abs(fn(ms).mass.values - oracle(ms))) <= 1e-12
+        with pytest.raises(NotSeparableError):
+            combine_lns(ms)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_boundaries_between_chains(self, monkeypatch, columns, chunk):
+        import masscomb.rules as rules_mod
+
+        frame = FrameOfDiscernment.numbered(4)
+        rng = np.random.default_rng(chunk)
+        ms = [self._consonant(rng, frame, False) for _ in range(20)]
+        ms += generate(GenSpec(frame, kind="ssf", seed=chunk), 9)
+        ms = [ms[i] for i in rng.permutation(len(ms))]
+        want = {rule: combine(ms, RuleConfig(rule=rule)) for rule in ("conjunctive", "cautious", "lns", "lnsa")}
+        monkeypatch.setattr(rules_mod, "_CHUNK_ROWS", chunk)
+        for rule, res in want.items():
+            got = combine(ms, RuleConfig(rule=rule))
+            assert np.max(np.abs(got.mass.values - res.mass.values)) <= 1e-12, rule
+            if res.groups is not None:
+                assert _group_counts(got) == _group_counts(res)
+        assert np.max(np.abs(want["conjunctive"].mass.values - dense_conjunctive(ms))) <= 1e-12
+        assert np.max(np.abs(want["cautious"].mass.values - dense_cautious(ms))) <= 1e-12
+        assert _group_counts(want["lns"]) == _lattice_counts(ms)
+
+    def test_cautious_on_chain_rows_only(self, columns):
+        frame = FrameOfDiscernment.numbered(4)
+        rng = np.random.default_rng(5)
+        ms = [self._consonant(rng, frame, False) for _ in range(30)]
+        got = combine_cautious(ms).mass.values
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - dense_cautious(ms))) <= 1e-12
 
 
 class TestConservation:
