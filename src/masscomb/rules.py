@@ -168,12 +168,13 @@ def _split_rows(block: Sequence[MassFunction], frame: FrameOfDiscernment):
         return vacuous, focal, weight, len(focal), v[other]
     rows = np.flatnonzero(other)
     chain, chain_focal, chain_weight = _chain_components(v, rows, focal_cells[rows], full)
+    dense = rows[~chain]
     return (
         vacuous,
         np.concatenate([focal, chain_focal]),
         np.concatenate([weight, chain_weight]),
         len(focal),
-        v[rows[~chain]],
+        v if len(dense) == len(v) else v[dense],
     )
 
 
