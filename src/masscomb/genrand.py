@@ -125,6 +125,8 @@ def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, bloc
         rng.random(out=u[i, : k + top])
     sizes.sort(axis=1)
     chains = np.take_along_axis(np.cumsum(np.left_shift(1, orders), axis=1), sizes - 1, axis=1)
+    # one block per simplex length: numpy sums 8 or more terms pairwise, so
+    # a padded row would not sum in the order of a draw's own vector
     for top in (False, True):
         rows = np.flatnonzero(topped == top)
         e = -np.log(np.maximum(u[rows, : k + top], 1e-300))
