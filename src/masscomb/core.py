@@ -11,6 +11,7 @@ at a cost proportional to ``n * 2**n``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -241,7 +242,9 @@ class MassFunction:
     rounding without hiding real errors.  Instances are immutable.
     """
 
-    __slots__ = ("frame", "values")
+    # _block and _key: the _Block this row belongs to and its row key, or
+    # None and -1 for a row built on its own
+    __slots__ = ("frame", "values", "_block", "_key")
 
     def __init__(self, frame: FrameOfDiscernment, values, *, tol: float = MASS_TOL):
         arr = np.array(values, dtype=float)
@@ -249,6 +252,8 @@ class MassFunction:
         arr.setflags(write=False)
         self.frame = frame
         self.values = arr
+        self._block = None
+        self._key = -1
 
     def __reduce__(self):
         # the values were validated once already: restore them as they are
@@ -371,7 +376,145 @@ def _trusted(frame: FrameOfDiscernment, values: np.ndarray) -> MassFunction:
     m = object.__new__(MassFunction)
     m.frame = frame
     m.values = values
+    m._block = None
+    m._key = -1
     return m
+
+
+#: Block serials.  A row's key is its block's serial times 2**32 plus its
+#: row, so keys are unique in the process and consecutive within a block.
+_SERIALS = itertools.count(1)
+
+
+class _Block:
+    """One validated, read-only ``(S, 2**n)`` block of assignments.
+
+    :func:`_mass_rows` makes one per block, and each of its rows keeps the
+    block and its key ``keys[row] = key + row``, the very int object, so a
+    list of rows, however it was cut and joined, resolves to runs of block
+    rows, and rows of one block in order compare by identity.  The block's
+    split by kind (:class:`_Columns`) is made on first use and kept; where
+    every row is the simple support ``focals[row]^w``, as
+    :func:`_simple_supports` makes them, it is read from ``focals``
+    without a scan.  A block never references its rows: dropping them
+    frees it.
+    """
+
+    __slots__ = ("frame", "values", "key", "keys", "focals", "_columns", "__weakref__")
+
+    def __init__(self, frame: FrameOfDiscernment, values: np.ndarray):
+        values.setflags(write=False)
+        self.frame = frame
+        self.values = values
+        self.key = next(_SERIALS) << 32
+        self.keys = list(range(self.key, self.key + len(values)))
+        self.focals = None
+        self._columns = None
+
+    def columns(self) -> "_Columns":
+        if self._columns is None:
+            full = self.frame.full_set
+            if self.focals is None:
+                self._columns = _Columns.split(self.values, full)
+            else:
+                self._columns = _Columns.simple_supports(self.values, self.focals, full)
+        return self._columns
+
+
+_NO_FOCALS = np.zeros(0, dtype=np.intp)
+_NO_WEIGHTS = np.zeros(0)
+
+
+class _Columns:
+    """The rows of a block split by kind, each kind in row order:
+
+    * vacuous rows, with all their mass on the whole frame;
+    * simple supports, with mass on one subset besides the frame, as the
+      columns ``focal`` and ``weight`` (the mass left on the frame);
+    * chains, whose focal sets are nested and end on the whole frame, as
+      the canonical components ``chain_focal`` and ``chain_weight``, row by
+      row (see :func:`_chain_components`);
+    * dense rows, all others, by their indices ``dense``.
+
+    ``at[r]`` counts the vacuous rows, simple supports, chain components
+    and dense rows before row ``r``, so the rows ``[a, b)`` own the entries
+    ``at[a]`` to ``at[b]`` of each kind.
+    """
+
+    __slots__ = ("at", "focal", "weight", "chain_focal", "chain_weight", "dense")
+
+    def __init__(
+        self, counts, focal, weight,
+        chain_focal=_NO_FOCALS, chain_weight=_NO_WEIGHTS, dense=_NO_FOCALS,
+    ):
+        self.at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
+        np.cumsum(counts, axis=0, out=self.at[1:])
+        self.focal, self.weight = focal, weight
+        self.chain_focal, self.chain_weight = chain_focal, chain_weight
+        self.dense = dense
+
+    @classmethod
+    def split(cls, values: np.ndarray, full: int) -> "_Columns":
+        focal_cells = values[:, :full] != 0.0
+        nonzero = focal_cells.sum(axis=1)
+        simple = nonzero == 1
+        rows = np.flatnonzero(nonzero > 1)
+        chain, chain_focal, chain_weight, per_row = _chain_components(
+            values, rows, focal_cells[rows], full
+        )
+        counts = np.zeros((len(values), 4), dtype=np.intp)
+        counts[:, 0] = nonzero == 0
+        counts[:, 1] = simple
+        counts[rows[chain], 2] = per_row
+        dense = rows[~chain]
+        counts[dense, 3] = 1
+        focal = np.argmax(focal_cells, axis=1)[simple]
+        return cls(counts, focal, values[simple, full], chain_focal, chain_weight, dense)
+
+    @classmethod
+    def simple_supports(cls, values: np.ndarray, focals: np.ndarray, full: int) -> "_Columns":
+        """The split of the rows ``focals[i]^w``: each is a simple support,
+        or vacuous where its focal set is the frame or its weight is 1."""
+        simple = (focals != full) & (values[np.arange(len(values)), focals] != 0.0)
+        counts = np.zeros((len(values), 4), dtype=np.intp)
+        counts[:, 0] = ~simple
+        counts[:, 1] = simple
+        return cls(counts, focals[simple], values[simple, full])
+
+
+def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, full: int):
+    """Canonical components of the chain rows among ``v[rows]``.
+
+    A chain row's focal sets are nested, ``A_1 ⊂ ... ⊂ A_k``, with ``A_k``
+    the whole frame.  With ``Q_i = m(A_i) + ... + m(A_k)``, its weight on
+    ``A_i`` is ``Q_{i+1} / Q_i`` (Denoeux 2008), the closed form of the
+    lattice decomposition.  ``focal_cells`` marks the focal sets of each
+    row other than the frame.  Returns ``(chain, focal, weight, count)``:
+    which of the rows are chains, their components row by row, and the
+    number of components of each chain row.
+    """
+    sub, sets = np.nonzero(focal_cells)
+    # ascending index is chain order, since A ⊂ B implies A < B
+    broken = (sub[1:] == sub[:-1]) & (sets[:-1] & sets[1:] != sets[:-1])
+    chain = v[rows, full] > 0.0
+    chain[sub[1:][broken]] = False
+    if not chain.any():
+        return chain, _NO_FOCALS, _NO_WEIGHTS, _NO_FOCALS
+    rows = rows[chain]
+    cells = chain[sub]
+    owner = np.cumsum(chain)[sub[cells]] - 1  # the chain row of each component
+    sets = sets[cells]
+    # suffix sums row by row: a (rows, k_max) array holds each row's sets
+    # from the left and its frame mass in the last column, so the zeros
+    # between add nothing to the sums from the right
+    k = np.bincount(owner, minlength=len(rows))
+    first = np.cumsum(k) - k
+    col = np.arange(len(owner)) - first[owner]
+    q = np.zeros((len(rows), int(k.max()) + 1))
+    q[:, -1] = v[rows, full]
+    q[owner, col] = v[rows[owner], sets]
+    q = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
+    return chain, sets, q[owner, col + 1] / q[owner, col], k
 
 
 def _mass_rows(
@@ -381,19 +524,22 @@ def _mass_rows(
     assignment per row.
 
     The assignments' values are read-only views into ``block``, which the
-    caller must not write to afterwards.  Rows are bit-identical to
-    ``MassFunction(frame, row, tol=tol)``, and a failure is the error of
-    the first offending row (see :func:`_check_rows`).
+    caller must not write to afterwards; each row keeps the :class:`_Block`
+    made around it.  Rows are bit-identical to ``MassFunction(frame, row,
+    tol=tol)``, and a failure is the error of the first offending row (see
+    :func:`_check_rows`).
     """
     _check_rows(frame, block, tol)
-    block.setflags(write=False)
+    owner = _Block(frame, block)
     # the rows of a read-only block are read-only views already
     new = object.__new__
     out = []
-    for row in block:
+    for key, row in zip(owner.keys, block):
         m = new(MassFunction)
         m.frame = frame
         m.values = row
+        m._block = owner
+        m._key = key
         out.append(m)
     return out
 
@@ -464,11 +610,15 @@ def _simple_supports(frame: FrameOfDiscernment, focals, weights) -> list[MassFun
     built on its own.
     """
     weights = np.asarray(weights, dtype=float)
+    focals = np.asarray(focals, dtype=np.intp)
     _check_support_weights(weights)
     block = np.zeros((len(weights), frame.powerset_size))
     block[:, frame.full_set] = weights
     block[np.arange(len(weights)), focals] += 1.0 - weights
-    return _mass_rows(frame, block)
+    rows = _mass_rows(frame, block)
+    if rows:
+        rows[0]._block.focals = focals
+    return rows
 
 
 def as_simple_support(m: MassFunction) -> SimpleSupport | None:

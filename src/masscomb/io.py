@@ -255,12 +255,16 @@ def read_json(path) -> list[MassFunction]:
         masses = entry.get("masses")
         if focals is None or masses is None:
             raise ParseError(f"bba {pos}: needs 'focal elements' and 'masses'")
+        if not isinstance(focals, list) or not isinstance(masses, list):
+            raise ParseError(f"bba {pos}: 'focal elements' and 'masses' must be lists")
         if len(focals) != len(masses):
             raise ParseError(
                 f"bba {pos}: {len(focals)} focal elements but {len(masses)} masses"
             )
         seen = set()
         for members, mass in zip(focals, masses):
+            if isinstance(members, str):  # it would read as one label per character
+                raise ParseError(f"bba {pos}: focal element {members!r} is not a list of labels")
             try:
                 idx = indices[tuple(members)]
             except (KeyError, TypeError):
@@ -274,9 +278,11 @@ def read_json(path) -> list[MassFunction]:
                     f"bba {pos}: duplicate focal element {frame.format_subset(idx)}"
                 )
             seen.add(idx)
+            if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+                raise ParseError(f"bba {pos}: mass {mass!r} is not a number")
             try:
                 out[idx] = float(mass)
-            except (TypeError, ValueError) as exc:
+            except OverflowError as exc:  # an integer beyond the float range
                 raise ParseError(f"bba {pos}: {exc}") from None
 
     return _read_rows(frame, len(bbas), fill, lambda pos, msg: ParseError(f"bba {pos}: {msg}"))

@@ -124,28 +124,109 @@ class FusionResult:
 # ---------------------------------------------------------------------------
 
 
-def _common_frame(ms: Sequence[MassFunction]) -> FrameOfDiscernment:
+class _Batch:
+    """The inputs of one call as runs of block rows, in input order: run ``i``
+    is the rows ``start[i]:stop[i]`` of ``blocks[block[i]]``.
+
+    Rows built on their own, or unpickled, belong to no block; one call
+    stacks them once into a fresh block.  Every rule reads its inputs from
+    the runs, chunk by chunk: the product-form and grouped rules from each
+    block's cached columns, the others from views of the blocks.
+    """
+
+    __slots__ = ("frame", "blocks", "block", "start", "stop", "size")
+
+    def __init__(self, frame, blocks, block, start, stop, size):
+        self.frame, self.blocks = frame, blocks
+        self.block, self.start, self.stop, self.size = block, start, stop, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def chunks(self):
+        """The rows in batches of ``_CHUNK_ROWS``, runs cut at the bounds."""
+        if self.size <= _CHUNK_ROWS:
+            yield self
+            return
+        lengths = self.stop - self.start
+        ends = np.cumsum(lengths)
+        firsts = ends - lengths
+        # a piece starts at every run start and every chunk bound (np.union1d
+        # would import numpy.ma, 40 ms, on its first call)
+        cuts = np.sort(np.concatenate([firsts, np.arange(0, ends[-1], _CHUNK_ROWS)]))
+        cuts = cuts[np.diff(cuts, append=ends[-1]) > 0]
+        run = np.searchsorted(firsts, cuts, side="right") - 1
+        start = self.start[run] + (cuts - firsts[run])
+        stop = start + np.diff(cuts, append=ends[-1])
+        bounds = np.searchsorted(cuts, np.arange(0, ends[-1] + _CHUNK_ROWS, _CHUNK_ROWS))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            size = int(stop[a:b].sum() - start[a:b].sum())
+            yield _Batch(self.frame, self.blocks, self.block[run[a:b]], start[a:b], stop[a:b], size)
+
+    def pieces(self):
+        """``(block, start, stop)`` of every run."""
+        blocks = self.blocks
+        return zip([blocks[b] for b in self.block.tolist()], self.start.tolist(), self.stop.tolist())
+
+    def values(self, fresh: bool = False) -> np.ndarray:
+        """The rows' ``(len, 2**n)`` values: a read-only view of one run,
+        or else (or if ``fresh``) a new array."""
+        if len(self.start) > 1:
+            return np.concatenate([block.values[a:b] for block, a, b in self.pieces()])
+        ((block, a, b),) = self.pieces()
+        return block.values[a:b].copy() if fresh else block.values[a:b]
+
+
+def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
+    """Resolve the inputs into runs of block rows.
+
+    Reads one attribute per row.  Rows of one block in order, as a producer
+    returned them or a slice of that, are one run with no further work;
+    otherwise the keys are compared in numpy, and the block of each distinct
+    serial is read from one of its rows.  A :class:`_Batch` comes back as
+    it is.
+    """
+    if isinstance(ms, _Batch):
+        return ms
     if not ms:
         raise ParameterError("need at least one mass function to combine")
+    keys = [m._key for m in ms]
+    block = ms[0]._block
+    if block is not None:
+        start = keys[0] - block.key
+        if keys == block.keys[start : start + len(keys)]:
+            stop = start + len(keys)
+            return _Batch(block.frame, [block], _ONE_RUN, np.array([start]), np.array([stop]), len(keys))
     frame = ms[0].frame
-    for m in ms[1:]:
-        if m.frame is not frame and m.frame != frame:
+    keys = np.array(keys)
+    loose = np.flatnonzero(keys < 0)
+    fresh = None
+    if loose.size:
+        rows = [ms[i] for i in loose.tolist()]
+        if any(m.frame is not frame and m.frame != frame for m in rows):
             raise EncodingError("all mass functions must share one frame")
-    return frame
+        fresh = core._Block(frame, np.array([m.values for m in rows]))
+        keys[loose] = fresh.key + np.arange(len(rows))
+    firsts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1)
+    serials, one_row, block = np.unique(keys[firsts] >> 32, return_index=True, return_inverse=True)
+    blocks = [ms[i]._block for i in firsts[one_row].tolist()]
+    blocks = [fresh if b is None else b for b in blocks]
+    if any(b.frame is not frame and b.frame != frame for b in blocks):
+        raise EncodingError("all mass functions must share one frame")
+    start = keys[firsts] - (serials << 32)[block]
+    return _Batch(frame, blocks, block, start, start + np.diff(firsts, append=len(keys)), len(keys))
 
 
-def _chunks(items: Sequence, size: int | None = None):
-    size = size or _CHUNK_ROWS
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
+_ONE_RUN = np.zeros(1, dtype=np.intp)
 
 
-def _stack(ms: Sequence[MassFunction]) -> np.ndarray:
-    """A fresh ``(len(ms), 2**n)`` array of the inputs' values."""
-    return np.array([m.values for m in ms])
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``lo[0] .. hi[0] - 1``, then ``lo[1] .. hi[1] - 1``, and so on."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
-def _split_rows(block: Sequence[MassFunction], frame: FrameOfDiscernment):
+def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment):
     """Split one chunk of inputs by kind: vacuous, simple support, chain, other.
 
     Returns ``(vacuous, focal, weight, simple, rest)``: the number of fully
@@ -153,84 +234,61 @@ def _split_rows(block: Sequence[MassFunction], frame: FrameOfDiscernment):
     simple-support rows (mass on one subset besides the frame), then of the
     chain rows, as two columns whose first ``simple`` entries come from
     simple supports; and the other rows as a fresh dense ``(rows, 2**n)``
-    array the caller may overwrite.
+    array the caller may overwrite.  Each kind keeps input order.  A run's
+    entries are slices of its block's columns (see
+    :class:`core._Columns`), made on first use; the entries of many runs
+    are gathered block by block.
     """
-    full = frame.full_set
-    v = _stack(block)
-    focal_cells = v[:, :full] != 0.0
-    nonzero = focal_cells.sum(axis=1)
-    simple = nonzero == 1
-    other = nonzero > 1
-    focal = np.argmax(focal_cells[simple], axis=1)
-    weight = v[simple, full]
-    vacuous = len(block) - len(focal) - int(other.sum())
-    if not other.any():
-        return vacuous, focal, weight, len(focal), v[other]
-    rows = np.flatnonzero(other)
-    chain, chain_focal, chain_weight = _chain_components(v, rows, focal_cells[rows], full)
-    dense = rows[~chain]
-    return (
-        vacuous,
-        np.concatenate([focal, chain_focal]),
-        np.concatenate([weight, chain_weight]),
-        len(focal),
-        v if len(dense) == len(v) else v[dense],
-    )
+    rows = _batch(rows)
+    if len(rows.start) == 1:
+        ((block, start, stop),) = rows.pieces()
+        cols = block.columns()
+        (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
+        return (
+            v1 - v0,
+            np.concatenate([cols.focal[s0:s1], cols.chain_focal[c0:c1]]),
+            np.concatenate([cols.weight[s0:s1], cols.chain_weight[c0:c1]]),
+            s1 - s0,
+            block.values[cols.dense[d0:d1]],
+        )
+    present = np.flatnonzero(np.bincount(rows.block)).tolist()
+    lo = np.empty((len(rows.start), 4), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for b in present:
+        at = rows.blocks[b].columns().at
+        run = rows.block == b
+        lo[run], hi[run] = at[rows.start[run]], at[rows.stop[run]]
+    count = hi - lo
+    total = count.sum(axis=0).tolist()
+    # where each run's entries go: simple, then chain columns, then dense rows
+    to = np.cumsum(count, axis=0) - count
+    to[:, 2] += total[1]
+    focal = np.empty(total[1] + total[2], dtype=np.intp)
+    weight = np.empty(len(focal))
+    rest = np.empty((total[3], frame.powerset_size))
+    for b in present:
+        block = rows.blocks[b]
+        cols = block.columns()
+        run = rows.block == b
+        for kind, f, w in ((1, cols.focal, cols.weight), (2, cols.chain_focal, cols.chain_weight)):
+            src = _ranges(lo[run, kind], hi[run, kind])
+            dst = _ranges(to[run, kind], to[run, kind] + count[run, kind])
+            focal[dst], weight[dst] = f[src], w[src]
+        dst = _ranges(to[run, 3], to[run, 3] + count[run, 3])
+        rest[dst] = block.values[cols.dense[_ranges(lo[run, 3], hi[run, 3])]]
+    return total[0], focal, weight, total[1], rest
 
 
-def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, full: int):
-    """Canonical components of the chain rows among ``v[rows]``.
-
-    A chain row's focal sets are nested, ``A_1 ⊂ ... ⊂ A_k``, with ``A_k``
-    the whole frame.  With ``Q_i = m(A_i) + ... + m(A_k)``, its weight on
-    ``A_i`` is ``Q_{i+1} / Q_i`` (Denoeux 2008), the closed form of the
-    lattice decomposition.  ``focal_cells`` marks the focal sets of each
-    row other than the frame.  Returns ``(chain, focal, weight)``: which
-    of the rows are chains, and their components row by row.
-    """
-    sub, sets = np.nonzero(focal_cells)
-    # ascending index is chain order, since A ⊂ B implies A < B
-    broken = (sub[1:] == sub[:-1]) & (sets[:-1] & sets[1:] != sets[:-1])
-    chain = v[rows, full] > 0.0
-    chain[sub[1:][broken]] = False
-    if not chain.any():
-        return chain, _NO_FOCALS, _NO_WEIGHTS
-    rows = rows[chain]
-    cells = chain[sub]
-    owner = np.cumsum(chain)[sub[cells]] - 1  # the chain row of each component
-    sets = sets[cells]
-    # suffix sums row by row: a (rows, k_max) array holds each row's sets
-    # from the left and its frame mass in the last column, so the zeros
-    # between add nothing to the sums from the right
-    k = np.bincount(owner, minlength=len(rows))
-    first = np.cumsum(k) - k
-    col = np.arange(len(owner)) - first[owner]
-    q = np.zeros((len(rows), int(k.max()) + 1))
-    q[:, -1] = v[rows, full]
-    q[owner, col] = v[rows[owner], sets]
-    q = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
-    return chain, sets, q[owner, col + 1] / q[owner, col]
-
-
-#: A chunk whose dense lattice passes would update fewer cells than this
-#: (rows * n * 2**n) is pooled as dense rows: splitting off its simple
-#: supports costs more than it saves.  Conjoining simple supports on a
-#: 2-core Xeon at 2.0 GHz, the column path broke even near 16 rows at
-#: n = 8, 64 at n = 6 and 256-1024 at n = 4; at n = 2 the dense rows
-#: stayed about 10% ahead up to 8192 rows (the cautious rule broke even).
+#: A chunk of the conjunctive rule whose dense lattice passes would update
+#: fewer cells than this (rows * n * 2**n) is pooled as dense rows.  Below
+#: it, the fixed cost of the column path, the n passes of
+#: ``core._conjoined_commonality``, exceeds the dense passes it saves, even
+#: with the columns already split, as EkNN neighbours come: on a 2-core
+#: Xeon at 2.0 GHz, 5-10 simple supports took 17-30% longer (once 64%)
+#: through the columns at n = 2, 4 and 8, and 100 supports 4% longer at
+#: n = 2 (1000 were 3% faster).  The cautious rule takes the columns at
+#: every size: for the same calls they were 6-44% faster there.
 _COLUMN_MIN_CELLS = 1 << 15
-
-_NO_FOCALS = np.zeros(0, dtype=np.int64)
-_NO_WEIGHTS = np.zeros(0)
-
-
-def _column_chunks(ms: Sequence[MassFunction], frame: FrameOfDiscernment):
-    """:func:`_split_rows` of every chunk; a small chunk stays dense rows."""
-    for block in _chunks(ms):
-        if len(block) * frame.n * frame.powerset_size < _COLUMN_MIN_CELLS:
-            yield 0, _NO_FOCALS, _NO_WEIGHTS, 0, _stack(block)
-        else:
-            yield _split_rows(block, frame)
 
 
 def _from_commonality(frame: FrameOfDiscernment, q: np.ndarray) -> FusionResult:
@@ -251,11 +309,16 @@ def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
     Assumes every source is reliable.  Simple supports are pooled as
     (focal, weight) columns, the other inputs as dense commonality rows.
     """
-    frame = _common_frame(ms)
+    rows = _batch(ms)
+    frame = rows.frame
     size = frame.powerset_size
     q = np.ones(size)
     logw = None
-    for _, focal, weight, _, rest in _column_chunks(ms, frame):
+    for chunk in rows.chunks():
+        if len(chunk) * frame.n * size < _COLUMN_MIN_CELLS:
+            focal, rest = core._NO_FOCALS, chunk.values(fresh=True)
+        else:
+            _, focal, weight, _, rest = _split_rows(chunk, frame)
         if focal.size:
             if logw is None:
                 logw = np.zeros(size)
@@ -275,10 +338,11 @@ def combine_disjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
 
     Assumes at least one source is reliable; ignorance absorbs.
     """
-    frame = _common_frame(ms)
+    rows = _batch(ms)
+    frame = rows.frame
     arr = np.ones(frame.powerset_size)
-    for block in _chunks(ms):
-        v = _stack(block)
+    for chunk in rows.chunks():
+        v = chunk.values(fresh=True)
         core._zeta_subset(v, frame.n)
         arr *= v.prod(axis=0)
     core._moebius_subset(arr, frame.n)
@@ -307,11 +371,11 @@ def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
 
 def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
     """Elementwise arithmetic mean of the assignments."""
-    frame = _common_frame(ms)
-    acc = np.zeros(frame.powerset_size)
-    for block in _chunks(ms):
-        acc += _stack(block).sum(axis=0)
-    return FusionResult(MassFunction(frame, acc / len(ms)))
+    rows = _batch(ms)
+    acc = np.zeros(rows.frame.powerset_size)
+    for chunk in rows.chunks():
+        acc += chunk.values().sum(axis=0)
+    return FusionResult(MassFunction(rows.frame, acc / len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +383,7 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _focal_tuples(ms: Sequence[MassFunction], guard: int):
+def _focal_tuples(ms: Sequence[MassFunction] | _Batch, guard: int):
     """Yield every focal tuple of ``ms`` in ``itertools.product`` order.
 
     A tuple picks one focal element of each source; the last source varies
@@ -328,10 +392,11 @@ def _focal_tuples(ms: Sequence[MassFunction], guard: int):
     one column per tuple, so memory stays bounded however high the guard
     is set.
     """
+    rows = _batch(ms)
     blocks = []
     total = 1
-    for block in _chunks(ms):
-        blocks.append(_stack(block))
+    for chunk in rows.chunks():
+        blocks.append(chunk.values())
         sizes = (blocks[-1] != 0.0).sum(axis=1)
         # stop once past the guard: the product over many sources has more
         # digits than Python will format
@@ -352,7 +417,7 @@ def _focal_tuples(ms: Sequence[MassFunction], guard: int):
     first = (np.cumsum(sizes) - sizes)[:, None]
     strides = (total // np.cumprod(sizes))[:, None]
     sizes = sizes[:, None]
-    block = max(1, _ENUM_CELLS // len(ms))
+    block = max(1, _ENUM_CELLS // len(rows))
     for start in range(0, total, block):
         picks = np.arange(start, min(start + block, total)) // strides % sizes + first
         yield focal_subsets[picks], focal_masses[picks]
@@ -377,12 +442,13 @@ def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fus
     Bit-identical to a tuple-by-tuple loop in ``itertools.product`` order.
     """
     cfg = cfg or RuleConfig()
-    frame = _common_frame(ms)
-    if len(ms) == 1:
+    rows = _batch(ms)
+    if len(rows) == 1:
         return FusionResult(ms[0])
+    frame = rows.frame
     full = frame.full_set
     out = np.zeros(frame.powerset_size)
-    for subsets, masses in _focal_tuples(ms, cfg.enumeration_guard):
+    for subsets, masses in _focal_tuples(rows, cfg.enumeration_guard):
         inter = np.bitwise_and.reduce(subsets, axis=0)
         union = np.bitwise_or.reduce(subsets, axis=0)
         committed = np.bitwise_or.reduce(np.where(subsets == full, 0, subsets), axis=0)
@@ -405,16 +471,22 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
     tuple-by-tuple loop in ``itertools.product`` order.
     """
     cfg = cfg or RuleConfig()
-    frame = _common_frame(ms)
-    if len(ms) < 2:
+    rows = _batch(ms)
+    if len(rows) < 2:
         raise ParameterError("pcr6 needs at least two sources")
-    for i, m in enumerate(ms):
-        if m.conflict > 0.0:
+    start = 0
+    for chunk in rows.chunks():
+        conflict = chunk.values()[:, 0]
+        if conflict.max() > 0.0:
+            i = int(np.argmax(conflict > 0.0))
             raise ParameterError(
-                f"pcr6 needs inputs with no mass on the empty set; source {i} has {m.conflict!r}"
+                "pcr6 needs inputs with no mass on the empty set;"
+                f" source {start + i} has {float(conflict[i])!r}"
             )
+        start += len(chunk)
+    frame = rows.frame
     out = np.zeros(frame.powerset_size)
-    for subsets, masses in _focal_tuples(ms, cfg.enumeration_guard):
+    for subsets, masses in _focal_tuples(rows, cfg.enumeration_guard):
         inter = np.bitwise_and.reduce(subsets, axis=0)
         p = _running(np.multiply, masses)
         total = _running(np.add, masses)
@@ -440,10 +512,12 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     ``A^w`` has weight ``w`` on ``A`` and 1 elsewhere, so simple supports
     enter as (focal, weight) columns; only the other inputs are decomposed.
     """
-    frame = _common_frame(ms)
+    rows = _batch(ms)
+    frame = rows.frame
     full = frame.full_set
     minw = np.full(frame.powerset_size, np.inf)
-    for vacuous, focal, weight, _, rest in _column_chunks(ms, frame):
+    for chunk in rows.chunks():
+        vacuous, focal, weight, _, rest = _split_rows(chunk, frame)
         if weight.min(initial=1.0) <= 0.0 or rest[:, full].min(initial=1.0) <= 0.0:
             raise DecompositionError("cautious pooling requires non-dogmatic inputs")
         if vacuous or focal.size:
@@ -459,7 +533,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _component_accumulators(ms: Sequence[MassFunction], frame: FrameOfDiscernment, need_products: bool):
+def _component_accumulators(rows: _Batch, need_products: bool):
     """Break every input into simple-support components and pool them per subset.
 
     Returns ``(counts, pooled, vacuous, seconds)`` where ``counts[A]`` is
@@ -469,15 +543,16 @@ def _component_accumulators(ms: Sequence[MassFunction], frame: FrameOfDiscernmen
     ignorant inputs, and ``seconds`` the time split between the
     decomposition and pooling stages.
     """
+    frame = rows.frame
     size = frame.powerset_size
     full = frame.full_set
     counts = np.zeros(size, dtype=np.int64)
     vacuous = 0
     seconds = {"decompose": 0.0, "inner_combine": 0.0}
     logw = np.zeros(size)
-    for block in _chunks(ms):
+    for chunk in rows.chunks():
         t0 = time.perf_counter()
-        vac, focal_idx, weight_arr, simple, rest = _split_rows(block, frame)
+        vac, focal_idx, weight_arr, simple, rest = _split_rows(chunk, frame)
         if simple < len(weight_arr):
             # chain components vacuous to rounding go, as they do from the lattice
             keep = weight_arr < 1.0 - _VACUOUS_WEIGHT_TOL
@@ -576,10 +651,12 @@ def _group_summaries(
 
 
 def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: bool) -> FusionResult:
-    frame = _common_frame(ms)
-    counts, pooled, vacuous, seconds = _component_accumulators(
-        ms, frame, need_products=not approximate
-    )
+    t0 = time.perf_counter()
+    rows = _batch(ms)
+    resolve = time.perf_counter() - t0
+    frame = rows.frame
+    counts, pooled, vacuous, seconds = _component_accumulators(rows, need_products=not approximate)
+    seconds["decompose"] += resolve
 
     t0 = time.perf_counter()
     shares = _group_shares(counts, frame, cfg)
@@ -677,7 +754,7 @@ def martin_reliability(ms: Sequence[MassFunction], lam: float = 1.0) -> np.ndarr
     the mean evidential distance from ``j`` to every other source.
     Callers discount each source by its factor before combining.
     """
-    _common_frame(ms)
+    _batch(ms)  # one frame
     if len(ms) < 2:
         raise ParameterError("reliability estimation needs at least two sources")
     if not lam > 0.0:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masscomb import io as mio
+from masscomb.cli import main
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted
 from masscomb.errors import ParameterError, ParseError
 from masscomb.genrand import GenSpec, generate
@@ -212,17 +213,47 @@ class TestJson:
             read_json(path)
         assert str(err.value) == message
 
-    def test_label_orders_and_strings_resolve_as_sets(self, tmp_path):
+    def test_label_orders_resolve_as_sets(self, tmp_path):
         doc = {"frame": ["a", "b"], "bbas": [
             {"focal elements": [["a"], ["b", "a"]], "masses": [0.5, 0.5]},
-            {"focal elements": [["a"], "ab"], "masses": [0.5, 0.5]},
             {"focal elements": [["a", "a"], ["a", "b"]], "masses": [0.5, 0.5]},
         ]}
         path = tmp_path / "one.json"
         path.write_text(json.dumps(doc))
         got = read_json(path)
-        assert [m.values.tolist() for m in got] == [[0.0, 0.5, 0.0, 0.5]] * 3
+        assert [m.values.tolist() for m in got] == [[0.0, 0.5, 0.0, 0.5]] * 2
         assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in per_row_read_json(path)]
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"focal elements": 5, "masses": [1.0]},
+         "bba 1: 'focal elements' and 'masses' must be lists"),
+        ({"focal elements": [["a"]], "masses": 1.0},
+         "bba 1: 'focal elements' and 'masses' must be lists"),
+        ({"focal elements": "ab", "masses": [0.5, 0.5]},
+         "bba 1: 'focal elements' and 'masses' must be lists"),
+        ({"focal elements": {"a": 1}, "masses": [1.0]},
+         "bba 1: 'focal elements' and 'masses' must be lists"),
+        ({"focal elements": [["a"], "ab"], "masses": [0.5, 0.5]},
+         "bba 1: focal element 'ab' is not a list of labels"),
+        ({"focal elements": ["ab"], "masses": [1.0]},
+         "bba 1: focal element 'ab' is not a list of labels"),
+        ({"focal elements": [["a"]], "masses": ["1.0"]},
+         "bba 1: mass '1.0' is not a number"),
+        ({"focal elements": [["a"]], "masses": [True]},
+         "bba 1: mass True is not a number"),
+        ({"focal elements": [["a"]], "masses": [10**400]},
+         "bba 1: int too large to convert to float"),
+    ])
+    def test_non_lists_are_refused(self, tmp_path, entry, message):
+        # a string must not be read as one label per character, even once
+        # the labels it spells are in the per-call label table
+        first = {"focal elements": [["a"], ["a", "b"]], "masses": [0.5, 0.5]}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"frame": ["a", "b"], "bbas": [first, entry]}))
+        with pytest.raises(ParseError) as err:
+            read_json(path)
+        assert str(err.value) == message
+        assert main(["fuse", "--rule", "lns", "--input", str(path)]) == 2
 
 
 class TestOneBlock:
