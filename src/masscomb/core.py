@@ -393,14 +393,11 @@ class _Block:
     block and its key ``keys[row] = key + row``, the very int object, so a
     list of rows, however it was cut and joined, resolves to runs of block
     rows, and rows of one block in order compare by identity.  The block's
-    split by kind (:class:`_Columns`) is made on first use and kept; where
-    every row is the simple support ``focals[row]^w``, as
-    :func:`_simple_supports` makes them, it is read from ``focals``
-    without a scan.  A block never references its rows: dropping them
-    frees it.
+    split by kind (:class:`_Columns`) is made on first use and kept.  A
+    block never references its rows: dropping them frees it.
     """
 
-    __slots__ = ("frame", "values", "key", "keys", "focals", "_columns", "__weakref__")
+    __slots__ = ("frame", "values", "key", "keys", "_columns", "__weakref__")
 
     def __init__(self, frame: FrameOfDiscernment, values: np.ndarray):
         values.setflags(write=False)
@@ -408,16 +405,11 @@ class _Block:
         self.values = values
         self.key = next(_SERIALS) << 32
         self.keys = list(range(self.key, self.key + len(values)))
-        self.focals = None
         self._columns = None
 
     def columns(self) -> "_Columns":
         if self._columns is None:
-            full = self.frame.full_set
-            if self.focals is None:
-                self._columns = _Columns.split(self.values, full)
-            else:
-                self._columns = _Columns.simple_supports(self.values, self.focals, full)
+            self._columns = _Columns.split(self.values, self.frame.full_set)
         return self._columns
 
 
@@ -436,50 +428,63 @@ class _Columns:
       row (see :func:`_chain_components`);
     * dense rows, all others, by their indices ``dense``.
 
-    ``at[r]`` counts the vacuous rows, simple supports, chain components
-    and dense rows before row ``r``, so the rows ``[a, b)`` own the entries
-    ``at[a]`` to ``at[b]`` of each kind.
+    ``at[r]``, made on first use, counts the vacuous rows, simple
+    supports, chain components and dense rows before row ``r``, so the rows
+    ``[a, b)`` own the entries ``at[a]`` to ``at[b]`` of each kind;
+    ``total`` is ``at[-1]``.
     """
 
-    __slots__ = ("at", "focal", "weight", "chain_focal", "chain_weight", "dense")
+    __slots__ = (
+        "focal", "weight", "chain_focal", "chain_weight", "dense",
+        "_nonzero", "_chains", "_per_chain", "_at",
+    )
 
     def __init__(
-        self, counts, focal, weight,
+        self, nonzero, focal, weight, chains=_NO_FOCALS, per_chain=_NO_FOCALS,
         chain_focal=_NO_FOCALS, chain_weight=_NO_WEIGHTS, dense=_NO_FOCALS,
     ):
-        self.at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
-        np.cumsum(counts, axis=0, out=self.at[1:])
         self.focal, self.weight = focal, weight
         self.chain_focal, self.chain_weight = chain_focal, chain_weight
         self.dense = dense
+        # the focal sets besides the frame of every row, the chain rows and
+        # their component counts: what at needs
+        self._nonzero, self._chains, self._per_chain = nonzero, chains, per_chain
+        self._at = None
 
     @classmethod
     def split(cls, values: np.ndarray, full: int) -> "_Columns":
         focal_cells = values[:, :full] != 0.0
         nonzero = focal_cells.sum(axis=1)
         simple = nonzero == 1
+        focal = np.argmax(focal_cells[simple], axis=1)
+        weight = values[simple, full]
         rows = np.flatnonzero(nonzero > 1)
-        chain, chain_focal, chain_weight, per_row = _chain_components(
+        if not rows.size:
+            return cls(nonzero, focal, weight)
+        chain, chain_focal, chain_weight, per_chain = _chain_components(
             values, rows, focal_cells[rows], full
         )
-        counts = np.zeros((len(values), 4), dtype=np.intp)
-        counts[:, 0] = nonzero == 0
-        counts[:, 1] = simple
-        counts[rows[chain], 2] = per_row
-        dense = rows[~chain]
-        counts[dense, 3] = 1
-        focal = np.argmax(focal_cells, axis=1)[simple]
-        return cls(counts, focal, values[simple, full], chain_focal, chain_weight, dense)
+        return cls(
+            nonzero, focal, weight, rows[chain], per_chain, chain_focal, chain_weight, rows[~chain]
+        )
 
-    @classmethod
-    def simple_supports(cls, values: np.ndarray, focals: np.ndarray, full: int) -> "_Columns":
-        """The split of the rows ``focals[i]^w``: each is a simple support,
-        or vacuous where its focal set is the frame or its weight is 1."""
-        simple = (focals != full) & (values[np.arange(len(values)), focals] != 0.0)
-        counts = np.zeros((len(values), 4), dtype=np.intp)
-        counts[:, 0] = ~simple
-        counts[:, 1] = simple
-        return cls(counts, focals[simple], values[simple, full])
+    @property
+    def total(self) -> tuple[int, int, int, int]:
+        simple, dense = len(self.focal), len(self.dense)
+        vacuous = len(self._nonzero) - simple - len(self._chains) - dense
+        return vacuous, simple, len(self.chain_focal), dense
+
+    @property
+    def at(self) -> np.ndarray:
+        if self._at is None:
+            counts = np.zeros((len(self._nonzero), 4), dtype=np.intp)
+            counts[:, 0] = self._nonzero == 0
+            counts[:, 1] = self._nonzero == 1
+            counts[self._chains, 2] = self._per_chain
+            counts[self.dense, 3] = 1
+            self._at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
+            np.cumsum(counts, axis=0, out=self._at[1:])
+        return self._at
 
 
 def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, full: int):
@@ -525,11 +530,17 @@ def _mass_rows(
 
     The assignments' values are read-only views into ``block``, which the
     caller must not write to afterwards; each row keeps the :class:`_Block`
-    made around it.  Rows are bit-identical to ``MassFunction(frame, row,
-    tol=tol)``, and a failure is the error of the first offending row (see
+    made around it.  A single row (``SimpleSupport.to_mass``, a one-group
+    ``lns`` result) belongs to no block, as if built on its own: a list of
+    such rows is stacked once per call rather than split block by block.
+    Rows are bit-identical to ``MassFunction(frame, row, tol=tol)``, and a
+    failure is the error of the first offending row (see
     :func:`_check_rows`).
     """
     _check_rows(frame, block, tol)
+    if len(block) == 1:
+        block.setflags(write=False)
+        return [_trusted(frame, block[0])]
     owner = _Block(frame, block)
     # the rows of a read-only block are read-only views already
     new = object.__new__
@@ -610,15 +621,11 @@ def _simple_supports(frame: FrameOfDiscernment, focals, weights) -> list[MassFun
     built on its own.
     """
     weights = np.asarray(weights, dtype=float)
-    focals = np.asarray(focals, dtype=np.intp)
     _check_support_weights(weights)
     block = np.zeros((len(weights), frame.powerset_size))
     block[:, frame.full_set] = weights
     block[np.arange(len(weights)), focals] += 1.0 - weights
-    rows = _mass_rows(frame, block)
-    if rows:
-        rows[0]._block.focals = focals
-    return rows
+    return _mass_rows(frame, block)
 
 
 def as_simple_support(m: MassFunction) -> SimpleSupport | None:

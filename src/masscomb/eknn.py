@@ -181,66 +181,30 @@ def classify(
     if exclude is not None:
         dist[exclude] = np.inf
     order = np.argsort(dist, kind="stable")[: cfg.k]
-    return _classify_neighbours(ds, cfg, gamma, ds.labels[order], dist[order])
-
-
-def _classify_neighbours(
-    ds: LabeledDataset, cfg: EknnConfig, gamma: np.ndarray, klass: np.ndarray, dist: np.ndarray
-) -> Classification:
-    """Fuse the supports of neighbours of classes ``klass`` at ``dist`` and decide."""
-    weights = _support_weights(dist, klass, cfg.alpha, gamma)
+    klass = ds.labels[order]
+    weights = _support_weights(dist[order], klass, cfg.alpha, gamma)
     fused = combine(_simple_supports(ds.frame, 1 << klass, weights), cfg.rule)
     betp = pignistic(fused.mass).values
     return Classification(klass=int(np.argmax(betp)), fused=fused, betp=betp)
 
 
-#: Cells of the ``(rows, points, features)`` differences that
-#: :func:`_loo_neighbours` holds at once.
-_DIFF_CELLS = 1 << 20
-
-
-def _loo_neighbours(ds: LabeledDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's ``k`` nearest other points, as :func:`classify` finds them
-    with the point excluded: their indices in stable order and distances.
-
-    The distances are those of :func:`classify`, computed row block by row
-    block, so memory stays ``O(points * k)``.
-    """
-    pts = ds.points
-    count = len(pts)
-    near = np.empty((count, k), dtype=np.intp)
-    near_dist = np.empty((count, k))
-    step = max(1, _DIFF_CELLS // (count * ds.n_features))
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        dist = np.sqrt(((pts[start:stop, np.newaxis, :] - pts) ** 2).sum(axis=2))
-        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        near[start:stop] = order
-        near_dist[start:stop] = np.take_along_axis(dist, order, axis=1)
-    return near, near_dist
-
-
 def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     """Classify every point against the others and report accuracy and conflict.
 
-    The per-class scales, the distances and each point's neighbours are
-    derived once from the full dataset, as :func:`classify` finds them with
-    the point excluded.  Samples whose classification fails (for example
-    Dempster saturation) are recorded instead of aborting the run and score
-    as wrong.
+    The per-class scales are derived once from the full dataset.  Samples
+    whose classification fails (for example Dempster saturation) are
+    recorded instead of aborting the run and score as wrong.
     """
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
     gamma = resolve_gamma(ds, cfg)
-    near, near_dist = _loo_neighbours(ds, cfg.k)
     predictions = np.full(ds.n_samples, -1, dtype=np.int64)
     kappa = np.full(ds.n_samples, np.nan)
     errors: list[tuple[int, str]] = []
     hits = 0
     for i in range(ds.n_samples):
         try:
-            result = _classify_neighbours(ds, cfg, gamma, ds.labels[near[i]], near_dist[i])
+            result = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
         except MassCombError as exc:
             errors.append((i, str(exc)))
             continue

@@ -183,8 +183,9 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     Reads one attribute per row.  Rows of one block in order, as a producer
     returned them or a slice of that, are one run with no further work;
     otherwise the keys are compared in numpy, and the block of each distinct
-    serial is read from one of its rows.  A :class:`_Batch` comes back as
-    it is.
+    serial is read from one of its rows, unless the blocks are many and
+    small (see ``_BLOCK_MIN_ROWS``).  A :class:`_Batch` comes back as it
+    is.
     """
     if isinstance(ms, _Batch):
         return ms
@@ -213,11 +214,23 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     blocks = [fresh if b is None else b for b in blocks]
     if any(b.frame is not frame and b.frame != frame for b in blocks):
         raise EncodingError("all mass functions must share one frame")
+    if len(blocks) > 1 and len(keys) < _BLOCK_MIN_ROWS * len(blocks):
+        # small blocks: one stack and one split cost less than a split and
+        # a gather per block
+        fresh = core._Block(frame, np.array([m.values for m in ms]))
+        return _Batch(frame, [fresh], _ONE_RUN, np.array([0]), np.array([len(keys)]), len(keys))
     start = keys[firsts] - (serials << 32)[block]
     return _Batch(frame, blocks, block, start, start + np.diff(firsts, append=len(keys)), len(keys))
 
 
 _ONE_RUN = np.zeros(1, dtype=np.intp)
+
+#: A list of many blocks that hold fewer of its rows than this on average
+#: is stacked into one fresh block.  On a 2-core Xeon at 2.0 GHz, with
+#: 8192 ssf rows at n = 8 and every block split already, ``lns`` took
+#: 21.4 ms through blocks of 32 rows and 11.0 ms stacked; blocks of 64
+#: broke even, and a first call also splits every block.
+_BLOCK_MIN_ROWS = 128
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -243,7 +256,10 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment
     if len(rows.start) == 1:
         ((block, start, stop),) = rows.pieces()
         cols = block.columns()
-        (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
+        if stop - start == len(block.values):
+            (v0, s0, c0, d0), (v1, s1, c1, d1) = (0, 0, 0, 0), cols.total
+        else:
+            (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
         return (
             v1 - v0,
             np.concatenate([cols.focal[s0:s1], cols.chain_focal[c0:c1]]),
@@ -251,12 +267,14 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment
             s1 - s0,
             block.values[cols.dense[d0:d1]],
         )
-    present = np.flatnonzero(np.bincount(rows.block)).tolist()
+    # the runs of each block, in input order
+    order = np.argsort(rows.block, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(rows.block[order])) + 1)
+    groups = [(rows.blocks[rows.block[run[0]]], run) for run in runs]
     lo = np.empty((len(rows.start), 4), dtype=np.intp)
     hi = np.empty_like(lo)
-    for b in present:
-        at = rows.blocks[b].columns().at
-        run = rows.block == b
+    for block, run in groups:
+        at = block.columns().at
         lo[run], hi[run] = at[rows.start[run]], at[rows.stop[run]]
     count = hi - lo
     total = count.sum(axis=0).tolist()
@@ -266,10 +284,8 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment
     focal = np.empty(total[1] + total[2], dtype=np.intp)
     weight = np.empty(len(focal))
     rest = np.empty((total[3], frame.powerset_size))
-    for b in present:
-        block = rows.blocks[b]
+    for block, run in groups:
         cols = block.columns()
-        run = rows.block == b
         for kind, f, w in ((1, cols.focal, cols.weight), (2, cols.chain_focal, cols.chain_weight)):
             src = _ranges(lo[run, kind], hi[run, kind])
             dst = _ranges(to[run, kind], to[run, kind] + count[run, kind])
@@ -279,16 +295,24 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment
     return total[0], focal, weight, total[1], rest
 
 
-#: A chunk of the conjunctive rule whose dense lattice passes would update
-#: fewer cells than this (rows * n * 2**n) is pooled as dense rows.  Below
-#: it, the fixed cost of the column path, the n passes of
-#: ``core._conjoined_commonality``, exceeds the dense passes it saves, even
-#: with the columns already split, as EkNN neighbours come: on a 2-core
-#: Xeon at 2.0 GHz, 5-10 simple supports took 17-30% longer (once 64%)
-#: through the columns at n = 2, 4 and 8, and 100 supports 4% longer at
-#: n = 2 (1000 were 3% faster).  The cautious rule takes the columns at
-#: every size: for the same calls they were 6-44% faster there.
+#: A chunk whose dense lattice passes would update fewer cells than this
+#: (rows * n * 2**n) is pooled as dense rows: splitting off its simple
+#: supports costs more than it saves.  For 2-10 simple supports freshly
+#: made, as EkNN neighbours come, on a 2-core Xeon at 2.0 GHz, the column
+#: path took 76-118% longer for the conjunctive rule at n = 2 and 4 (30-147%
+#: at n = 8) and 20-62% longer for the cautious rule at n = 2 and 4; only
+#: cautious at n = 8 gained (14-33%).  100 supports at n = 2 were still
+#: 78% (conjunctive) and 24% (cautious) slower through the columns.
 _COLUMN_MIN_CELLS = 1 << 15
+
+
+def _column_chunks(rows: _Batch, frame: FrameOfDiscernment):
+    """:func:`_split_rows` of every chunk; a small chunk stays dense rows."""
+    for chunk in rows.chunks():
+        if len(chunk) * frame.n * frame.powerset_size < _COLUMN_MIN_CELLS:
+            yield 0, core._NO_FOCALS, core._NO_WEIGHTS, 0, chunk.values(fresh=True)
+        else:
+            yield _split_rows(chunk, frame)
 
 
 def _from_commonality(frame: FrameOfDiscernment, q: np.ndarray) -> FusionResult:
@@ -314,11 +338,7 @@ def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
     size = frame.powerset_size
     q = np.ones(size)
     logw = None
-    for chunk in rows.chunks():
-        if len(chunk) * frame.n * size < _COLUMN_MIN_CELLS:
-            focal, rest = core._NO_FOCALS, chunk.values(fresh=True)
-        else:
-            _, focal, weight, _, rest = _split_rows(chunk, frame)
+    for _, focal, weight, _, rest in _column_chunks(rows, frame):
         if focal.size:
             if logw is None:
                 logw = np.zeros(size)
@@ -516,8 +536,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     frame = rows.frame
     full = frame.full_set
     minw = np.full(frame.powerset_size, np.inf)
-    for chunk in rows.chunks():
-        vacuous, focal, weight, _, rest = _split_rows(chunk, frame)
+    for vacuous, focal, weight, _, rest in _column_chunks(rows, frame):
         if weight.min(initial=1.0) <= 0.0 or rest[:, full].min(initial=1.0) <= 0.0:
             raise DecompositionError("cautious pooling requires non-dogmatic inputs")
         if vacuous or focal.size:

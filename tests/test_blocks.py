@@ -9,6 +9,7 @@ of the same rows built one by one, which belong to no block.
 
 import gc
 import pickle
+import time
 import weakref
 
 import numpy as np
@@ -87,10 +88,11 @@ class TestAnyList:
         step=st.integers(1, 3),
         duplicates=st.integers(0, 5),
         shuffle=st.booleans(),
+        block_min=st.sampled_from((1, rules._BLOCK_MIN_ROWS)),
     )
     @settings(max_examples=60, deadline=None)
     def test_equals_its_rows_built_one_by_one(
-        self, tmp_path_factory, n, seed, chunk, step, duplicates, shuffle
+        self, tmp_path_factory, n, seed, chunk, step, duplicates, shuffle, block_min
     ):
         rng = np.random.default_rng(seed)
         parts = _sources(n, seed, tmp_path_factory.mktemp("rows"))
@@ -100,8 +102,9 @@ class TestAnyList:
         ms += [ms[i] for i in rng.integers(0, len(ms), size=duplicates)]
         ms = ms[int(rng.integers(0, step)) :: step] + parts[0]  # parts[0]: one whole block
         want = _one_by_one(ms)
-        saved = rules._CHUNK_ROWS
-        rules._CHUNK_ROWS = chunk
+        saved = rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS
+        # block_min 1: the runs of every block are gathered, never stacked
+        rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS = chunk, block_min
         try:
             # each chunk's columns, in order, and its dense rows
             got_chunks, want_chunks = (list(rules._batch(x).chunks()) for x in (ms, want))
@@ -114,7 +117,7 @@ class TestAnyList:
             for rule in RULE_NAMES:
                 assert _outcome(ms, rule) == _outcome(want, rule), rule
         finally:
-            rules._CHUNK_ROWS = saved
+            rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS = saved
 
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_mixed_frames_are_refused(self, rule):
@@ -138,7 +141,8 @@ class TestRuns:
         assert list(rules._batch(ms[7:19]).pieces()) == [(block, 7, 19)]
         assert list(rules._batch(ms[::-1]).pieces()) == [(block, r, r + 1) for r in range(49, -1, -1)]
 
-    def test_rows_of_no_block_are_stacked_once(self, frame3):
+    def test_rows_of_no_block_are_stacked_once(self, monkeypatch, frame3):
+        monkeypatch.setattr(rules, "_BLOCK_MIN_ROWS", 1)
         ms = generate(GenSpec(frame3, kind="ssf", seed=2), 4)
         loose = [MassFunction.vacuous(frame3), SimpleSupport(frame3, 1, 0.5).to_mass()]
         loose = [pickle.loads(pickle.dumps(m)) for m in loose]
@@ -147,6 +151,46 @@ class TestRuns:
         assert fresh is fresh2 and block is ms[0]._block and fresh is not block
         assert (a, b, c, d, e, f, g, h) == (0, 1, 0, 2, 1, 2, 2, 4)
         assert np.array_equal(fresh.values, [m.values for m in loose])
+
+    def test_many_small_blocks_are_stacked_once(self, frame3):
+        ms = [m for seed in range(10) for m in generate(GenSpec(frame3, kind="ssf", seed=seed), 5)]
+        ((block, a, b),) = rules._batch(ms).pieces()
+        assert (a, b) == (0, 50) and all(m._block is not block for m in ms)
+        assert np.array_equal(block.values, [m.values for m in ms])
+        big = generate(GenSpec(frame3, kind="ssf", seed=10), 11 * rules._BLOCK_MIN_ROWS)
+        assert len(rules._batch(ms + big).blocks) == 11
+
+    def test_single_rows_belong_to_no_block(self, frame3):
+        ssf = generate(GenSpec(frame3, kind="ssf", focal_pool=(1,), seed=2), 3)
+        singles = [
+            SimpleSupport(frame3, 1, 0.5).to_mass(),
+            generate(GenSpec(frame3, kind="general", seed=2), 1)[0],
+            combine(ssf, RuleConfig(rule="lns")).mass,  # one active group
+            _simple_supports(frame3, [3], [0.2])[0],
+        ]
+        assert all(m._block is None for m in singles)
+
+    def test_many_single_rows_cost_one_stack(self):
+        # thousands of distinct to_mass() rows are one fresh block, one run,
+        # and combine in a time comparable to stacking them once
+        frame = FrameOfDiscernment.numbered(4)
+        rng = np.random.default_rng(5)
+        focals = rng.integers(1, frame.full_set, size=5000).tolist()
+        ms = [SimpleSupport(frame, a, w).to_mass() for a, w in zip(focals, rng.uniform(0.1, 0.9, 5000))]
+        batch = rules._batch(ms)
+        assert len(batch.blocks) == 1 and len(batch.start) == 1
+
+        def best(f):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                f()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        stack = best(lambda: np.array([m.values for m in ms]))
+        fuse = best(lambda: combine(ms, RuleConfig(rule="lns")))
+        assert fuse < 10 * stack + 0.02, (fuse, stack)
 
 
 class TestNoCycle:

@@ -175,31 +175,6 @@ class TestLeaveOneOut:
             rep = evaluate_loo(ds, EknnConfig(k=k, rule=RuleConfig(rule="lns")))
             assert rep.max_kappa <= 0.95 - 0.05
 
-    @pytest.mark.parametrize("cells", [1, 64, 1 << 20])
-    @pytest.mark.parametrize("dim", [1, 2, 9, 17])
-    def test_equals_classify_per_point(self, monkeypatch, cells, dim):
-        # the neighbours found once per dataset, in row blocks of any size,
-        # are those classify finds with the point excluded, ties included
-        import masscomb.eknn as eknn_mod
-
-        monkeypatch.setattr(eknn_mod, "_DIFF_CELLS", cells)
-        rng = np.random.default_rng(dim)
-        pts = np.round(rng.normal(size=(31, dim)), 1)
-        pts[5] = pts[4]  # a tie at distance 0
-        ds = LabeledDataset(pts, np.arange(31) % 3, FrameOfDiscernment.numbered(3))
-        for k, rule in ((1, "dempster"), (4, "lns"), (9, "conjunctive"), (30, "dempster")):
-            cfg = EknnConfig(k=k, rule=RuleConfig(rule=rule))
-            rep = evaluate_loo(ds, cfg)
-            gamma = resolve_gamma(ds, cfg)
-            for i in range(ds.n_samples):
-                try:
-                    want = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
-                except MassCombError as exc:
-                    assert (i, str(exc)) in rep.errors and rep.predictions[i] == -1
-                    continue
-                assert rep.predictions[i] == want.klass
-                assert rep.kappa[i].tobytes() == np.float64(want.fused.conflict).tobytes()
-
     def test_no_standardize_field(self):
         # features enter the distances as given
         with pytest.raises(TypeError):
