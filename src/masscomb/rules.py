@@ -125,8 +125,8 @@ class FusionResult:
 
 
 class _Batch:
-    """The inputs of one call as runs of block rows, in input order: run ``i``
-    is the rows ``start[i]:stop[i]`` of ``blocks[block[i]]``.
+    """The inputs of one call as runs of block rows, in input order: ``runs``
+    holds ``(block, start, stop)`` for the rows ``start:stop`` of ``block``.
 
     Rows built on their own, or unpickled, belong to no block; one call
     stacks them once into a fresh block.  Every rule reads its inputs from
@@ -134,11 +134,10 @@ class _Batch:
     block's cached columns, the others from views of the blocks.
     """
 
-    __slots__ = ("frame", "blocks", "block", "start", "stop", "size")
+    __slots__ = ("frame", "runs", "size")
 
-    def __init__(self, frame, blocks, block, start, stop, size):
-        self.frame, self.blocks = frame, blocks
-        self.block, self.start, self.stop, self.size = block, start, stop, size
+    def __init__(self, frame, runs, size):
+        self.frame, self.runs, self.size = frame, runs, size
 
     def __len__(self) -> int:
         return self.size
@@ -148,32 +147,25 @@ class _Batch:
         if self.size <= _CHUNK_ROWS:
             yield self
             return
-        lengths = self.stop - self.start
-        ends = np.cumsum(lengths)
-        firsts = ends - lengths
-        # a piece starts at every run start and every chunk bound (np.union1d
-        # would import numpy.ma, 40 ms, on its first call)
-        cuts = np.sort(np.concatenate([firsts, np.arange(0, ends[-1], _CHUNK_ROWS)]))
-        cuts = cuts[np.diff(cuts, append=ends[-1]) > 0]
-        run = np.searchsorted(firsts, cuts, side="right") - 1
-        start = self.start[run] + (cuts - firsts[run])
-        stop = start + np.diff(cuts, append=ends[-1])
-        bounds = np.searchsorted(cuts, np.arange(0, ends[-1] + _CHUNK_ROWS, _CHUNK_ROWS))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            size = int(stop[a:b].sum() - start[a:b].sum())
-            yield _Batch(self.frame, self.blocks, self.block[run[a:b]], start[a:b], stop[a:b], size)
-
-    def pieces(self):
-        """``(block, start, stop)`` of every run."""
-        blocks = self.blocks
-        return zip([blocks[b] for b in self.block.tolist()], self.start.tolist(), self.stop.tolist())
+        runs, room = [], _CHUNK_ROWS
+        for block, start, stop in self.runs:
+            while stop - start >= room:
+                runs.append((block, start, start + room))
+                yield _Batch(self.frame, runs, _CHUNK_ROWS)
+                start += room
+                runs, room = [], _CHUNK_ROWS
+            if start < stop:
+                runs.append((block, start, stop))
+                room -= stop - start
+        if runs:
+            yield _Batch(self.frame, runs, _CHUNK_ROWS - room)
 
     def values(self, fresh: bool = False) -> np.ndarray:
         """The rows' ``(len, 2**n)`` values: a read-only view of one run,
         or else (or if ``fresh``) a new array."""
-        if len(self.start) > 1:
-            return np.concatenate([block.values[a:b] for block, a, b in self.pieces()])
-        ((block, a, b),) = self.pieces()
+        if len(self.runs) > 1:
+            return np.concatenate([block.values[a:b] for block, a, b in self.runs])
+        ((block, a, b),) = self.runs
         return block.values[a:b].copy() if fresh else block.values[a:b]
 
 
@@ -182,10 +174,9 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
 
     Reads one attribute per row.  Rows of one block in order, as a producer
     returned them or a slice of that, are one run with no further work;
-    otherwise the keys are compared in numpy, and the block of each distinct
-    serial is read from one of its rows, unless the blocks are many and
-    small (see ``_BLOCK_MIN_ROWS``).  A :class:`_Batch` comes back as it
-    is.
+    otherwise runs are found by comparing the keys in numpy, and each run's
+    block is read from its first row, unless the runs are short (see
+    ``_RUN_MIN_ROWS``).  A :class:`_Batch` comes back as it is.
     """
     if isinstance(ms, _Batch):
         return ms
@@ -196,50 +187,40 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     if block is not None:
         start = keys[0] - block.key
         if keys == block.keys[start : start + len(keys)]:
-            stop = start + len(keys)
-            return _Batch(block.frame, [block], _ONE_RUN, np.array([start]), np.array([stop]), len(keys))
+            return _Batch(block.frame, [(block, start, start + len(keys))], len(keys))
     frame = ms[0].frame
     keys = np.array(keys)
-    loose = np.flatnonzero(keys < 0)
-    fresh = None
-    if loose.size:
-        rows = [ms[i] for i in loose.tolist()]
-        if any(m.frame is not frame and m.frame != frame for m in rows):
-            raise EncodingError("all mass functions must share one frame")
-        fresh = core._Block(frame, np.array([m.values for m in rows]))
-        keys[loose] = fresh.key + np.arange(len(rows))
-    firsts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1)
-    serials, one_row, block = np.unique(keys[firsts] >> 32, return_index=True, return_inverse=True)
-    blocks = [ms[i]._block for i in firsts[one_row].tolist()]
-    blocks = [fresh if b is None else b for b in blocks]
-    if any(b.frame is not frame and b.frame != frame for b in blocks):
+    # every row of no block (key -1) heads a run here, and every other row
+    # shares the block of the row before it
+    heads = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1).tolist()
+    if any(ms[i].frame is not frame and ms[i].frame != frame for i in heads):
         raise EncodingError("all mass functions must share one frame")
-    if len(blocks) > 1 and len(keys) < _BLOCK_MIN_ROWS * len(blocks):
-        # small blocks: one stack and one split cost less than a split and
-        # a gather per block
+    loose = np.flatnonzero(keys < 0)
+    if loose.size:
+        fresh = core._Block(frame, np.array([ms[i].values for i in loose.tolist()]))
+        keys[loose] = fresh.key + np.arange(len(loose))
+        heads = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1).tolist()
+    if len(heads) > 1 and len(keys) < _RUN_MIN_ROWS * len(heads):
+        # short runs: one stack and one split cost less than a slice per run
         fresh = core._Block(frame, np.array([m.values for m in ms]))
-        return _Batch(frame, [fresh], _ONE_RUN, np.array([0]), np.array([len(keys)]), len(keys))
-    start = keys[firsts] - (serials << 32)[block]
-    return _Batch(frame, blocks, block, start, start + np.diff(firsts, append=len(keys)), len(keys))
+        return _Batch(frame, [(fresh, 0, len(keys))], len(keys))
+    runs = []
+    for i, j in zip(heads, heads[1:] + [len(keys)]):
+        block = ms[i]._block or fresh
+        start = int(keys[i]) - block.key
+        runs.append((block, start, start + j - i))
+    return _Batch(frame, runs, len(keys))
 
 
-_ONE_RUN = np.zeros(1, dtype=np.intp)
-
-#: A list of many blocks that hold fewer of its rows than this on average
-#: is stacked into one fresh block.  On a 2-core Xeon at 2.0 GHz, with
-#: 8192 ssf rows at n = 8 and every block split already, ``lns`` took
-#: 21.4 ms through blocks of 32 rows and 11.0 ms stacked; blocks of 64
-#: broke even, and a first call also splits every block.
-_BLOCK_MIN_ROWS = 128
+#: A list whose runs average fewer rows than this is stacked into one fresh
+#: block.  On a 2-core Xeon at 2.0 GHz, with 8192 ssf rows at n = 8 and every
+#: block split already, ``lns`` took 21.4 ms through runs of 32 rows and
+#: 11.0 ms stacked; runs of 64 broke even, and a first call also splits
+#: every block.
+_RUN_MIN_ROWS = 128
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``lo[0] .. hi[0] - 1``, then ``lo[1] .. hi[1] - 1``, and so on."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-
-
-def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment):
+def _split_rows(rows: Sequence[MassFunction] | _Batch):
     """Split one chunk of inputs by kind: vacuous, simple support, chain, other.
 
     Returns ``(vacuous, focal, weight, simple, rest)``: the number of fully
@@ -248,51 +229,27 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch, frame: FrameOfDiscernment
     chain rows, as two columns whose first ``simple`` entries come from
     simple supports; and the other rows as a fresh dense ``(rows, 2**n)``
     array the caller may overwrite.  Each kind keeps input order.  A run's
-    entries are slices of its block's columns (see
-    :class:`core._Columns`), made on first use; the entries of many runs
-    are gathered block by block.
+    entries are slices of its block's columns (see :class:`core._Columns`),
+    made on first use.
     """
-    rows = _batch(rows)
-    if len(rows.start) == 1:
-        ((block, start, stop),) = rows.pieces()
+    vacuous = 0
+    focal, weight, chain_focal, chain_weight, dense = [], [], [], [], []
+    for block, start, stop in _batch(rows).runs:
         cols = block.columns()
         if stop - start == len(block.values):
             (v0, s0, c0, d0), (v1, s1, c1, d1) = (0, 0, 0, 0), cols.total
         else:
             (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
-        return (
-            v1 - v0,
-            np.concatenate([cols.focal[s0:s1], cols.chain_focal[c0:c1]]),
-            np.concatenate([cols.weight[s0:s1], cols.chain_weight[c0:c1]]),
-            s1 - s0,
-            block.values[cols.dense[d0:d1]],
-        )
-    # the runs of each block, in input order
-    order = np.argsort(rows.block, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(rows.block[order])) + 1)
-    groups = [(rows.blocks[rows.block[run[0]]], run) for run in runs]
-    lo = np.empty((len(rows.start), 4), dtype=np.intp)
-    hi = np.empty_like(lo)
-    for block, run in groups:
-        at = block.columns().at
-        lo[run], hi[run] = at[rows.start[run]], at[rows.stop[run]]
-    count = hi - lo
-    total = count.sum(axis=0).tolist()
-    # where each run's entries go: simple, then chain columns, then dense rows
-    to = np.cumsum(count, axis=0) - count
-    to[:, 2] += total[1]
-    focal = np.empty(total[1] + total[2], dtype=np.intp)
-    weight = np.empty(len(focal))
-    rest = np.empty((total[3], frame.powerset_size))
-    for block, run in groups:
-        cols = block.columns()
-        for kind, f, w in ((1, cols.focal, cols.weight), (2, cols.chain_focal, cols.chain_weight)):
-            src = _ranges(lo[run, kind], hi[run, kind])
-            dst = _ranges(to[run, kind], to[run, kind] + count[run, kind])
-            focal[dst], weight[dst] = f[src], w[src]
-        dst = _ranges(to[run, 3], to[run, 3] + count[run, 3])
-        rest[dst] = block.values[cols.dense[_ranges(lo[run, 3], hi[run, 3])]]
-    return total[0], focal, weight, total[1], rest
+        vacuous += v1 - v0
+        focal.append(cols.focal[s0:s1])
+        weight.append(cols.weight[s0:s1])
+        chain_focal.append(cols.chain_focal[c0:c1])
+        chain_weight.append(cols.chain_weight[c0:c1])
+        dense.append(block.values[cols.dense[d0:d1]])
+    simple = sum(map(len, focal))
+    focal, weight = np.concatenate(focal + chain_focal), np.concatenate(weight + chain_weight)
+    # one run's dense rows are a fresh array already
+    return vacuous, focal, weight, simple, dense[0] if len(dense) == 1 else np.concatenate(dense)
 
 
 #: A chunk whose dense lattice passes would update fewer cells than this
@@ -312,7 +269,7 @@ def _column_chunks(rows: _Batch, frame: FrameOfDiscernment):
         if len(chunk) * frame.n * frame.powerset_size < _COLUMN_MIN_CELLS:
             yield 0, core._NO_FOCALS, core._NO_WEIGHTS, 0, chunk.values(fresh=True)
         else:
-            yield _split_rows(chunk, frame)
+            yield _split_rows(chunk)
 
 
 def _from_commonality(frame: FrameOfDiscernment, q: np.ndarray) -> FusionResult:
@@ -571,7 +528,7 @@ def _component_accumulators(rows: _Batch, need_products: bool):
     logw = np.zeros(size)
     for chunk in rows.chunks():
         t0 = time.perf_counter()
-        vac, focal_idx, weight_arr, simple, rest = _split_rows(chunk, frame)
+        vac, focal_idx, weight_arr, simple, rest = _split_rows(chunk)
         if simple < len(weight_arr):
             # chain components vacuous to rounding go, as they do from the lattice
             keep = weight_arr < 1.0 - _VACUOUS_WEIGHT_TOL

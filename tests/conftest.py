@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from masscomb import genrand
 from masscomb.core import (
     FrameOfDiscernment,
     MassFunction,
+    SimpleSupport,
     WeightVector,
     _moebius_superset,
     _zeta_superset,
@@ -68,6 +71,30 @@ def random_mass(
         arr *= 1.0 - min_frame_mass
         arr[frame.full_set] += min_frame_mass
     return MassFunction(frame, arr)
+
+
+def opposed_halves(frame: FrameOfDiscernment, count: int, k: float) -> list[MassFunction]:
+    """``count // 2`` simple supports on {θ1}, then as many on {θ2}, all of
+    one weight ``w`` chosen so that their conjunctive conflict is about
+    ``1 - 10**-k``: with ``W = w**(count // 2)``, the conflict is ``(1 - W)**2``."""
+    small = 10.0**-k / (1.0 + math.sqrt(1.0 - 10.0**-k))  # W = 1 - sqrt(1 - 10**-k)
+    w = small ** (1.0 / (count // 2))
+    a, b = (SimpleSupport(frame, focal, w).to_mass() for focal in (1, 2))
+    return [a] * (count // 2) + [b] * (count // 2)
+
+
+def opposed_halves_dempster(ms: list[MassFunction]) -> np.ndarray:
+    """Dempster's result on :func:`opposed_halves` in closed form, from the
+    weight as stored: ``m(θ1) = m(θ2) = (1 - W)/(2 - W)``, ``m(Θ) = W/(2 - W)``,
+    evaluated in 60 decimal digits."""
+    frame = ms[0].frame
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big = Decimal(float(ms[0].values[frame.full_set])) ** (len(ms) // 2)
+        out = np.zeros(frame.powerset_size)
+        out[1] = out[2] = float((1 - big) / (2 - big))
+        out[frame.full_set] = float(big / (2 - big))
+    return out
 
 
 # ---------------------------------------------------------------------------

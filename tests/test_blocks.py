@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masscomb import rules
+from masscomb import core, rules
 from masscomb.core import (
     FrameOfDiscernment,
     MassFunction,
@@ -88,7 +88,7 @@ class TestAnyList:
         step=st.integers(1, 3),
         duplicates=st.integers(0, 5),
         shuffle=st.booleans(),
-        block_min=st.sampled_from((1, rules._BLOCK_MIN_ROWS)),
+        block_min=st.sampled_from((1, rules._RUN_MIN_ROWS)),
     )
     @settings(max_examples=60, deadline=None)
     def test_equals_its_rows_built_one_by_one(
@@ -102,22 +102,22 @@ class TestAnyList:
         ms += [ms[i] for i in rng.integers(0, len(ms), size=duplicates)]
         ms = ms[int(rng.integers(0, step)) :: step] + parts[0]  # parts[0]: one whole block
         want = _one_by_one(ms)
-        saved = rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS
-        # block_min 1: the runs of every block are gathered, never stacked
-        rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS = chunk, block_min
+        saved = rules._CHUNK_ROWS, rules._RUN_MIN_ROWS
+        # block_min 1: the runs are joined one by one, never stacked
+        rules._CHUNK_ROWS, rules._RUN_MIN_ROWS = chunk, block_min
         try:
             # each chunk's columns, in order, and its dense rows
             got_chunks, want_chunks = (list(rules._batch(x).chunks()) for x in (ms, want))
             assert [len(c) for c in got_chunks] == [len(c) for c in want_chunks]
             for got, expected in zip(got_chunks, want_chunks):
-                got, expected = rules._split_rows(got, got.frame), rules._split_rows(expected, got.frame)
+                got, expected = rules._split_rows(got), rules._split_rows(expected)
                 assert got[0] == expected[0] and got[3] == expected[3]
                 for a, b in zip(got[1:3] + got[4:], expected[1:3] + expected[4:]):
                     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
             for rule in RULE_NAMES:
                 assert _outcome(ms, rule) == _outcome(want, rule), rule
         finally:
-            rules._CHUNK_ROWS, rules._BLOCK_MIN_ROWS = saved
+            rules._CHUNK_ROWS, rules._RUN_MIN_ROWS = saved
 
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_mixed_frames_are_refused(self, rule):
@@ -137,28 +137,31 @@ class TestRuns:
     def test_one_block_in_order_is_one_run(self, frame3):
         ms = generate(GenSpec(frame3, kind="ssf", seed=2), 50)
         block = ms[0]._block
-        assert list(rules._batch(ms).pieces()) == [(block, 0, 50)]
-        assert list(rules._batch(ms[7:19]).pieces()) == [(block, 7, 19)]
-        assert list(rules._batch(ms[::-1]).pieces()) == [(block, r, r + 1) for r in range(49, -1, -1)]
+        assert rules._batch(ms).runs == [(block, 0, 50)]
+        assert rules._batch(ms[7:19]).runs == [(block, 7, 19)]
+        # 50 runs of one row each are stacked into one fresh block
+        ((fresh, a, b),) = rules._batch(ms[::-1]).runs
+        assert fresh is not block and (a, b) == (0, 50)
+        assert np.array_equal(fresh.values, block.values[::-1])
 
     def test_rows_of_no_block_are_stacked_once(self, monkeypatch, frame3):
-        monkeypatch.setattr(rules, "_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr(rules, "_RUN_MIN_ROWS", 1)
         ms = generate(GenSpec(frame3, kind="ssf", seed=2), 4)
         loose = [MassFunction.vacuous(frame3), SimpleSupport(frame3, 1, 0.5).to_mass()]
         loose = [pickle.loads(pickle.dumps(m)) for m in loose]
         batch = rules._batch(loose[:1] + ms[:2] + loose[1:] + ms[2:])
-        (fresh, a, b), (block, c, d), (fresh2, e, f), (_, g, h) = batch.pieces()
+        (fresh, a, b), (block, c, d), (fresh2, e, f), (_, g, h) = batch.runs
         assert fresh is fresh2 and block is ms[0]._block and fresh is not block
         assert (a, b, c, d, e, f, g, h) == (0, 1, 0, 2, 1, 2, 2, 4)
         assert np.array_equal(fresh.values, [m.values for m in loose])
 
     def test_many_small_blocks_are_stacked_once(self, frame3):
         ms = [m for seed in range(10) for m in generate(GenSpec(frame3, kind="ssf", seed=seed), 5)]
-        ((block, a, b),) = rules._batch(ms).pieces()
+        ((block, a, b),) = rules._batch(ms).runs
         assert (a, b) == (0, 50) and all(m._block is not block for m in ms)
         assert np.array_equal(block.values, [m.values for m in ms])
-        big = generate(GenSpec(frame3, kind="ssf", seed=10), 11 * rules._BLOCK_MIN_ROWS)
-        assert len(rules._batch(ms + big).blocks) == 11
+        big = generate(GenSpec(frame3, kind="ssf", seed=10), 11 * rules._RUN_MIN_ROWS)
+        assert len(rules._batch(ms + big).runs) == 11
 
     def test_single_rows_belong_to_no_block(self, frame3):
         ssf = generate(GenSpec(frame3, kind="ssf", focal_pool=(1,), seed=2), 3)
@@ -171,14 +174,19 @@ class TestRuns:
         assert all(m._block is None for m in singles)
 
     def test_many_single_rows_cost_one_stack(self):
-        # thousands of distinct to_mass() rows are one fresh block, one run,
-        # and combine in a time comparable to stacking them once
+        # thousands of distinct to_mass() rows, or the rows of three blocks
+        # fully shuffled, are one fresh block, one run, and combine in a time
+        # comparable to stacking them once
         frame = FrameOfDiscernment.numbered(4)
         rng = np.random.default_rng(5)
         focals = rng.integers(1, frame.full_set, size=5000).tolist()
-        ms = [SimpleSupport(frame, a, w).to_mass() for a, w in zip(focals, rng.uniform(0.1, 0.9, 5000))]
-        batch = rules._batch(ms)
-        assert len(batch.blocks) == 1 and len(batch.start) == 1
+        singles = [SimpleSupport(frame, a, w).to_mass() for a, w in zip(focals, rng.uniform(0.1, 0.9, 5000))]
+        blocks = (
+            generate(GenSpec(frame, kind="ssf", seed=5, stream=1), 2000)
+            + generate(GenSpec(frame, kind="consonant", num_focals=3, seed=5, stream=2), 1000)
+            + generate(GenSpec(frame, kind="ssf", seed=5, stream=3), 2000)
+        )
+        shuffled = [blocks[i] for i in rng.permutation(len(blocks))]
 
         def best(f):
             times = []
@@ -188,9 +196,35 @@ class TestRuns:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        stack = best(lambda: np.array([m.values for m in ms]))
-        fuse = best(lambda: combine(ms, RuleConfig(rule="lns")))
-        assert fuse < 10 * stack + 0.02, (fuse, stack)
+        for ms in (singles, shuffled):
+            ((block, a, b),) = rules._batch(ms).runs
+            assert (a, b) == (0, len(ms)) and all(m._block is not block for m in ms)
+            stack = best(lambda: np.array([m.values for m in ms]))
+            fuse = best(lambda: combine(ms, RuleConfig(rule="lns")))
+            assert fuse < 10 * stack + 0.02, (fuse, stack)
+
+    def test_producer_blocks_are_split_once(self, monkeypatch):
+        # as gen-combine builds its inputs: two whole-block runs, each block
+        # split on the first call and never again
+        frame = FrameOfDiscernment.numbered(8)
+        batch = []
+        batch += generate(GenSpec(frame, kind="ssf", seed=7, stream=1), 800)
+        batch += generate(GenSpec(frame, kind="consonant", num_focals=5, seed=7, stream=2), 200)
+        ssf, chains = batch[0]._block, batch[-1]._block
+        assert rules._batch(batch).runs == [(ssf, 0, 800), (chains, 0, 200)]
+        splits = []
+        split = core._Columns.split.__func__
+
+        def counted(cls, values, full):
+            splits.append(len(values))
+            return split(cls, values, full)
+
+        monkeypatch.setattr(core._Columns, "split", classmethod(counted))
+        for want in ([800, 200], []):
+            splits.clear()
+            for rule in ("lns", "lnsa", "conjunctive", "cautious", "average"):
+                combine(batch, RuleConfig(rule=rule))
+            assert splits == want
 
 
 class TestNoCycle:
@@ -211,7 +245,9 @@ class TestNoCycle:
         gc.disable()
         try:
             block = weakref.ref(ms[0]._block)
-            results = [_outcome(ms[::-1] + ms, rule) for rule in RULE_NAMES]
+            # in order, the rows are read from the block's own split; the
+            # reversed and joined list is stacked into a fresh block
+            results = [_outcome(x, rule) for x in (ms, ms[::-1] + ms) for rule in RULE_NAMES]
             assert block()._columns is not None
             assert not any(isinstance(x, MassFunction) for x in gc.get_referents(block()))
             del ms

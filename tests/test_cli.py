@@ -13,6 +13,8 @@ from masscomb.cli import build_parser, main
 from masscomb.core import MassFunction, SimpleSupport
 from masscomb.io import read_bbas, write_bbas, write_csv
 
+from conftest import opposed_halves
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -48,6 +50,19 @@ class TestFuse:
             [MassFunction.categorical(frame3, 1), MassFunction.categorical(frame3, 2)],
         )
         assert main(["fuse", "--input", str(path), "--rule", "dempster"]) == 3
+
+    @pytest.mark.parametrize("k", [11, 11.5, 12, 12.5, 13])
+    def test_near_saturation_exit_code(self, tmp_path, frame2, k):
+        # conflict 1 - 10**-k around the guard at 1 - 1e-12: a result or the
+        # total-conflict exit, never a crash or noise
+        path = tmp_path / "halves.csv"
+        write_csv(path, opposed_halves(frame2, 1000, k))
+        out = tmp_path / "out.csv"
+        code = main(["fuse", "--input", str(path), "--rule", "dempster", "--output", str(out)])
+        assert code in ((0,) if k <= 11 else (3,) if k >= 13 else (0, 3))
+        if code == 0:
+            (m,) = read_bbas(out)
+            assert abs(m.values[1] - 0.5) < 1e-9 and m.values[0] == 0.0
 
     def test_guard_exit_code(self, tmp_path, frame3):
         rng = np.random.default_rng(1)

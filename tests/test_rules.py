@@ -44,6 +44,8 @@ from conftest import (
     brute_pcr6,
     dense_cautious,
     dense_conjunctive,
+    opposed_halves,
+    opposed_halves_dempster,
     random_mass,
     single_row_decompose,
 )
@@ -132,6 +134,27 @@ class TestDempster:
         res = combine_dempster(ms)
         expect = np.array([0.0, 1 - e, 1 - e, e]) / (2 - e)
         assert np.max(np.abs(res.mass.values - expect)) <= 1e-12
+
+
+class TestNearSaturation:
+    """Conflict from 1 - 1e-3 to 1 - 1e-12, the band just short of the guard,
+    at the source counts of the paper's experiments."""
+
+    @pytest.mark.parametrize("count", [1_000, 10_000, 100_000])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_dempster_follows_the_closed_form(self, n, count):
+        frame = FrameOfDiscernment.numbered(n)
+        eps = np.finfo(float).eps
+        for k in range(3, 13):
+            ms = opposed_halves(frame, count, k)
+            want = opposed_halves_dempster(ms)
+            got = combine_dempster(ms).mass.values
+            assert np.max(np.abs(got - want)) <= 1e-12, k
+            # the smallest mass, m(Θ) about 10**-k / 4, comes from a sum of
+            # count logs: its relative error may grow as count * eps
+            small = want[frame.full_set]
+            rel = abs(got[frame.full_set] - small) / small
+            assert rel <= count * eps * abs(math.log(small)), (k, rel)
 
 
 class TestDisjunctive:
@@ -947,7 +970,7 @@ class TestChainColumns:
         ms = [self._consonant(rng, frame, bool(i % 3 == 0)) for i in range(60)]
         each = []
         for m in ms:
-            _, focal, weight, simple, rest = rules_mod._split_rows([m], frame)
+            _, focal, weight, simple, rest = rules_mod._split_rows([m])
             assert len(rest) == 0
             w = np.ones(frame.powerset_size)
             w[focal] = weight
@@ -955,7 +978,7 @@ class TestChainColumns:
             each.append((focal[simple:], weight[simple:]))
         # rows of every chain length in one chunk give each chain row's own
         # components, after the simple supports
-        _, focal, weight, simple, rest = rules_mod._split_rows(ms, frame)
+        _, focal, weight, simple, rest = rules_mod._split_rows(ms)
         assert len(rest) == 0
         assert np.array_equal(focal[simple:], np.concatenate([f for f, _ in each]))
         assert weight[simple:].tobytes() == np.concatenate([w for _, w in each]).tobytes()
@@ -994,7 +1017,7 @@ class TestChainColumns:
         import masscomb.rules as rules_mod
 
         ms = [_chain(frame3, {1: 0.4, 3: 0.6})] + [SimpleSupport(frame3, 2, 0.4).to_mass()] * 3
-        assert len(rules_mod._split_rows(ms, frame3)[-1]) == 1
+        assert len(rules_mod._split_rows(ms)[-1]) == 1
         for rule in ("lns", "lnsa", "cautious"):
             with pytest.raises(DecompositionError):
                 combine(ms, RuleConfig(rule=rule))
@@ -1006,7 +1029,7 @@ class TestChainColumns:
 
         ms = [_chain(frame3, {1: 0.3, 2: 0.3, 7: 0.4}), _chain(frame3, {1: 0.2, 6: 0.3, 7: 0.5})]
         ms += [_chain(frame3, {1: 0.2, 3: 0.3, 7: 0.5})] + [SimpleSupport(frame3, 4, 0.5).to_mass()]
-        _, focal, weight, simple, rest = rules_mod._split_rows(ms, frame3)
+        _, focal, weight, simple, rest = rules_mod._split_rows(ms)
         assert len(rest) == 2 and list(focal[simple:]) == [1, 3]
         for fn, oracle in ((combine_conjunctive, dense_conjunctive), (combine_cautious, dense_cautious)):
             assert np.max(np.abs(fn(ms).mass.values - oracle(ms))) <= 1e-12
