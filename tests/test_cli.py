@@ -377,6 +377,36 @@ class TestExperimentCommand:
             main(["experiment", "mystery"])
         assert err.value.code == 2
 
+    # small runs of each experiment; the flag under test replaces its entry
+    _SMALL = {
+        "conflict-sweep": {"--t": "1", "--sources": "5", "--rule": "average"},
+        "timing": {"--sources": "10", "--repeats": "1", "--rule": "average"},
+        "eknn-sweep": {"--k-max": "1", "--rule": "dempster"},
+    }
+
+    @pytest.mark.parametrize(
+        "name, flag, value, key, expect",
+        [
+            ("conflict-sweep", "--seed", "7", "seed", 7),
+            ("conflict-sweep", "--eta", "2.5", "eta", 2.5),
+            ("conflict-sweep", "--deterministic-w", "0.7", "deterministic_w", 0.7),
+            ("conflict-sweep", "--t", "3", "ts", [3]),
+            ("conflict-sweep", "--rule", "lnsa", "rules", ["lnsa"]),
+            ("conflict-sweep", "--sources", "10", "s2_grid", [10]),
+            ("timing", "--sources", "20", "sources_grid", [20]),
+            ("timing", "--frame", "3", "frame_size", 3),
+            ("timing", "--kind", "consonant", "kind", "consonant"),
+            ("timing", "--repeats", "2", "repeats", 2),
+            ("eknn-sweep", "--k-max", "2", "ks", [1, 2]),
+        ],
+    )
+    def test_flag_lands_in_parameters(self, tmp_path, name, flag, value, key, expect):
+        out = tmp_path / "report.json"
+        flags = {**self._SMALL[name], flag: value}
+        argv = [tok for item in flags.items() for tok in item]
+        assert main(["experiment", name, *argv, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["parameters"][key] == expect
+
 
 class TestBench:
     """Timing records come from ``experiment timing``; there is no ``bench`` command."""
