@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import eknn as eknn_mod
 from . import io as mio
-from .core import FrameOfDiscernment, MassFunction, transform
+from .core import FrameOfDiscernment, MassFunction, canonical_decompose, discount, resolve_kind, transform
 from .errors import ComplexityGuardError, MassCombError, ParameterError, TotalConflictError
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .genrand import GEN_KINDS, GenSpec, generate
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=GEN_KINDS, default="general")
     p.add_argument("--frame-size", type=int, default=3)
     p.add_argument("--labels", help="comma-separated hypothesis labels (overrides --frame-size)")
-    p.add_argument("--focal-pool", help="comma-separated binary bitmasks, e.g. 001,010")
+    p.add_argument("--focal-pool", help="comma-separated binary bitmasks, e.g. 001,010 (general, ssf)")
     p.add_argument("--num-focals", type=int, default=3)
     p.add_argument("--min-singleton-mass", type=float)
     p.add_argument("--seed", type=int, default=0)
@@ -86,24 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eknn", help="evidential K-nearest-neighbour evaluation")
     p.add_argument("--train", required=True, help="CSV with features and the label in the last column")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", default="5", metavar="K|A:B",
+                   help="neighbour count, or every count from A to B")
     p.add_argument("--alpha", type=float, default=0.95)
     _add_rule_flags(p)
-    p.add_argument("--sweep-k", metavar="A:B", help="leave-one-out for every K in the range")
     p.add_argument("--report", help="write the evaluation report as JSON")
     p.set_defaults(handler=_cmd_eknn)
 
     p = command("experiment", help="run a named experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--deterministic-w", type=float, help="constant simple-support weight (conflict-sweep)")
-    p.add_argument("--t", type=int, help="restrict the conflict-sweep to one majority ratio")
-    p.add_argument("--rule", action="append", help="restrict to these rules (repeatable)")
+    # a flag given sets the experiment parameter its dest names; see _NOT_PARAMETERS
+    param = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    param("--seed", type=int)
+    param("--eta", type=float)
+    param("--deterministic-w", type=float, help="constant simple-support weight (conflict-sweep)")
+    param("--t", type=int, action="append", dest="ts", metavar="T",
+          help="restrict the conflict-sweep to these majority ratios (repeatable)")
+    param("--rule", action="append", dest="rules", metavar="RULE",
+          help="restrict to these rules (repeatable)")
     p.add_argument("--sources", type=int, action="append", help="source-count grid point (repeatable)")
-    p.add_argument("--frame", type=int, help="frame size (timing)")
-    p.add_argument("--kind", choices=("ssf", "consonant"), help="input family (timing)")
-    p.add_argument("--repeats", type=int, help="timed repetitions (timing)")
+    param("--frame", type=int, dest="frame_size", metavar="FRAME", help="frame size (timing)")
+    param("--kind", choices=("ssf", "consonant"), help="input family (timing)")
+    param("--repeats", type=int, help="timed repetitions (timing)")
     p.add_argument("--k-max", type=int, help="largest neighbour count (eknn-sweep)")
     p.add_argument("--output", help="write the report as JSON")
     p.set_defaults(handler=_cmd_experiment)
@@ -120,14 +123,10 @@ def _emit_bbas(args, bbas) -> None:
     mio.write_bbas(args.output or sys.stdout, bbas, fmt=args.format)
 
 
-def _emit_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON to the file ``path``, or to stdout without one."""
-    text = json.dumps(payload, indent=1, allow_nan=False)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit_rows(args, kind: str, frame: FrameOfDiscernment, columns, values: list) -> None:
+    """Write one vector per assignment, with the columns they run over."""
+    payload = {"kind": kind, "frame": list(frame.labels), "columns": list(columns), "values": values}
+    mio.write_report(args.output or sys.stdout, payload)
 
 
 def _read_inputs(args) -> list[MassFunction]:
@@ -151,8 +150,6 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    from .core import resolve_kind
-
     bbas = _read_inputs(args)
     frame = bbas[0].frame
     if resolve_kind(args.kind) == "mass":
@@ -161,41 +158,25 @@ def _cmd_transform(args) -> int:
     rows = [transform(m, args.kind) for m in bbas]
     kind = rows[0].kind
     header = frame.labels if kind == "pignistic" else mio.bitmask_header(frame.n)
-    payload = {
-        "kind": kind,
-        "frame": list(frame.labels),
-        "columns": list(header),
-        "values": [r.values.tolist() for r in rows],
-    }
-    _emit_json(args.output, payload)
+    _emit_rows(args, kind, frame, header, [r.values.tolist() for r in rows])
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    from .core import canonical_decompose
-
     bbas = _read_inputs(args)
-    frame = bbas[0].frame
     weights = [canonical_decompose(m).weights.tolist() for m in bbas]
-    payload = {
-        "kind": "decomposition-weights",
-        "frame": list(frame.labels),
-        "columns": mio.bitmask_header(frame.n),
-        "values": weights,
-    }
-    _emit_json(args.output, payload)
+    frame = bbas[0].frame
+    _emit_rows(args, "decomposition-weights", frame, mio.bitmask_header(frame.n), weights)
     return EXIT_OK
 
 
 def _cmd_discount(args) -> int:
-    from .core import discount
-
     bbas = _read_inputs(args)
     _emit_bbas(args, [discount(m, args.alpha) for m in bbas])
     return EXIT_OK
 
 
-def _parse_focal_pool(text: str, frame: FrameOfDiscernment) -> tuple[int, ...]:
+def _parse_focal_pool(text: str) -> tuple[int, ...]:
     pool = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -211,7 +192,7 @@ def _cmd_gen(args) -> int:
         frame = FrameOfDiscernment(tuple(s.strip() for s in args.labels.split(",")))
     else:
         frame = FrameOfDiscernment.numbered(args.frame_size)
-    pool = _parse_focal_pool(args.focal_pool, frame) if args.focal_pool else None
+    pool = _parse_focal_pool(args.focal_pool) if args.focal_pool else None
     spec = GenSpec(
         frame,
         kind=args.kind,
@@ -225,63 +206,52 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_k_range(text: str) -> range:
+def _parse_ks(text: str) -> list[int]:
+    """The neighbour counts ``--k`` names: ``K``, or every K from A to B."""
+    lo, sep, hi = text.partition(":")
     try:
-        lo, hi = (int(tok) for tok in text.split(":"))
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
-        raise ParameterError(f"--sweep-k expects A:B, got {text!r}") from None
-    if not 1 <= lo <= hi:
+        raise ParameterError(f"--k expects K or A:B, got {text!r}") from None
+    if sep and not 1 <= lo <= hi:
         raise ParameterError(f"bad K range {text!r}")
-    return range(lo, hi + 1)
+    return list(range(lo, hi + 1))
 
 
 def _cmd_eknn(args) -> int:
     ds = eknn_mod.load_dataset_csv(args.train)
     rule_cfg = _rule_config(args)
-    payload: dict = {
+    ks = _parse_ks(args.k)
+    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg)
+    payload = {
         "dataset": {"samples": ds.n_samples, "features": ds.n_features,
                     "classes": list(ds.frame.labels)},
         "rule": args.rule,
         "alpha": args.alpha,
         "gamma": "auto (inverse mean same-class pair distance)",
+        "k": ks,
+        "accuracy": accs,
+        "max_kappa": maxk,
+        "failed_samples": errs,
     }
-    ks = list(_parse_k_range(args.sweep_k)) if args.sweep_k else [args.k]
-    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg)
-    payload["k"] = ks
-    payload["accuracy"] = accs
-    payload["max_kappa"] = maxk
-    payload["failed_samples"] = errs
-    _emit_json(args.report, payload)
+    mio.write_report(args.report or sys.stdout, payload)
     if args.report:
         print(f"k={ks} accuracy={accs}", file=sys.stderr)
     return EXIT_OK
 
 
+#: The ``experiment`` arguments that are not an experiment parameter as given.
+_NOT_PARAMETERS = ("command", "handler", "name", "sources", "k_max", "output")
+
+
 def _cmd_experiment(args) -> int:
-    params: dict = {}
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.eta is not None:
-        params["eta"] = args.eta
-    if args.deterministic_w is not None:
-        params["deterministic_w"] = args.deterministic_w
-    if args.t is not None:
-        params["ts"] = (args.t,)
-    if args.rule:
-        params["rules"] = tuple(args.rule)
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     if args.sources:
-        key = "s2_grid" if args.name == "conflict-sweep" else "sources_grid"
-        params[key] = tuple(args.sources)
-    if args.frame is not None:
-        params["frame_size"] = args.frame
-    if args.kind is not None:
-        params["kind"] = args.kind
-    if args.repeats is not None:
-        params["repeats"] = args.repeats
+        params["s2_grid" if args.name == "conflict-sweep" else "sources_grid"] = args.sources
     if args.k_max is not None:
-        params["ks"] = tuple(range(1, args.k_max + 1))
+        params["ks"] = list(range(1, args.k_max + 1))
     report = run_experiment(args.name, params)
-    _emit_json(args.output, report.to_dict())
+    mio.write_report(args.output or sys.stdout, report.to_dict())
     if args.output:
         print(f"report written to {args.output}", file=sys.stderr)
     for name in report.tables:
@@ -294,15 +264,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ComplexityGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except TotalConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SATURATION
     except (MassCombError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, ComplexityGuardError):
+            return EXIT_GUARD
+        return EXIT_SATURATION if isinstance(exc, TotalConflictError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -33,16 +33,12 @@ MAX_FRAME_SIZE = 20
 #: Tolerance for validating that masses sum to one.
 MASS_TOL = 1e-9
 
+#: Decomposition weights above ``1 + SEPARABILITY_TOL`` are inverse simple
+#: supports: an assignment that has one is not separable.
+SEPARABILITY_TOL = 1e-9
+
 #: Floor applied to commonalities before taking logs in the decomposition.
 _LOG_FLOOR = 1e-300
-
-REPRESENTATION_KINDS = (
-    "belief",
-    "plausibility",
-    "commonality",
-    "implicability",
-    "pignistic",
-)
 
 _KIND_ALIASES = {
     "bel": "belief",
@@ -95,11 +91,11 @@ class FrameOfDiscernment:
         return cls(tuple(labels))
 
     @classmethod
-    def numbered(cls, n: int, prefix: str = "theta") -> "FrameOfDiscernment":
+    def numbered(cls, n: int) -> "FrameOfDiscernment":
         """Frame with generated labels ``theta1 .. theta<n>``."""
         if n < 1:
             raise ParameterError("frame size must be at least 1")
-        return cls(tuple(f"{prefix}{i + 1}" for i in range(n)))
+        return cls(tuple(f"theta{i + 1}" for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -274,11 +270,11 @@ class MassFunction:
         return cls(frame, arr)
 
     @classmethod
-    def from_dict(cls, frame: FrameOfDiscernment, masses: dict[int, float], *, tol: float = MASS_TOL) -> "MassFunction":
+    def from_dict(cls, frame: FrameOfDiscernment, masses: dict[int, float]) -> "MassFunction":
         arr = np.zeros(frame.powerset_size)
         for subset, value in masses.items():
             arr[frame.check_index(subset)] += value
-        return cls(frame, arr, tol=tol)
+        return cls(frame, arr)
 
     # -- queries ---------------------------------------------------------------
 
@@ -431,24 +427,25 @@ class _Columns:
     ``at[r]``, made on first use, counts the vacuous rows, simple
     supports, chain components and dense rows before row ``r``, so the rows
     ``[a, b)`` own the entries ``at[a]`` to ``at[b]`` of each kind;
-    ``total`` is ``at[-1]``.
+    ``total`` is ``at[-1]``.  A chain row has one component per focal set
+    besides the frame.
     """
 
     __slots__ = (
         "focal", "weight", "chain_focal", "chain_weight", "dense",
-        "_nonzero", "_chains", "_per_chain", "_at",
+        "_nonzero", "_chains", "_at",
     )
 
     def __init__(
-        self, nonzero, focal, weight, chains=_NO_FOCALS, per_chain=_NO_FOCALS,
+        self, nonzero, focal, weight, chains=_NO_FOCALS,
         chain_focal=_NO_FOCALS, chain_weight=_NO_WEIGHTS, dense=_NO_FOCALS,
     ):
         self.focal, self.weight = focal, weight
         self.chain_focal, self.chain_weight = chain_focal, chain_weight
         self.dense = dense
-        # the focal sets besides the frame of every row, the chain rows and
-        # their component counts: what at needs
-        self._nonzero, self._chains, self._per_chain = nonzero, chains, per_chain
+        # the number of focal sets besides the frame of every row, and the
+        # chain rows: what at needs
+        self._nonzero, self._chains = nonzero, chains
         self._at = None
 
     @classmethod
@@ -461,12 +458,8 @@ class _Columns:
         rows = np.flatnonzero(nonzero > 1)
         if not rows.size:
             return cls(nonzero, focal, weight)
-        chain, chain_focal, chain_weight, per_chain = _chain_components(
-            values, rows, focal_cells[rows], full
-        )
-        return cls(
-            nonzero, focal, weight, rows[chain], per_chain, chain_focal, chain_weight, rows[~chain]
-        )
+        chain, chain_focal, chain_weight = _chain_components(values, rows, focal_cells[rows], full)
+        return cls(nonzero, focal, weight, rows[chain], chain_focal, chain_weight, rows[~chain])
 
     @property
     def total(self) -> tuple[int, int, int, int]:
@@ -480,7 +473,7 @@ class _Columns:
             counts = np.zeros((len(self._nonzero), 4), dtype=np.intp)
             counts[:, 0] = self._nonzero == 0
             counts[:, 1] = self._nonzero == 1
-            counts[self._chains, 2] = self._per_chain
+            counts[self._chains, 2] = self._nonzero[self._chains]
             counts[self.dense, 3] = 1
             self._at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
             np.cumsum(counts, axis=0, out=self._at[1:])
@@ -494,9 +487,9 @@ def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, 
     the whole frame.  With ``Q_i = m(A_i) + ... + m(A_k)``, its weight on
     ``A_i`` is ``Q_{i+1} / Q_i`` (Denoeux 2008), the closed form of the
     lattice decomposition.  ``focal_cells`` marks the focal sets of each
-    row other than the frame.  Returns ``(chain, focal, weight, count)``:
-    which of the rows are chains, their components row by row, and the
-    number of components of each chain row.
+    row other than the frame; a chain row has one component per such set.
+    Returns ``(chain, focal, weight)``: which of the rows are chains, and
+    their components row by row.
     """
     sub, sets = np.nonzero(focal_cells)
     # ascending index is chain order, since A ⊂ B implies A < B
@@ -504,7 +497,7 @@ def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, 
     chain = v[rows, full] > 0.0
     chain[sub[1:][broken]] = False
     if not chain.any():
-        return chain, _NO_FOCALS, _NO_WEIGHTS, _NO_FOCALS
+        return chain, _NO_FOCALS, _NO_WEIGHTS
     rows = rows[chain]
     cells = chain[sub]
     owner = np.cumsum(chain)[sub[cells]] - 1  # the chain row of each component
@@ -519,7 +512,7 @@ def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, 
     q[:, -1] = v[rows, full]
     q[owner, col] = v[rows[owner], sets]
     q = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]
-    return chain, sets, q[owner, col + 1] / q[owner, col], k
+    return chain, sets, q[owner, col + 1] / q[owner, col]
 
 
 def _mass_rows(
@@ -666,9 +659,9 @@ class WeightVector:
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
-    def is_separable(self, tol: float = 1e-9) -> bool:
+    def is_separable(self) -> bool:
         """True when every weight is at most 1 (no inverse components)."""
-        return bool(self.weights.max() <= 1.0 + tol)
+        return bool(self.weights.max() <= 1.0 + SEPARABILITY_TOL)
 
     def __getitem__(self, subset: int) -> float:
         return float(self.weights[self.frame.check_index(subset)])
@@ -710,31 +703,31 @@ def mass_to_plausibility(m: MassFunction) -> RepresentationVector:
     return RepresentationVector(m.frame, "plausibility", pl)
 
 
-def commonality_to_mass(rep: RepresentationVector, *, tol: float = MASS_TOL) -> MassFunction:
+def commonality_to_mass(rep: RepresentationVector) -> MassFunction:
     if rep.kind != "commonality":
         raise ParameterError(f"expected a commonality vector, got {rep.kind!r}")
     arr = rep.values.copy()
     _moebius_superset(arr, rep.frame.n)
-    return _mass_from_image(rep.frame, arr, tol)
+    return _mass_from_image(rep.frame, arr)
 
 
-def implicability_to_mass(rep: RepresentationVector, *, tol: float = MASS_TOL) -> MassFunction:
+def implicability_to_mass(rep: RepresentationVector) -> MassFunction:
     if rep.kind != "implicability":
         raise ParameterError(f"expected an implicability vector, got {rep.kind!r}")
     arr = rep.values.copy()
     _moebius_subset(arr, rep.frame.n)
-    return _mass_from_image(rep.frame, arr, tol)
+    return _mass_from_image(rep.frame, arr)
 
 
-def _mass_from_image(frame: FrameOfDiscernment, arr: np.ndarray, tol: float) -> MassFunction:
+def _mass_from_image(frame: FrameOfDiscernment, arr: np.ndarray) -> MassFunction:
     lo = float(arr.min())
-    if lo < -tol:
+    if lo < -MASS_TOL:
         raise InvalidImageError(
             f"inverse transform produced mass {lo:.3e} at subset index {int(arr.argmin())};"
             " the vector is not the image of a mass function"
         )
     try:
-        return MassFunction(frame, arr, tol=tol)
+        return MassFunction(frame, arr)
     except ParameterError as exc:
         raise InvalidImageError(str(exc)) from None
 
@@ -758,6 +751,18 @@ def pignistic(m: MassFunction) -> RepresentationVector:
     return RepresentationVector(m.frame, "pignistic", betp)
 
 
+#: Each representation a mass function converts to, by name.
+_FROM_MASS = {
+    "belief": mass_to_belief,
+    "plausibility": mass_to_plausibility,
+    "commonality": mass_to_commonality,
+    "implicability": mass_to_implicability,
+    "pignistic": pignistic,
+}
+
+REPRESENTATION_KINDS = tuple(_FROM_MASS)
+
+
 def transform(obj, kind: str):
     """Convert between a mass function and its equivalent representations.
 
@@ -768,16 +773,7 @@ def transform(obj, kind: str):
     """
     k = resolve_kind(kind)
     if isinstance(obj, MassFunction):
-        if k == "mass":
-            return obj
-        fn = {
-            "belief": mass_to_belief,
-            "plausibility": mass_to_plausibility,
-            "commonality": mass_to_commonality,
-            "implicability": mass_to_implicability,
-            "pignistic": pignistic,
-        }[k]
-        return fn(obj)
+        return obj if k == "mass" else _FROM_MASS[k](obj)
     if isinstance(obj, RepresentationVector):
         if k != "mass":
             raise ParameterError(

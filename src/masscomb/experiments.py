@@ -8,7 +8,6 @@ rendering is left to external tooling.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -19,6 +18,7 @@ from . import eknn, rules
 from .core import FrameOfDiscernment, MassFunction, SimpleSupport, pignistic
 from .errors import ParameterError, TotalConflictError
 from .genrand import GenSpec, generate
+from .io import write_report
 from .rules import RuleConfig, combine
 
 #: Every parameter of each experiment with its default, in report order.
@@ -82,9 +82,7 @@ class ExperimentReport:
         return asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        write_report(path, self.to_dict())
 
     def format_table(self, name: str) -> str:
         """Fixed-point text rendering of one table."""
@@ -123,16 +121,19 @@ def six_source_inputs(frame: FrameOfDiscernment | None = None) -> list[MassFunct
 
 
 def _coerce(key: str, default, value):
-    """``value`` as the type of ``default``: a list of elements each coerced
-    like the default's first element, a float or None, or the default's own
-    scalar type.  A value that does not convert, a string or scalar for a
-    list, or a non-integral number for an int raises :class:`ParameterError`
-    naming ``key``."""
+    """``value`` as the type of ``default``: a non-empty list of elements each
+    coerced like the default's first element, a float or None, or the
+    default's own scalar type.  A value that does not convert, a string,
+    scalar or empty list for a list, or a non-integral number for an int
+    raises :class:`ParameterError` naming ``key``."""
     try:
         if isinstance(default, list):
             if isinstance(value, str):
                 raise TypeError
-            return [_coerce(key, default[0], v) for v in value]
+            out = [_coerce(key, default[0], v) for v in value]
+            if not out:
+                raise ValueError
+            return out
         if default is None:
             return None if value is None else float(value)
         if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
@@ -201,6 +202,8 @@ def _run_table1(p: dict) -> ExperimentReport:
 def _run_eta_sweep(p: dict) -> ExperimentReport:
     frame = FrameOfDiscernment.numbered(3)
     focals = (1, 2, 6)  # {theta1}, {theta2}, {theta2,theta3}
+    if len(p["counts"]) != len(focals):
+        raise ParameterError(f"experiment parameter 'counts' needs {len(focals)} source counts")
     inputs: list[MassFunction] = []
     for i, (focal, count) in enumerate(zip(focals, p["counts"])):
         spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(p["seed"], i))
@@ -243,21 +246,15 @@ def _run_conflict_sweep(p: dict) -> ExperimentReport:
     w = p["deterministic_w"]
 
     def sources(t: int, s2: int) -> list[MassFunction]:
-        s1 = t * s2
-        if w is not None:
-            return [SimpleSupport(frame, 1, w).to_mass()] * s1 + [
-                SimpleSupport(frame, 2, w).to_mass()
-            ] * s2
-        out = generate(
-            GenSpec(frame, kind="ssf", focal_pool=(1,), min_singleton_mass=p["min_singleton_mass"],
-                    seed=_spawn_seed(p["seed"], t, s2, 1)),
-            s1,
-        )
-        out += generate(
-            GenSpec(frame, kind="ssf", focal_pool=(2,), min_singleton_mass=p["min_singleton_mass"],
-                    seed=_spawn_seed(p["seed"], t, s2, 2)),
-            s2,
-        )
+        out: list[MassFunction] = []
+        for focal, count in ((1, t * s2), (2, s2)):  # t times as many on {theta1}
+            if w is not None:
+                out += [SimpleSupport(frame, focal, w).to_mass()] * count
+            else:
+                spec = GenSpec(frame, kind="ssf", focal_pool=(focal,),
+                               min_singleton_mass=p["min_singleton_mass"],
+                               seed=_spawn_seed(p["seed"], t, s2, focal))
+                out += generate(spec, count)
         return out
 
     report = ExperimentReport(

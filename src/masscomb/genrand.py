@@ -14,8 +14,6 @@ import numpy as np
 from .core import FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError
 
-GEN_KINDS = ("general", "ssf", "consonant")
-
 _MAX_REJECTIONS = 10_000
 
 
@@ -24,7 +22,7 @@ class GenSpec:
     """Recipe for one family of random assignments.
 
     ``focal_pool`` restricts which subsets may become focal (``general``
-    and ``ssf`` kinds).  ``num_focals`` is the length of the nested chain
+    and ``ssf`` kinds only).  ``num_focals`` is the length of the nested chain
     for ``consonant`` assignments (the whole frame is added on top).
     ``min_singleton_mass`` turns on rejection sampling: draws are repeated
     until some singleton carries more than the threshold.  ``stream``
@@ -44,6 +42,8 @@ class GenSpec:
         if self.kind not in GEN_KINDS:
             raise ParameterError(f"unknown generator kind {self.kind!r}")
         if self.focal_pool is not None:
+            if self.kind == "consonant":
+                raise ParameterError("a consonant draw picks chain sizes; it takes no focal pool")
             pool = tuple(int(a) for a in self.focal_pool)
             object.__setattr__(self, "focal_pool", pool)
             if not pool:
@@ -138,6 +138,8 @@ def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, bloc
 
 #: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
 _DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_consonant}
+
+GEN_KINDS = tuple(_DRAWERS)
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 

@@ -32,10 +32,6 @@ FILE_MASS_TOL = 1e-6
 FORMATS = ("csv", "json")
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"theta{i + 1}" for i in range(n))
-
-
 def bitmask_header(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(1 << n)]
 
@@ -152,7 +148,7 @@ def _csv_frame(header: list[str] | None, labels: Sequence[str] | None) -> FrameO
     n = size.bit_length() - 1
     if header != bitmask_header(n):
         raise ParseError("header must list binary subset bitmasks in natural order", line=1)
-    frame = FrameOfDiscernment(tuple(labels) if labels else default_labels(n))
+    frame = FrameOfDiscernment(tuple(labels)) if labels else FrameOfDiscernment.numbered(n)
     if frame.n != n:
         raise ParameterError(f"{frame.n} labels supplied for {n}-element data")
     return frame
@@ -236,8 +232,11 @@ def read_json(path) -> list[MassFunction]:
             raise ParseError(str(exc), line=exc.lineno) from None
     if not isinstance(doc, dict) or "frame" not in doc or "bbas" not in doc:
         raise ParseError("document must have 'frame' and 'bbas' keys")
+    labels = doc["frame"]  # a string would read as one label per character
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ParseError("'frame' must be a list of label strings")
     try:
-        frame = FrameOfDiscernment(tuple(doc["frame"]))
+        frame = FrameOfDiscernment(tuple(labels))
     except ParameterError as exc:
         raise ParseError(f"bad frame: {exc}") from None
     bbas = doc["bbas"]
@@ -309,10 +308,10 @@ def _resolve_format(target, fmt: str | None) -> str:
     return ext
 
 
-def read_bbas(path, fmt: str | None = None, labels: Sequence[str] | None = None) -> list[MassFunction]:
+def read_bbas(path, fmt: str | None = None) -> list[MassFunction]:
     if _resolve_format(path, fmt) == "json":
         return read_json(path)
-    return read_csv(path, labels=labels)
+    return read_csv(path)
 
 
 def write_bbas(target, bbas: Sequence[MassFunction], fmt: str | None = None) -> None:
@@ -322,3 +321,11 @@ def write_bbas(target, bbas: Sequence[MassFunction], fmt: str | None = None) -> 
         write_json(target, bbas)
     else:
         write_csv(target, bbas)
+
+
+def write_report(target, payload: dict) -> None:
+    """Write ``payload`` as indented JSON and a newline, to the file
+    ``target`` names or to ``target`` itself if it is an open text stream."""
+    text = json.dumps(payload, indent=1, allow_nan=False)
+    with _sink(target) as fh:
+        fh.write(text + "\n")

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import core
 from .core import (
+    SEPARABILITY_TOL,
     FrameOfDiscernment,
     MassFunction,
     WeightVector,
@@ -34,22 +35,6 @@ from .errors import (
     ParameterError,
     TotalConflictError,
 )
-
-RULE_NAMES = (
-    "conjunctive",
-    "dempster",
-    "disjunctive",
-    "dp",
-    "pcr6",
-    "cautious",
-    "average",
-    "lns",
-    "lnsa",
-)
-
-#: Components with a weight above ``1 + SEPARABILITY_TOL`` are inverse
-#: simple supports and cannot be grouped.
-SEPARABILITY_TOL = 1e-9
 
 #: Weights closer to 1 than this are vacuous components and are dropped.
 _VACUOUS_WEIGHT_TOL = 1e-12
@@ -759,6 +744,8 @@ _COMBINERS: dict[str, Callable[..., FusionResult]] = {
     "lns": combine_lns,
     "lnsa": combine_lnsa,
 }
+
+RULE_NAMES = tuple(_COMBINERS)
 
 
 def combine(ms: Sequence[MassFunction], cfg: RuleConfig) -> FusionResult:

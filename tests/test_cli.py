@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from masscomb.cli import build_parser, main
-from masscomb.core import MassFunction, SimpleSupport
+from masscomb.core import REPRESENTATION_KINDS, MassFunction, SimpleSupport
 from masscomb.io import read_bbas, write_bbas, write_csv
 
 from conftest import opposed_halves
@@ -277,6 +277,10 @@ class TestGen:
     def test_bad_pool_is_validation_error(self):
         assert main(["gen", "--focal-pool", "xyz"]) == 2
 
+    def test_consonant_pool_is_validation_error(self, capsys):
+        assert main(["gen", "--kind", "consonant", "--focal-pool", "001"]) == 2
+        assert "focal pool" in capsys.readouterr().err
+
     def test_unknown_extension_refused(self, tmp_path, capsys):
         out = tmp_path / "out.jsn"
         assert main(["gen", "--count", "2", "--output", str(out)]) == 2
@@ -303,7 +307,7 @@ class TestEknnCommand:
         train = tmp_path / "train.csv"
         rows = ["0,0,a", "0.5,0,a", "0.2,0.4,a", "5,0,b", "5.5,0,b", "5.2,0.4,b"]
         train.write_text("\n".join(rows) + "\n")
-        assert main(["eknn", "--train", str(train), "--sweep-k", "1:3"]) == 0
+        assert main(["eknn", "--train", str(train), "--k", "1:3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["k"] == [1, 2, 3]
 
@@ -320,7 +324,16 @@ class TestEknnCommand:
     def test_bad_range(self, tmp_path):
         train = tmp_path / "t.csv"
         train.write_text("0,0,a\n1,0,b\n")
-        assert main(["eknn", "--train", str(train), "--sweep-k", "5"]) == 2
+        assert main(["eknn", "--train", str(train), "--k", "5:1"]) == 2
+        assert main(["eknn", "--train", str(train), "--k", "a:b"]) == 2
+
+    def test_sweep_k_flag_removed(self, tmp_path, capsys):
+        train = tmp_path / "t.csv"
+        train.write_text("0,0,a\n1,0,b\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eknn", "--train", str(train), "--sweep-k", "1:3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep-k" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_exit_code(self, tmp_path, capsys, cell):
@@ -371,6 +384,10 @@ class TestExperimentCommand:
     def test_eta_refused_where_not_taken(self, argv, capsys):
         assert main(["experiment", *argv, "--eta", "7"]) == 2
         assert "unknown experiment parameters: ['eta']" in capsys.readouterr().err
+
+    def test_no_neighbour_counts_is_validation_error(self, capsys):
+        assert main(["experiment", "eknn-sweep", "--k-max", "0"]) == 2
+        assert "'ks'" in capsys.readouterr().err
 
     def test_unknown_experiment_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -443,6 +460,24 @@ class TestBench:
             main(["bench", "--rule", "lns"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestChoices:
+    """The name lists come from the tables they name, in the tables' order."""
+
+    @pytest.mark.parametrize("command, choices", [
+        ("fuse", "{conjunctive,dempster,disjunctive,dp,pcr6,cautious,average,lns,lnsa}"),
+        ("gen", "{general,ssf,consonant}"),
+    ])
+    def test_help_order(self, capsys, command, choices):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert choices in capsys.readouterr().out
+
+    def test_representation_kinds_order(self):
+        assert REPRESENTATION_KINDS == (
+            "belief", "plausibility", "commonality", "implicability", "pignistic"
+        )
 
 
 def _readme_command_lines() -> list[str]:

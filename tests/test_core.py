@@ -60,6 +60,24 @@ def test_every_export_resolves():
         getattr(masscomb, name)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, m: FrameOfDiscernment.numbered(3, prefix="h"),
+        lambda f, m: MassFunction.from_dict(f, {1: 1.0}, tol=1e-3),
+        lambda f, m: commonality_to_mass(mass_to_commonality(m), tol=1e-3),
+        lambda f, m: implicability_to_mass(mass_to_implicability(m), tol=1e-3),
+        lambda f, m: canonical_decompose(m).is_separable(tol=1e-3),
+    ],
+    ids=["numbered-prefix", "from_dict-tol", "commonality_to_mass-tol",
+         "implicability_to_mass-tol", "is_separable-tol"],
+)
+def test_removed_keywords_refused(frame3, call):
+    # each always uses the fixed naming rule or tolerance
+    with pytest.raises(TypeError):
+        call(frame3, SimpleSupport(frame3, 1, 0.4).to_mass())
+
+
 # ---------------------------------------------------------------------------
 # Frames and subset arithmetic
 # ---------------------------------------------------------------------------

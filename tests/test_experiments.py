@@ -164,6 +164,22 @@ class TestReplay:
         with pytest.raises(ParameterError, match=repr(key)):
             run_experiment(name, {key: value})
 
+    @pytest.mark.parametrize(
+        "name,key",
+        [("table1", "rules"), ("conflict-sweep", "ts"), ("conflict-sweep", "s2_grid"),
+         ("timing", "sources_grid"), ("eknn-sweep", "ks")],
+    )
+    def test_empty_list_refused(self, name, key):
+        # an empty list would give an empty report
+        with pytest.raises(ParameterError, match=repr(key)):
+            run_experiment(name, {key: []})
+
+    @pytest.mark.parametrize("counts", [[60, 50], [60, 50, 50, 999]])
+    def test_eta_sweep_needs_three_counts(self, counts):
+        # one count per focal set; zip would cut a longer list short
+        with pytest.raises(ParameterError, match="'counts'"):
+            run_experiment("eta-sweep", {"counts": counts})
+
     def test_save(self, tmp_path):
         rep = run_experiment("table1")
         out = tmp_path / "report.json"

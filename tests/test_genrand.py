@@ -81,6 +81,11 @@ class TestConsonant:
         with pytest.raises(ParameterError):
             GenSpec(frame4, kind="consonant", num_focals=5)
 
+    def test_focal_pool_refused(self, frame4):
+        # a consonant draw picks chain sizes, so a pool would be ignored
+        with pytest.raises(ParameterError, match="focal pool"):
+            GenSpec(frame4, kind="consonant", focal_pool=(1,))
+
     def test_full_chain_allowed(self, frame4):
         out = generate(GenSpec(frame4, kind="consonant", num_focals=4, seed=8), 10)
         assert all(len(m.focal_elements()) <= 5 for m in out)

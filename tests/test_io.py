@@ -213,6 +213,15 @@ class TestJson:
             read_json(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("frame", ['"ab"', "[1, 2]", '["a", 2]', '{"a": 0}', "null"])
+    def test_frame_must_be_a_list_of_strings(self, tmp_path, frame):
+        # a string would read as one label per character, a number as its text
+        path = tmp_path / "one.json"
+        path.write_text('{"frame": ' + frame + ', "bbas": [{"focal elements": [["a"]], "masses": [1.0]}]}')
+        with pytest.raises(ParseError, match="'frame' must be a list of label strings"):
+            read_json(path)
+        assert main(["fuse", "--input", str(path)]) == 2
+
     def test_label_orders_resolve_as_sets(self, tmp_path):
         doc = {"frame": ["a", "b"], "bbas": [
             {"focal elements": [["a"], ["b", "a"]], "masses": [0.5, 0.5]},
@@ -291,6 +300,13 @@ class TestConversion:
         via_csv = read_csv(cpath, labels=six[0].frame.labels)
         for a, b in zip(via_csv, six):
             assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+    def test_read_bbas_takes_no_labels(self, tmp_path, six):
+        path = tmp_path / "six.csv"
+        write_csv(path, six)
+        with pytest.raises(TypeError):
+            read_bbas(path, labels=("a", "b", "c"))
+        assert not hasattr(mio, "default_labels")
 
     def test_dispatch_by_extension(self, tmp_path, six):
         jpath = tmp_path / "six.json"
