@@ -15,7 +15,7 @@ from . import eknn as eknn_mod
 from . import io as mio
 from .core import FrameOfDiscernment, MassFunction, canonical_decompose, discount, resolve_kind, transform
 from .errors import ComplexityGuardError, MassCombError, ParameterError, TotalConflictError
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, run_experiment, write_report
 from .genrand import GEN_KINDS, GenSpec, generate
 from .rules import RULE_NAMES, RuleConfig, combine
 
@@ -126,7 +126,7 @@ def _emit_bbas(args, bbas) -> None:
 def _emit_rows(args, kind: str, frame: FrameOfDiscernment, columns, values: list) -> None:
     """Write one vector per assignment, with the columns they run over."""
     payload = {"kind": kind, "frame": list(frame.labels), "columns": list(columns), "values": values}
-    mio.write_report(args.output or sys.stdout, payload)
+    write_report(args.output or sys.stdout, payload)
 
 
 def _read_inputs(args) -> list[MassFunction]:
@@ -234,7 +234,7 @@ def _cmd_eknn(args) -> int:
         "max_kappa": maxk,
         "failed_samples": errs,
     }
-    mio.write_report(args.report or sys.stdout, payload)
+    write_report(args.report or sys.stdout, payload)
     if args.report:
         print(f"k={ks} accuracy={accs}", file=sys.stderr)
     return EXIT_OK
@@ -251,7 +251,7 @@ def _cmd_experiment(args) -> int:
     if args.k_max is not None:
         params["ks"] = list(range(1, args.k_max + 1))
     report = run_experiment(args.name, params)
-    mio.write_report(args.output or sys.stdout, report.to_dict())
+    write_report(args.output or sys.stdout, report.to_dict())
     if args.output:
         print(f"report written to {args.output}", file=sys.stderr)
     for name in report.tables:

@@ -8,6 +8,7 @@ rendering is left to external tooling.
 
 from __future__ import annotations
 
+import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,7 +19,6 @@ from . import eknn, rules
 from .core import FrameOfDiscernment, MassFunction, SimpleSupport, pignistic
 from .errors import ParameterError, TotalConflictError
 from .genrand import GenSpec, generate
-from .io import write_report
 from .rules import RuleConfig, combine
 
 #: Every parameter of each experiment with its default, in report order.
@@ -98,6 +98,17 @@ class ExperimentReport:
             )
             lines.append(f"{label:<16}{cells}")
         return "\n".join(lines)
+
+
+def write_report(target, payload: dict) -> None:
+    """Write ``payload`` as indented JSON and a newline, to the file
+    ``target`` names or to ``target`` itself if it is an open text stream."""
+    text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text)
 
 
 def _series(x, y, **extra) -> dict:

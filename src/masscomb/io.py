@@ -321,11 +321,3 @@ def write_bbas(target, bbas: Sequence[MassFunction], fmt: str | None = None) -> 
         write_json(target, bbas)
     else:
         write_csv(target, bbas)
-
-
-def write_report(target, payload: dict) -> None:
-    """Write ``payload`` as indented JSON and a newline, to the file
-    ``target`` names or to ``target`` itself if it is an open text stream."""
-    text = json.dumps(payload, indent=1, allow_nan=False)
-    with _sink(target) as fh:
-        fh.write(text + "\n")
