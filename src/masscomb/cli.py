@@ -164,8 +164,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_decompose(args) -> int:
     bbas = _read_inputs(args)
-    weights = [canonical_decompose(m).weights.tolist() for m in bbas]
     frame = bbas[0].frame
+    weights = [canonical_decompose(m).weights.tolist() for m in bbas]
     _emit_rows(args, "decomposition-weights", frame, mio.bitmask_header(frame.n), weights)
     return EXIT_OK
 
