@@ -346,8 +346,10 @@ def _check_rows(frame: FrameOfDiscernment, block: np.ndarray, tol: float) -> Non
     if block.min(initial=0.0) >= -tol:
         np.maximum(block, 0.0, out=block)  # the clip, bit for bit
         total = np.add.reduce(block, axis=1)
-        if np.abs(total - 1.0).max(initial=0.0) <= tol:
-            block /= total[:, np.newaxis]
+        deviation = np.abs(total - 1.0).max(initial=0.0)
+        if deviation <= tol:
+            if deviation:  # x / 1.0 is x, so rows that sum to 1 exactly are left as they are
+                block /= total[:, np.newaxis]
             return
     # Some row fails: find the first, checking each in order.  The block
     # was clipped only if no row holds a mass below -tol.

@@ -215,6 +215,8 @@ def _run_eta_sweep(p: dict) -> ExperimentReport:
     focals = (1, 2, 6)  # {theta1}, {theta2}, {theta2,theta3}
     if len(p["counts"]) != len(focals):
         raise ParameterError(f"experiment parameter 'counts' needs {len(focals)} source counts")
+    if p["eta_points"] < 1:
+        raise ParameterError(f"experiment parameter 'eta_points' must be at least 1, got {p['eta_points']}")
     inputs: list[MassFunction] = []
     for i, (focal, count) in enumerate(zip(focals, p["counts"])):
         spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(p["seed"], i))
@@ -355,6 +357,8 @@ def _run_timing(p: dict) -> ExperimentReport:
 
 
 def _run_eknn_sweep(p: dict) -> ExperimentReport:
+    if p["dim"] < 1:
+        raise ParameterError(f"experiment parameter 'dim' must be at least 1, got {p['dim']}")
     ds = eknn.two_gaussian_dataset(p["n_per_class"], p["separation"], dim=p["dim"], seed=p["seed"])
     report = ExperimentReport(
         name="eknn-sweep",

@@ -3,6 +3,11 @@
 All draws come from a PCG64 stream, so a given spec reproduces the same
 assignments on every platform.  Simplex masses are sampled by normalising
 exponential transforms of uniform draws.
+
+The stream is that of numpy's own calls, one draw at a time.  ssf and
+consonant draws with no singleton-mass threshold are replayed from raw
+PCG64 words, bit for bit, and filled into the block for all rows at once;
+thresholded draws, and general draws, run one by one.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ from .core import FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError
 
 _MAX_REJECTIONS = 10_000
+
+#: Raw PCG64 words a consonant replay fetches and walks at a time.
+_SLAB_WORDS = 1 << 14
+
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -99,31 +109,31 @@ def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np
 
 
 def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
-    _draw_chains(rng, spec, pool, arr[np.newaxis])
+    """One consonant draw by numpy's own calls: a permutation of the
+    hypotheses, ``num_focals`` distinct chain sizes and one uniform per
+    focal set.  Thresholded draws run through it, and so does any draw
+    :func:`_replay_chains` cannot replay."""
+    n, k = spec.frame.n, spec.num_focals
+    order = rng.permutation(n)
+    sizes = rng.choice(pool, size=k, replace=False)
+    u = np.empty(k + 1)
+    rng.random(out=u[: k + (sizes.max() < n)])
+    _fill_chains(spec, order[np.newaxis], sizes[np.newaxis], u[np.newaxis], arr[np.newaxis])
 
 
-def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
-    """Fill the zeroed rows of ``block`` with consonant draws.
+def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.ndarray,
+                 block: np.ndarray) -> None:
+    """Fill the zeroed rows of ``block`` with the consonant draws that
+    ``orders``, ``sizes`` and ``u`` hold, one row each.
 
-    Each draw permutes the hypotheses, picks ``num_focals`` distinct chain
-    sizes and draws one uniform per focal set; the chain's set of size ``s``
-    holds the first ``s`` hypotheses of the permutation, and the whole
-    frame is added on top unless a size is ``n``.  Only those random calls
-    run draw by draw; the sort, the chains and the simplex masses are
-    computed for all rows at once.
+    The chain's set of size ``s`` holds the first ``s`` hypotheses of the
+    row's order, and the whole frame is added on top unless a size is
+    ``n``; the focal sets take the simplex masses of the row's first
+    ``num_focals`` uniforms, plus one for the frame on top.
     """
     n, k = spec.frame.n, spec.num_focals
-    count = len(block)
-    orders = np.empty((count, n), dtype=np.int64)
-    sizes = np.empty((count, k), dtype=np.int64)
-    u = np.empty((count, k + 1))
-    topped = np.empty(count, dtype=bool)
-    for i in range(count):
-        orders[i] = rng.permutation(n)
-        sizes[i] = rng.choice(pool, size=k, replace=False)
-        topped[i] = top = sizes[i].max() < n
-        rng.random(out=u[i, : k + top])
     sizes.sort(axis=1)
+    topped = sizes[:, -1] < n
     chains = np.take_along_axis(np.cumsum(np.left_shift(1, orders), axis=1), sizes - 1, axis=1)
     # one block per simplex length: numpy sums 8 or more terms pairwise, so
     # a padded row would not sum in the order of a draw's own vector
@@ -136,12 +146,138 @@ def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, bloc
             block[rows, spec.frame.full_set] = masses[:, k]
 
 
+def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
+    """Fill the zeroed rows of ``block`` with the consonant draws that
+    :func:`_draw_consonant` would make one by one, replayed a slab of raw
+    words at a time; a draw the replay cannot make runs one by one."""
+    filled = 0
+    while filled < len(block):
+        done = _replay_chains(rng.bit_generator, spec, pool, block[filled:])
+        if not done:
+            _draw_consonant(rng, spec, pool, block[filled])
+            done = 1
+        filled += done
+
+
+def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarray,
+                   block: np.ndarray) -> int:
+    """Fill the first rows of ``block`` with the draws of
+    :func:`_draw_consonant`, from one slab of at most ``_SLAB_WORDS`` raw
+    PCG64 words; return how many rows, leaving ``bitgen`` just past them.
+
+    A draw makes three kinds of 32-bit draw, then ``num_focals`` uniforms
+    (one more if the frame goes on top):
+
+    * ``permutation(n)`` is a Fisher-Yates shuffle: for ``i`` from ``n - 1``
+      down to 1 it draws until ``v & mask <= i``, where ``mask`` is the
+      smallest all-ones mask at least ``i``, and swaps places ``i`` and
+      ``v & mask``;
+    * ``choice(pool, k, replace=False)`` is Floyd's algorithm: for ``j``
+      from ``n - k`` to ``n - 1`` it picks a Lemire draw on ``[0, j]``, or
+      ``j`` if that was picked already, with no draw for ``j = 0``; then it
+      shuffles the picks with Lemire draws on ``[0, i]``, ``i`` from
+      ``k - 1`` down to 1, an order the sort throws away;
+    * a Lemire draw on ``[0, j]`` maps ``u`` to ``(u * (j + 1)) >> 32``,
+      rejecting ``u`` when ``(u * (j + 1)) mod 2**32 < 2**32 mod (j + 1)``.
+
+    A 32-bit draw takes the half the bit generator buffered, or else the
+    low half of a fresh word, buffering the high half; a uniform takes a
+    whole fresh word, its top 53 bits times ``2**-53``, and leaves the
+    buffer alone.  So the 32-bit draws of a row run over consecutive
+    halves, after a first half that may have been buffered before the
+    previous row's uniforms.  The Python walk reads the halves only to find
+    where the permutation's rejections end and which sizes Floyd picks;
+    numpy does the swaps, the sizes and the uniforms for all rows at once.
+    Lemire rejections, less than one in 10**8 steps for ``n <= 20``, are
+    found afterwards: the replay stops before the first row that meets one.
+    """
+    n, k = spec.frame.n, spec.num_focals
+    start = bitgen.state
+    # word 0 stands in for the buffered half, which is its high half
+    words = np.empty(1 + min(_SLAB_WORDS, len(block) * (n + 2 * k + 2)), dtype=np.uint64)
+    words[0] = start["uinteger"] << 32
+    words[1:] = bitgen.random_raw(len(words) - 1)
+    halves = np.stack([words & _LOW32, words >> np.uint64(32)], axis=1).ravel()
+    walk = halves.tolist()
+    steps = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
+    floyd = [(j, j + 1) for j in range(max(n - k, 1), n)]
+    lemire = len(floyd) + k - 1
+    # per row: the swap places, Floyd's picks as a bitmask and the end of
+    # its halves
+    swaps, picks, ends = [], [], []
+    swap, pick, end = swaps.append, picks.append, ends.append
+    # the position of the buffered half, or -1
+    word, buffered, limit = 1, 1 if start["has_uint32"] else -1, len(words)
+    try:
+        for _ in range(len(block)):
+            p = 2 * word
+            if buffered >= 0:
+                # the buffered half goes just before the row's fresh halves:
+                # over the high half of the previous row's last uniform word,
+                # or of word 0
+                p -= 1
+                walk[p] = walk[buffered]
+            for i, mask in steps:
+                v = walk[p] & mask
+                p += 1
+                while v > i:
+                    v = walk[p] & mask
+                    p += 1
+                swap(v)
+            picked = int(k == n)
+            for j, bound in floyd:
+                v = walk[p] * bound >> 32
+                p += 1
+                if picked >> v & 1:
+                    v = j
+                picked |= 1 << v
+            p += k - 1
+            word = (p + 1) // 2 + k + 1 - (picked >> (n - 1))
+            if word > limit:
+                break
+            pick(picked)
+            end(p)
+            buffered = p if p & 1 else -1
+    except IndexError:
+        pass  # the slab ran out inside this row
+    bounds = np.array([b for _, b in floyd] + list(range(k, 1, -1)), dtype=np.uint64)
+    drawn = halves[np.array(ends, dtype=np.intp)[:, np.newaxis] + np.arange(-lemire, 0)]
+    rejected = np.flatnonzero((((drawn * bounds) & _LOW32) < (1 << 32) % bounds).any(axis=1))
+    m = int(rejected[0]) if rejected.size else len(picks)
+    bitgen.state = start
+    if not m:
+        return 0
+
+    orders = np.tile(np.arange(n), (m, 1))
+    places = np.array(swaps[: m * (n - 1)], dtype=np.intp).reshape(m, n - 1)
+    rows = np.arange(m)
+    for col, i in enumerate(range(n - 1, 0, -1)):
+        held = orders[:, i].copy()
+        orders[:, i] = orders[rows, places[:, col]]
+        orders[rows, places[:, col]] = held
+    picked = np.array(picks[:m])
+    sizes = pool[np.nonzero((picked[:, np.newaxis] >> np.arange(n)) & 1)[1].reshape(m, k)]
+    # the uniforms follow the halves; a row with no frame on top reads one
+    # word past them, unused
+    firsts = (np.array(ends[:m]) + 1) // 2
+    u = (words[np.minimum(firsts[:, np.newaxis] + np.arange(k + 1), limit - 1)]
+         >> np.uint64(11)) * 2.0**-53
+    _fill_chains(spec, orders, sizes, u, block[:m])
+
+    # past the last row's uniforms, less the stand-in word 0
+    last = ends[m - 1]
+    bitgen.advance((last + 1) // 2 + k - (picks[m - 1] >> (n - 1)))
+    if last & 1:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, walk[last]
+        bitgen.state = state
+    return m
+
+
 #: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
 _DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_consonant}
 
 GEN_KINDS = tuple(_DRAWERS)
-
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _singleton_masses(arr: np.ndarray, n: int) -> np.ndarray:

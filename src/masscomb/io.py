@@ -111,6 +111,8 @@ def read_csv(path, labels: Sequence[str] | None = None) -> list[MassFunction]:
     cells, ``1_0``, ragged or bad rows), or a block that fails validation,
     goes to the token parser, which reports the earliest bad line.
     """
+    if isinstance(labels, str):  # it would read as one label per character
+        raise ParameterError("labels must be a sequence of label strings, not one string")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         frame = _csv_frame(next(reader, None), labels)

@@ -336,7 +336,13 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
     rows = _batch(ms)
     acc = np.zeros(rows.frame.powerset_size)
     for chunk in rows.chunks():
-        acc += chunk.values().sum(axis=0)
+        (block, a, b), *rest = chunk.runs
+        total = block.values[a:b].sum(axis=0)
+        # numpy sums axis 0 row by row, so a later run summed behind the
+        # running total adds in the order of the whole chunk's sum
+        for block, a, b in rest:
+            total = np.add.reduce(np.concatenate([total[np.newaxis], block.values[a:b]]))
+        acc += total
     return FusionResult(MassFunction(rows.frame, acc / len(rows)))
 
 

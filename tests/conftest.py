@@ -481,6 +481,15 @@ def _oracle_draw_consonant(rng, spec, arr) -> None:
     arr[focals] = _oracle_simplex(rng, len(focals))
 
 
+def per_draw_chains(rng: np.random.Generator, spec: genrand.GenSpec, count: int) -> np.ndarray:
+    """``count`` consonant rows drawn from ``rng`` one at a time by the
+    original recipe, as the rows of one ``(count, 2**n)`` block."""
+    block = np.zeros((count, spec.frame.powerset_size))
+    for arr in block:
+        _oracle_draw_consonant(rng, spec, arr)
+    return block
+
+
 _ORACLE_DRAWERS = {
     "general": _oracle_draw_general,
     "ssf": _oracle_draw_ssf,

@@ -167,6 +167,11 @@ class TestReplay:
             # one count per focal set; zip would cut a longer list short
             ("eta-sweep", "counts", [60, 50]),
             ("eta-sweep", "counts", [60, 50, 50, 999]),
+            # a point count or a dimension below 1
+            ("eta-sweep", "eta_points", 0),
+            ("eta-sweep", "eta_points", -1),
+            ("eknn-sweep", "dim", 0),
+            ("eknn-sweep", "dim", -2),
         ],
     )
     def test_bad_parameter_value_named(self, name, key, value):

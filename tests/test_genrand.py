@@ -8,7 +8,7 @@ from masscomb.core import FrameOfDiscernment, as_simple_support
 from masscomb.errors import ParameterError
 from masscomb.genrand import GenSpec, generate
 
-from conftest import per_draw_generate
+from conftest import per_draw_chains, per_draw_generate
 
 
 @pytest.fixture
@@ -140,7 +140,7 @@ class TestOneBlock:
         want = per_draw_generate(spec, 150)
         assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("stream", [0, 3])
     @pytest.mark.parametrize("count", [1, 2, 150])
     def test_consonant_equals_per_draw(self, n, stream, count):
@@ -216,3 +216,90 @@ class TestSsfReplay:
         spec = GenSpec(FrameOfDiscernment.numbered(12), kind="ssf", focal_pool=self.POOL_4056,
                        min_singleton_mass=threshold, seed=seed)
         assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)
+
+
+def _position(rng: np.random.Generator):
+    """Where ``rng`` stands in its stream: the PCG64 state and the buffered
+    32-bit half, if any."""
+    state = rng.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
+def _zero_word_at(d: int) -> np.random.Generator:
+    """A generator whose word ``d`` is 0: an XSL-RR output is 0 when the two
+    64-bit halves of the state are equal, and stepping back ``d + 1`` steps
+    from such a state, the full period less ``d + 1``, starts it there."""
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    state["state"]["state"] = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    bitgen.state = state
+    bitgen.advance(2**128 - d - 1)
+    return np.random.Generator(bitgen)
+
+
+class TestConsonantReplay:
+    """Consonant rows are replayed from raw PCG64 words a slab at a time;
+    each hazard must give the rows of the per-draw oracle, byte for byte,
+    and leave the stream where the oracle leaves it."""
+
+    @staticmethod
+    def check(spec, count, make_rng):
+        rng, oracle = make_rng(), make_rng()
+        block = np.zeros((count, spec.frame.powerset_size))
+        genrand._draw_chains(rng, spec, genrand._pool(spec), block)
+        assert block.tobytes() == per_draw_chains(oracle, spec, count).tobytes()
+        assert _position(rng) == _position(oracle)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_size_picked(self, n):
+        # Floyd's first step is on [0, 0]: it picks 0 and draws nothing
+        spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant", num_focals=n)
+        self.check(spec, 60, lambda: np.random.Generator(np.random.PCG64(n)))
+
+    @pytest.mark.parametrize("slab", [8, 24, 64])
+    @pytest.mark.parametrize("n, num_focals", [(1, 1), (3, 2), (8, 5), (8, 8)])
+    def test_counts_cross_slabs(self, monkeypatch, slab, n, num_focals):
+        # a slab of 8 words holds no n = 8 row, so every such row runs one by one
+        monkeypatch.setattr(genrand, "_SLAB_WORDS", slab)
+        spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant", num_focals=num_focals)
+        self.check(spec, 120, lambda: np.random.Generator(np.random.PCG64(slab)))
+
+    @pytest.mark.parametrize("num_focals", [1, 5, 8])
+    def test_long_run_crosses_default_slabs(self, num_focals):
+        spec = GenSpec(FrameOfDiscernment.numbered(8), kind="consonant", num_focals=num_focals,
+                       seed=num_focals)
+        got = generate(spec, 5000)
+        want = per_draw_generate(spec, 5000)
+        assert b"".join(m.values.tobytes() for m in got) == b"".join(m.values.tobytes() for m in want)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_starts_on_a_buffered_half(self, n):
+        def make_rng():
+            rng = np.random.Generator(np.random.PCG64(7))
+            rng.permutation(2)  # one 32-bit draw buffers the high half of its word
+            return rng
+        spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant", num_focals=min(3, n))
+        assert _position(make_rng())[1] is not None
+        self.check(spec, 40, make_rng)
+
+    # A zero half is a Lemire rejection for the bounds 3, 5, 6 and 7.  Each
+    # case puts the zero word where a Floyd or shuffle step draws from it:
+    # (n, num_focals, word, step hit).
+    ZERO_WORDS = [
+        (8, 5, 5, "Floyd, row 0, bound 7"),
+        (8, 5, 6, "shuffle, row 0, bound 5"),
+        (5, 3, 3, "Floyd, row 0, bound 5, high half"),
+        (8, 8, 23, "Floyd, row 1, bound 3"),
+        (8, 8, 29, "shuffle, row 1, bound 3, high half"),
+    ]
+
+    @pytest.mark.parametrize("n, num_focals, d, step", ZERO_WORDS)
+    def test_lemire_rejection_runs_one_draw(self, monkeypatch, n, num_focals, d, step):
+        assert _zero_word_at(d).bit_generator.random_raw(d + 1)[d] == 0
+        calls = []
+        one_by_one = genrand._draw_consonant
+        monkeypatch.setattr(genrand, "_draw_consonant",
+                            lambda *args: calls.append(1) or one_by_one(*args))
+        spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant", num_focals=num_focals)
+        self.check(spec, 6, lambda: _zero_word_at(d))
+        assert len(calls) == 1

@@ -51,6 +51,14 @@ class TestCsv:
         head = path.read_text().splitlines()[0]
         assert head == "000,001,010,011,100,101,110,111"
 
+    def test_string_labels_refused(self, tmp_path, six):
+        # "abc" would otherwise name a 3-hypothesis frame one label per character
+        path = tmp_path / "six.csv"
+        write_csv(path, six)
+        with pytest.raises(ParameterError, match="not one string"):
+            read_csv(path, labels="abc")
+        assert read_csv(path, labels=("a", "b", "c"))[0].frame.labels == ("a", "b", "c")
+
     def test_vacuous_row_encoding(self, tmp_path, frame3):
         path = tmp_path / "vac.csv"
         write_csv(path, [MassFunction.vacuous(frame3)])
