@@ -31,11 +31,12 @@ from masscomb.core import (
     as_simple_support,
     pignistic,
 )
-from masscomb.eknn import neighbor_bba, resolve_gamma
+from masscomb.eknn import classify, neighbor_bba, resolve_gamma
 from masscomb.errors import (
     DecompositionError,
     EncodingError,
     InvalidWeightVectorError,
+    MassCombError,
     ParameterError,
 )
 from masscomb.io import FILE_MASS_TOL
@@ -430,6 +431,28 @@ def per_neighbour_classify(x, ds, cfg, *, exclude=None):
     fused = combine(supports, cfg.rule)
     betp = pignistic(fused.mass).values
     return int(np.argmax(betp)), fused, betp
+
+
+def per_sample_loo(ds, cfg):
+    """Leave-one-out as one ``classify(points[i], exclude=i)`` per sample.
+
+    Returns ``(predictions, kappa, errors)`` as :func:`masscomb.eknn.evaluate_loo`
+    reports them: class -1 and conflict NaN where a sample failed, and
+    ``(i, message)`` for each failure.
+    """
+    gamma = resolve_gamma(ds, cfg)
+    predictions = np.full(ds.n_samples, -1, dtype=np.int64)
+    kappa = np.full(ds.n_samples, np.nan)
+    errors = []
+    for i in range(ds.n_samples):
+        try:
+            result = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
+        except MassCombError as exc:
+            errors.append((i, str(exc)))
+            continue
+        predictions[i] = result.klass
+        kappa[i] = result.fused.conflict
+    return predictions, kappa, tuple(errors)
 
 
 def _oracle_simplex(rng: np.random.Generator, k: int) -> np.ndarray:

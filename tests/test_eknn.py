@@ -1,10 +1,16 @@
 """Evidential K-nearest-neighbour classification."""
 
+import hashlib
+import io
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from masscomb import eknn
+from masscomb.cli import main
 from masscomb.core import FrameOfDiscernment
 from masscomb.eknn import (
     EknnConfig,
@@ -18,9 +24,22 @@ from masscomb.eknn import (
     two_gaussian_dataset,
 )
 from masscomb.errors import MassCombError, ParameterError, ParseError, UndefinedGammaError
+from masscomb.experiments import run_experiment, write_report
 from masscomb.rules import RULE_NAMES, RuleConfig
 
-from conftest import per_neighbour_classify
+from conftest import per_neighbour_classify, per_sample_loo
+
+
+def clustered_dataset(dim: int, classes: int, seed: int = 0) -> LabeledDataset:
+    """14 points round one centre per class, with one point repeated inside
+    a class and one shared by three points of different classes."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(14) % classes
+    points = 3.0 * rng.normal(size=(classes, dim))[labels] + rng.normal(size=(14, dim))
+    points[classes + 1] = points[1]
+    points[3] = points[4] = points[2]
+    frame = FrameOfDiscernment(tuple(f"c{q}" for q in range(classes)))
+    return LabeledDataset(points, labels, frame)
 
 
 @pytest.fixture
@@ -158,6 +177,38 @@ class TestClassify:
 
 
 class TestLeaveOneOut:
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_equals_per_sample_classify(self, rule, monkeypatch):
+        # a guard of 1000 focal tuples stops dp and pcr6 on some samples
+        # and not on others; alpha = 1 makes the duplicates categorical
+        failed = set()
+        chunks = itertools.cycle((1, 3, 7))
+        for dim, classes, alpha in itertools.product((1, 2, 3, 9, 17), (2, 3, 5), (0.95, 1.0)):
+            ds = clustered_dataset(dim, classes)
+            for k in (1, 4, 12, ds.n_samples - 1):
+                rule_cfg = RuleConfig(rule=rule, enumeration_guard=1000)
+                cfg = EknnConfig(k=k, alpha=alpha, rule=rule_cfg)
+                predictions, kappa, errors = per_sample_loo(ds, cfg)
+                failed.add(len(errors))
+                hits = int((predictions == ds.labels).sum())
+                finite = kappa[np.isfinite(kappa)]
+                cells = ds.n_samples * ds.n_features + k * ds.frame.powerset_size
+                for queries in (None, next(chunks)):
+                    with monkeypatch.context() as patch:
+                        if queries is not None:
+                            patch.setattr(eknn, "_LOO_CELLS", queries * cells, raising=False)
+                        rep = evaluate_loo(ds, cfg)
+                    assert np.array_equal(rep.predictions, predictions)
+                    assert np.array_equal(rep.kappa, kappa, equal_nan=True)
+                    assert rep.errors == errors
+                    assert rep.accuracy == hits / ds.n_samples
+                    if finite.size:
+                        assert rep.max_kappa == finite.max()
+                    else:
+                        assert math.isnan(rep.max_kappa)
+        if rule in ("conjunctive", "dempster", "dp", "pcr6", "cautious"):
+            assert any(0 < n < 14 for n in failed), failed
+
     def test_unanimous_neighbourhoods_score_perfectly(self, toy):
         rep = evaluate_loo(toy, EknnConfig(k=2, rule=RuleConfig(rule="dempster")))
         assert rep.accuracy == 1.0
@@ -179,6 +230,44 @@ class TestLeaveOneOut:
         # features enter the distances as given
         with pytest.raises(TypeError):
             EknnConfig(standardize=True)
+
+
+class TestReportsPinned:
+    """Leave-one-out reports, pinned by sha256.
+
+    The hashes were taken when leave-one-out made one ``classify`` call per
+    sample: the experiment and CLI reports must not move by a byte.
+    """
+
+    @pytest.mark.parametrize("seed, sha", [
+        (71, "068f3c43012de77a19cbdfab8e351022060f55324088aacad0083c884f265d20"),
+        (72, "8a4605bd6199ad1813fd6480ee94f8d4712c3dc0d87ee8f66df6484bd551b4d9"),
+    ])
+    def test_eknn_sweep_experiment(self, seed, sha):
+        params = {"seed": seed, "n_per_class": 25, "ks": list(range(2, 11)),
+                  "rules": ["dempster", "lns", "dp", "pcr6"]}
+        text = io.StringIO()
+        write_report(text, run_experiment("eknn-sweep", params).to_dict())
+        assert hashlib.sha256(text.getvalue().encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("rule, alpha, sha", [
+        ("lns", "0.95", "b42b8aacba2d9ed2c8ae451ceade9f64e6db8a5d0248075d4e00fe4f9f3119cb"),
+        # three coincident points of two classes: at alpha = 1 two of them
+        # are categorical supports of each other and saturate Dempster's rule
+        ("dempster", "1.0", "e0c4d32dd50cbaca797534cae83d0f47b719f072f48c2c112f9af976c484a200"),
+    ])
+    def test_cli_report(self, tmp_path, capsys, rule, alpha, sha):
+        ds = two_gaussian_dataset(20, 2.0, seed=5)
+        rows = [f"{x!r},{y!r},{ds.frame.labels[q]}" for (x, y), q in zip(ds.points.tolist(), ds.labels)]
+        if rule == "dempster":
+            rows += ["1.5,0.5,theta1", "1.5,0.5,theta1", "1.5,0.5,theta2"]
+        train = tmp_path / "train.csv"
+        train.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+        argv = ["eknn", "--train", str(train), "--k", "1:10", "--rule", rule, "--alpha", alpha]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (sum(json.loads(out)["failed_samples"]) > 0) == (rule == "dempster")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestNonFinitePoints:
