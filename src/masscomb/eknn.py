@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -145,6 +146,38 @@ def _support_weights(
     return 1.0 - alpha * np.exp(-gamma[klass] * dist * dist)
 
 
+#: Cells that the arrays of one chunk of leave-one-out queries may hold:
+#: per query, its ``(S, dim)`` differences to the training points and its
+#: K rows of ``2**n`` support masses.  Every array of a chunk stays within
+#: a small multiple of this, so no array grows with ``S**2``.
+_LOO_CELLS = 1 << 18
+
+
+def _neighbours(
+    ds: LabeledDataset, queries: np.ndarray, own, k: int, alpha: float, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The classes and support weights of the K nearest training points of
+    each of the ``(Q, dim)`` queries, as two ``(Q, K)`` arrays.
+
+    ``own`` gives each query's own dataset index, or is None; its distance
+    is set to infinity, so it is no neighbour unless distances overflow.
+    Neighbour ties at equal distance break toward the lower dataset index.
+    """
+    dist = np.sqrt(((ds.points - queries[:, np.newaxis]) ** 2).sum(axis=-1))
+    if own is not None:
+        dist[np.arange(len(queries)), own] = np.inf
+    order = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+    klass = ds.labels[order]
+    return klass, _support_weights(np.take_along_axis(dist, order, axis=-1), klass, alpha, gamma)
+
+
+def _decide(fused: FusionResult) -> tuple[int, np.ndarray]:
+    """The class of highest pignistic probability, ties toward the lower
+    class index, and the pignistic probabilities."""
+    betp = pignistic(fused.mass).values
+    return int(np.argmax(betp)), betp
+
+
 def neighbor_bba(
     frame: FrameOfDiscernment, dist: float, klass: int, cfg: EknnConfig, gamma: np.ndarray
 ) -> SimpleSupport:
@@ -172,49 +205,70 @@ def classify(
         raise ParameterError(f"query must have {ds.n_features} features")
     if not np.isfinite(x).all():
         raise ParameterError("query features must be finite")
-    available = ds.n_samples - (1 if exclude is not None else 0)
+    own = None
+    if exclude is not None:
+        try:
+            own = [operator.index(exclude)]
+        except TypeError:
+            pass
+        if own is None or isinstance(exclude, bool) or not 0 <= own[0] < ds.n_samples:
+            raise ParameterError(
+                f"exclude must be a point index in [0, {ds.n_samples}), got {exclude!r}"
+            )
+    available = ds.n_samples - (1 if own is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
     if gamma is None:
         gamma = resolve_gamma(ds, cfg)
-    dist = np.sqrt(((ds.points - x) ** 2).sum(axis=1))
-    if exclude is not None:
-        dist[exclude] = np.inf
-    order = np.argsort(dist, kind="stable")[: cfg.k]
-    klass = ds.labels[order]
-    weights = _support_weights(dist[order], klass, cfg.alpha, gamma)
-    fused = combine(_simple_supports(ds.frame, 1 << klass, weights), cfg.rule)
-    betp = pignistic(fused.mass).values
-    return Classification(klass=int(np.argmax(betp)), fused=fused, betp=betp)
+    klass, weights = _neighbours(ds, x[np.newaxis], own, cfg.k, cfg.alpha, gamma)
+    fused = combine(_simple_supports(ds.frame, 1 << klass[0], weights[0]), cfg.rule)
+    decision, betp = _decide(fused)
+    return Classification(klass=decision, fused=fused, betp=betp)
 
 
 def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     """Classify every point against the others and report accuracy and conflict.
 
-    The per-class scales are derived once from the full dataset.  Samples
-    whose classification fails (for example Dempster saturation) are
-    recorded instead of aborting the run and score as wrong.
+    Results equal ``classify(points[i], ds, cfg, exclude=i)`` for each
+    sample, but neighbours are searched for a chunk of samples at once
+    (see ``_LOO_CELLS``) and the chunk's supports are validated as one
+    block, which each sample's fusion reads a slice of.  The per-class
+    scales are derived once from the full dataset.  Samples whose
+    classification fails (for example Dempster saturation) are recorded
+    instead of aborting the run and score as wrong.
     """
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
     gamma = resolve_gamma(ds, cfg)
-    predictions = np.full(ds.n_samples, -1, dtype=np.int64)
-    kappa = np.full(ds.n_samples, np.nan)
+    size, k = ds.n_samples, cfg.k
+    predictions = np.full(size, -1, dtype=np.int64)
+    kappa = np.full(size, np.nan)
     errors: list[tuple[int, str]] = []
-    hits = 0
-    for i in range(ds.n_samples):
+    step = max(1, _LOO_CELLS // (size * ds.n_features + k * ds.frame.powerset_size))
+    for start in range(0, size, step):
+        own = np.arange(start, min(start + step, size))
+        klass, weights = _neighbours(ds, ds.points[own], own, k, cfg.alpha, gamma)
         try:
-            result = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
-        except MassCombError as exc:
-            errors.append((i, str(exc)))
-            continue
-        predictions[i] = result.klass
-        kappa[i] = result.fused.conflict
-        if result.klass == int(ds.labels[i]):
-            hits += 1
+            supports = _simple_supports(ds.frame, (1 << klass).ravel(), weights.ravel())
+        except ParameterError:
+            # a NaN weight (a zero scale times an overflowing distance)
+            # fails only its own sample, as classify would
+            supports = None
+        for j, i in enumerate(own.tolist()):
+            try:
+                if supports is None:
+                    rows = _simple_supports(ds.frame, 1 << klass[j], weights[j])
+                else:
+                    rows = supports[j * k : (j + 1) * k]
+                fused = combine(rows, cfg.rule)
+                predictions[i] = _decide(fused)[0]
+            except MassCombError as exc:
+                errors.append((i, str(exc)))
+                continue
+            kappa[i] = fused.conflict
     finite = kappa[np.isfinite(kappa)]
     return LooReport(
-        accuracy=hits / ds.n_samples,
+        accuracy=int((predictions == ds.labels).sum()) / size,
         predictions=predictions,
         kappa=kappa,
         max_kappa=float(finite.max()) if finite.size else float("nan"),

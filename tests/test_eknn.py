@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ class TestClassify:
                 assert got.fused.conflict == want[1].conflict
                 assert np.array_equal(got.betp, want[2])
 
+    @pytest.mark.parametrize("bad", [-1, 6, 10, 2.0, "1", True])
+    def test_exclude_must_index_a_point(self, toy, bad):
+        with pytest.raises(ParameterError, match="exclude"):
+            classify([0.0, 0.0], toy, EknnConfig(k=1), exclude=bad)
+
+    def test_exclude_takes_numpy_integers(self, toy):
+        cfg = EknnConfig(k=3)
+        got = classify([0.0, 0.0], toy, cfg, exclude=np.int64(5))
+        want = classify([0.0, 0.0], toy, cfg, exclude=5)
+        assert np.array_equal(got.fused.mass.values, want.fused.mass.values)
+
     def test_k_bounded(self, toy):
         with pytest.raises(ParameterError):
             evaluate_loo(toy, EknnConfig(k=6))
@@ -196,7 +208,7 @@ class TestLeaveOneOut:
                 for queries in (None, next(chunks)):
                     with monkeypatch.context() as patch:
                         if queries is not None:
-                            patch.setattr(eknn, "_LOO_CELLS", queries * cells, raising=False)
+                            patch.setattr(eknn, "_LOO_CELLS", queries * cells)
                         rep = evaluate_loo(ds, cfg)
                     assert np.array_equal(rep.predictions, predictions)
                     assert np.array_equal(rep.kappa, kappa, equal_nan=True)
@@ -208,6 +220,51 @@ class TestLeaveOneOut:
                         assert math.isnan(rep.max_kappa)
         if rule in ("conjunctive", "dempster", "dp", "pcr6", "cautious"):
             assert any(0 < n < 14 for n in failed), failed
+
+    def test_overflowing_distances_fail_their_own_samples(self):
+        # the class spread overflows to an infinite mean distance, so its
+        # derived scale is 0 and 0 * inf makes NaN weights for its members
+        pts = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ds = LabeledDataset(pts, np.array([0, 0, 0, 1, 1, 1]), FrameOfDiscernment.of("a", "b"))
+        cfg = EknnConfig(k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions, kappa, errors = per_sample_loo(ds, cfg)
+            rep = evaluate_loo(ds, cfg)
+        assert [i for i, _ in errors] == [0, 1, 2]
+        assert np.array_equal(rep.predictions, predictions)
+        assert np.array_equal(rep.kappa, kappa, equal_nan=True)
+        assert rep.errors == errors
+
+    def test_peak_memory_far_below_a_pairwise_array(self):
+        # 3,000 points: one (S, S) float array would take 72 MB; an
+        # explicit gamma leaves out gamma_auto's per-class pair distances
+        ds = two_gaussian_dataset(1500, 4.0, seed=1)
+        cfg = EknnConfig(k=1, gamma=[1.0, 1.0], rule=RuleConfig(rule="average"))
+        tracemalloc.start()
+        try:
+            evaluate_loo(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n_samples**2 * 8 / 8
+
+    def test_chunks_stay_within_the_cell_budget(self, monkeypatch):
+        ds = two_gaussian_dataset(40, 4.0, seed=2)
+        cfg = EknnConfig(k=5, rule=RuleConfig(rule="lns"))
+        cells = ds.n_samples * ds.n_features + cfg.k * ds.frame.powerset_size
+        budget = 7 * cells + cells // 2
+        sizes = []
+        search = eknn._neighbours
+
+        def recorded(ds, queries, *args):
+            sizes.append(len(queries))
+            return search(ds, queries, *args)
+
+        monkeypatch.setattr(eknn, "_LOO_CELLS", budget)
+        monkeypatch.setattr(eknn, "_neighbours", recorded)
+        evaluate_loo(ds, cfg)
+        assert sum(sizes) == ds.n_samples and len(sizes) > 1
+        assert max(sizes) * cells <= budget
 
     def test_unanimous_neighbourhoods_score_perfectly(self, toy):
         rep = evaluate_loo(toy, EknnConfig(k=2, rule=RuleConfig(rule="dempster")))
