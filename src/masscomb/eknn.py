@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -207,14 +206,15 @@ def classify(
         raise ParameterError("query features must be finite")
     own = None
     if exclude is not None:
-        try:
-            own = [operator.index(exclude)]
-        except TypeError:
-            pass
-        if own is None or isinstance(exclude, bool) or not 0 <= own[0] < ds.n_samples:
+        if (
+            isinstance(exclude, bool)
+            or not isinstance(exclude, (int, np.integer))
+            or not 0 <= exclude < ds.n_samples
+        ):
             raise ParameterError(
                 f"exclude must be a point index in [0, {ds.n_samples}), got {exclude!r}"
             )
+        own = [int(exclude)]
     available = ds.n_samples - (1 if own is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")

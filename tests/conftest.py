@@ -5,8 +5,9 @@ enumeration, naive subset/superset sums) so they share no code path with the
 lattice implementations they check.  The dense oracles keep the lattice
 paths that the column forms of the conjunctive and cautious rules replaced.
 The producer oracles build one assignment at a time, as the producers did
-before they filled one block, and the decomposition oracle decomposes one
-assignment on its own, so a batched result must equal them bit for bit.
+before they filled one block, the decomposition oracle decomposes one
+assignment on its own, and the leave-one-out oracle classifies one sample
+at a time, so a batched result must equal them bit for bit.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def clustered_dataset(dim: int, classes: int, seed: int = 0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     labels = np.arange(14) % classes
     points = 3.0 * rng.normal(size=(classes, dim))[labels] + rng.normal(size=(14, dim))
-    points[classes + 1] = points[1]
+    points[2 * classes + 1] = points[1]
     points[3] = points[4] = points[2]
     frame = FrameOfDiscernment(tuple(f"c{q}" for q in range(classes)))
     return LabeledDataset(points, labels, frame)
