@@ -48,8 +48,6 @@ from .rules import (
     combine_lns,
     combine_lnsa,
     combine_pcr6,
-    evidential_distance,
-    martin_reliability,
 )
 from .genrand import GenSpec, generate
 from .eknn import EknnConfig, LabeledDataset, classify, evaluate_loo, gamma_auto, neighbor_bba
@@ -94,8 +92,6 @@ __all__ = [
     "combine_average",
     "combine_lns",
     "combine_lnsa",
-    "martin_reliability",
-    "evidential_distance",
     "GenSpec",
     "generate",
     "LabeledDataset",

@@ -198,15 +198,16 @@ def _conjoined_commonality(logw: np.ndarray, n: int) -> np.ndarray:
     sums the ``A`` that still contain the settled bits of ``X``, row 1 the
     ``A`` that already miss one of them.  Only additions occur, so weights
     at most 1 never cancel, and a weight of 0 (``-inf``) gives an exact 0.
+    Leading axes of ``logw`` are independent rows.
     """
-    acc = np.zeros((2, 1 << n))
+    acc = np.zeros((2,) + logw.shape)
     acc[0] = logw
     for i in range(n):
-        # before the pass axis 2 is bit i of A, after it bit i of X
-        v = acc.reshape(2, 1 << (n - 1 - i), 2, 1 << i)
-        both = v[:, :, 0, :] + v[:, :, 1, :]
-        np.add(both[1], v[0, :, 0, :], out=v[1, :, 1, :])
-        v[:, :, 0, :] = both
+        # before the pass axis -2 is bit i of A, after it bit i of X
+        v = acc.reshape(acc.shape[:-1] + (1 << (n - 1 - i), 2, 1 << i))
+        both = v[..., 0, :] + v[..., 1, :]
+        np.add(both[1], v[0, ..., 0, :], out=v[1, ..., 1, :])
+        v[..., 0, :] = both
     return np.exp(acc[1])
 
 
@@ -609,18 +610,24 @@ def _check_support_weights(weights: np.ndarray) -> None:
         raise ParameterError(f"simple support weight {bad!r} outside [0, 1]")
 
 
+def _support_block(frame: FrameOfDiscernment, focals, weights) -> np.ndarray:
+    """The simple supports ``focals[i]^weights[i]`` as one ``(S, 2**n)``
+    block, weights checked, rows not yet validated."""
+    weights = np.asarray(weights, dtype=float)
+    _check_support_weights(weights)
+    block = np.zeros((len(weights), frame.powerset_size))
+    block[:, frame.full_set] = weights
+    block[np.arange(len(weights)), focals] += 1.0 - weights
+    return block
+
+
 def _simple_supports(frame: FrameOfDiscernment, focals, weights) -> list[MassFunction]:
     """The simple supports ``focals[i]^weights[i]`` as one validated block.
 
     Each row is bit-identical to ``SimpleSupport(frame, focal, w).to_mass()``
     built on its own.
     """
-    weights = np.asarray(weights, dtype=float)
-    _check_support_weights(weights)
-    block = np.zeros((len(weights), frame.powerset_size))
-    block[:, frame.full_set] = weights
-    block[np.arange(len(weights)), focals] += 1.0 - weights
-    return _mass_rows(frame, block)
+    return _mass_rows(frame, _support_block(frame, focals, weights))
 
 
 def as_simple_support(m: MassFunction) -> SimpleSupport | None:
@@ -734,23 +741,38 @@ def _mass_from_image(frame: FrameOfDiscernment, arr: np.ndarray) -> MassFunction
         raise InvalidImageError(str(exc)) from None
 
 
+#: The message of a pignistic probability that does not exist.
+_PIGNISTIC_UNDEFINED = "pignistic probability undefined: all mass on the empty set"
+
+
+def _pignistic_rows(frame: FrameOfDiscernment, values: np.ndarray):
+    """The pignistic probabilities of every row of a ``(G, 2**n)`` block of
+    masses, as ``(G, n)`` values, and which rows have none (all mass on the
+    empty set); each row bit for bit as :func:`pignistic` makes it."""
+    empty = values[:, 0]
+    undefined = empty >= 1.0 - 1e-12
+    shares = np.zeros(values.shape)
+    shares[:, 1:] = values[:, 1:] / frame.cardinalities[1:]
+    # hypothesis i is in the upper half of every block of 2**(i+1) subsets
+    betp = np.stack(
+        [shares.reshape(len(values), -1, 2, 1 << i)[:, :, 1].reshape(len(values), -1).sum(axis=1)
+         for i in range(frame.n)],
+        axis=1,
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        betp /= (1.0 - empty)[:, np.newaxis]
+    return betp, undefined
+
+
 def pignistic(m: MassFunction) -> RepresentationVector:
     """Pignistic probability: each focal mass split equally over its elements.
 
     Requires ``m({}) < 1``; the empty-set mass is renormalised away.
     """
-    empty = float(m.values[0])
-    if empty >= 1.0 - 1e-12:
-        raise TotalConflictError("pignistic probability undefined: all mass on the empty set")
-    card = m.frame.cardinalities
-    shares = np.zeros(m.frame.powerset_size)
-    shares[1:] = m.values[1:] / card[1:]
-    # hypothesis i is in the upper half of every block of 2**(i+1) subsets
-    betp = np.array(
-        [shares.reshape(-1, 2, 1 << i)[:, 1].ravel().sum() for i in range(m.frame.n)]
-    )
-    betp /= 1.0 - empty
-    return RepresentationVector(m.frame, "pignistic", betp)
+    betp, undefined = _pignistic_rows(m.frame, m.values[np.newaxis])
+    if undefined[0]:
+        raise TotalConflictError(_PIGNISTIC_UNDEFINED)
+    return RepresentationVector(m.frame, "pignistic", betp[0])
 
 
 #: Each representation a mass function converts to, by name.

@@ -16,9 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FrameOfDiscernment, SimpleSupport, _simple_supports, pignistic
-from .errors import MassCombError, ParameterError, ParseError, UndefinedGammaError
-from .rules import FusionResult, RuleConfig, combine
+from . import rules
+from .core import (
+    _PIGNISTIC_UNDEFINED,
+    MASS_TOL,
+    FrameOfDiscernment,
+    SimpleSupport,
+    _Block,
+    _check_rows,
+    _pignistic_rows,
+    _support_block,
+)
+from .errors import ParameterError, ParseError, TotalConflictError, UndefinedGammaError
+from .rules import FusionResult, RuleConfig, combine  # noqa: F401  (perfbench wraps eknn.combine)
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,9 @@ class LooReport:
 def gamma_auto(ds: LabeledDataset) -> np.ndarray:
     """Per-class scale: inverse mean distance over unordered same-class pairs.
 
-    Every class needs at least two distinct members, otherwise the scale
-    is undefined and the caller must supply gamma explicitly.
+    Every class needs at least two distinct members, and a mean whose
+    inverse is finite and positive; otherwise the scale is undefined and
+    the caller must supply gamma explicitly.
     """
     gammas = np.empty(ds.frame.n)
     for q in range(ds.frame.n):
@@ -119,6 +130,12 @@ def gamma_auto(ds: LabeledDataset) -> np.ndarray:
                 " (all members coincide)"
             )
         gammas[q] = 1.0 / mean
+        if not (math.isfinite(gammas[q]) and gammas[q] > 0.0):
+            # distances that overflow give 0; only a subnormal mean would give inf
+            raise UndefinedGammaError(
+                f"class {ds.frame.labels[q]!r} has no finite positive scale:"
+                f" its mean pair distance is {mean!r}"
+            )
     return gammas
 
 
@@ -152,6 +169,23 @@ def _support_weights(
 _LOO_CELLS = 1 << 18
 
 
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the ``k`` smallest entries of each row of ``dist``, in
+    order of (distance, index), as ``np.argsort(dist, kind="stable")[:, :k]``
+    gives them, without sorting whole rows.
+
+    A partition finds each row's k-th smallest distance; only the entries
+    at or below it, ties included, are sorted.
+    """
+    kth = np.partition(dist, k - 1, axis=-1)[:, k - 1 : k]
+    rows, cols = np.nonzero(dist <= kth)
+    # nonzero lists each row's candidates by index, and lexsort is stable
+    order = np.lexsort((dist[rows, cols], rows))
+    counts = np.bincount(rows, minlength=len(dist))
+    first = np.cumsum(counts) - counts
+    return cols[order][first[:, np.newaxis] + np.arange(k)]
+
+
 def _neighbours(
     ds: LabeledDataset, queries: np.ndarray, own, k: int, alpha: float, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,16 +199,31 @@ def _neighbours(
     dist = np.sqrt(((ds.points - queries[:, np.newaxis]) ** 2).sum(axis=-1))
     if own is not None:
         dist[np.arange(len(queries)), own] = np.inf
-    order = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+    order = _nearest(dist, k)
     klass = ds.labels[order]
     return klass, _support_weights(np.take_along_axis(dist, order, axis=-1), klass, alpha, gamma)
 
 
-def _decide(fused: FusionResult) -> tuple[int, np.ndarray]:
-    """The class of highest pignistic probability, ties toward the lower
-    class index, and the pignistic probabilities."""
-    betp = pignistic(fused.mass).values
-    return int(np.argmax(betp)), betp
+def _classify(ds: LabeledDataset, queries: np.ndarray, own, cfg: EknnConfig, gamma: np.ndarray):
+    """Classify each of the ``(Q, dim)`` queries from its K nearest neighbours.
+
+    The Q neighbourhoods' supports are validated as one block and fused as
+    Q segments of K rows in one call (see :mod:`masscomb.rules`); one
+    pignistic pass and one argmax over the ``(Q, 2**n)`` results decide,
+    ties toward the lower class index.  Returns ``(fusion, decisions,
+    betp)``: ``fusion.masses`` holds the fused assignments, and
+    ``fusion.errors`` the error of each query whose fusion or decision
+    failed, as one query alone would raise it.
+    """
+    klass, weights = _neighbours(ds, queries, own, cfg.k, cfg.alpha, gamma)
+    block = _support_block(ds.frame, (1 << klass).ravel(), weights.ravel())
+    _check_rows(ds.frame, block, MASS_TOL)
+    rows = rules._Batch.of(_Block(ds.frame, block))
+    fusion = rules._fuse(rules._FUSIONS[cfg.rule.rule], rows, cfg.rule, cfg.k)
+    betp, undefined = _pignistic_rows(ds.frame, fusion.masses)
+    fusion.fail(fusion.every, undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
+    betp.setflags(write=False)
+    return fusion, np.argmax(betp, axis=1), betp
 
 
 def neighbor_bba(
@@ -220,22 +269,19 @@ def classify(
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
     if gamma is None:
         gamma = resolve_gamma(ds, cfg)
-    klass, weights = _neighbours(ds, x[np.newaxis], own, cfg.k, cfg.alpha, gamma)
-    fused = combine(_simple_supports(ds.frame, 1 << klass[0], weights[0]), cfg.rule)
-    decision, betp = _decide(fused)
-    return Classification(klass=decision, fused=fused, betp=betp)
+    fusion, decisions, betp = _classify(ds, x[np.newaxis], own, cfg, gamma)
+    return Classification(klass=int(decisions[0]), fused=fusion.result(0), betp=betp[0])
 
 
 def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     """Classify every point against the others and report accuracy and conflict.
 
     Results equal ``classify(points[i], ds, cfg, exclude=i)`` for each
-    sample, but neighbours are searched for a chunk of samples at once
-    (see ``_LOO_CELLS``) and the chunk's supports are validated as one
-    block, which each sample's fusion reads a slice of.  The per-class
-    scales are derived once from the full dataset.  Samples whose
-    classification fails (for example Dempster saturation) are recorded
-    instead of aborting the run and score as wrong.
+    sample, but a chunk of samples (see ``_LOO_CELLS``) is searched, fused
+    and decided at once, one segment per sample.  The per-class scales are
+    derived once from the full dataset.  Samples whose classification
+    fails (for example Dempster saturation) are recorded instead of
+    aborting the run and score as wrong.
     """
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
@@ -247,25 +293,12 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     step = max(1, _LOO_CELLS // (size * ds.n_features + k * ds.frame.powerset_size))
     for start in range(0, size, step):
         own = np.arange(start, min(start + step, size))
-        klass, weights = _neighbours(ds, ds.points[own], own, k, cfg.alpha, gamma)
-        try:
-            supports = _simple_supports(ds.frame, (1 << klass).ravel(), weights.ravel())
-        except ParameterError:
-            # a NaN weight (a zero scale times an overflowing distance)
-            # fails only its own sample, as classify would
-            supports = None
-        for j, i in enumerate(own.tolist()):
-            try:
-                if supports is None:
-                    rows = _simple_supports(ds.frame, 1 << klass[j], weights[j])
-                else:
-                    rows = supports[j * k : (j + 1) * k]
-                fused = combine(rows, cfg.rule)
-                predictions[i] = _decide(fused)[0]
-            except MassCombError as exc:
-                errors.append((i, str(exc)))
-                continue
-            kappa[i] = fused.conflict
+        fusion, decisions, _ = _classify(ds, ds.points[own], own, cfg, gamma)
+        ok = np.ones(len(own), dtype=bool)
+        ok[list(fusion.errors)] = False
+        predictions[own[ok]] = decisions[ok]
+        kappa[own[ok]] = fusion.masses[ok, 0]
+        errors += [(int(own[g]), str(fusion.errors[g])) for g in sorted(fusion.errors)]
     finite = kappa[np.isfinite(kappa)]
     return LooReport(
         accuracy=int((predictions == ds.labels).sum()) / size,

@@ -7,30 +7,44 @@ inputs are clustered by focal element, pooled inside each group, discounted
 by the group's share of the sources, and only then combined globally, so
 the cost grows linearly with the source count and the empty set never
 absorbs everything.
+
+Every rule is an accumulator, a :class:`_Fusion`, that holds the state of
+G independent fusions as ``(G, 2**n)`` arrays.  One driver, :func:`_fuse`,
+reads the inputs as G segments of K consecutive rows, passes them chunk by
+chunk to the accumulator's ``add(chunk, segment)``, and calls its
+``finish()``.  ``segment`` gives the segment of each row of the chunk, or
+is one int when the chunk is one segment.  Sums and products are scattered
+to ``segment * 2**n + subset``, in input order, so each segment's result
+is bit for bit that of a call on its rows alone.  A segment that fails
+records the error such a call would raise, and the others go on.
+:func:`combine` is the case G = 1; EkNN leave-one-out fuses a chunk of
+samples, one segment each, in one call.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import core
 from .core import (
+    MASS_TOL,
     SEPARABILITY_TOL,
     FrameOfDiscernment,
     MassFunction,
-    WeightVector,
-    recompose,
+    _check_rows,
 )
 from .errors import (
     ComplexityGuardError,
     DecompositionError,
     EncodingError,
+    InvalidWeightVectorError,
+    MassCombError,
     NotSeparableError,
     ParameterError,
     TotalConflictError,
@@ -44,8 +58,12 @@ _SATURATION_TOL = 1e-12
 
 _CHUNK_ROWS = 16384
 
-#: Picks (tuples x sources) per block of the dp/pcr6 enumeration.
-_ENUM_CELLS = 1 << 16
+#: Picks (tuples x sources) per block of the dp/pcr6 enumeration.  A block
+#: holds about ten temporaries of this many cells: 1.3 MB at 2**14.  On a
+#: 2-core Xeon at 2.0 GHz, EkNN leave-one-out (50 points, K = 2..10) ran
+#: 35-40% faster with 2**14 than with 2**16, and one call on 12 sources of
+#: 3 and 4 focal sets took about as long.
+_ENUM_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -124,26 +142,33 @@ class _Batch:
     def __init__(self, frame, runs, size):
         self.frame, self.runs, self.size = frame, runs, size
 
+    @classmethod
+    def of(cls, block: core._Block) -> "_Batch":
+        """Every row of ``block``, in order."""
+        return cls(block.frame, [(block, 0, len(block.values))], len(block.values))
+
     def __len__(self) -> int:
         return self.size
 
-    def chunks(self):
-        """The rows in batches of ``_CHUNK_ROWS``, runs cut at the bounds."""
-        if self.size <= _CHUNK_ROWS:
+    def chunks(self, size: int | None = None):
+        """The rows in batches of ``size`` (``_CHUNK_ROWS`` by default),
+        runs cut at the bounds."""
+        size = size or _CHUNK_ROWS
+        if self.size <= size:
             yield self
             return
-        runs, room = [], _CHUNK_ROWS
+        runs, room = [], size
         for block, start, stop in self.runs:
             while stop - start >= room:
                 runs.append((block, start, start + room))
-                yield _Batch(self.frame, runs, _CHUNK_ROWS)
+                yield _Batch(self.frame, runs, size)
                 start += room
-                runs, room = [], _CHUNK_ROWS
+                runs, room = [], size
             if start < stop:
                 runs.append((block, start, stop))
                 room -= stop - start
         if runs:
-            yield _Batch(self.frame, runs, _CHUNK_ROWS - room)
+            yield _Batch(self.frame, runs, size - room)
 
     def values(self, fresh: bool = False) -> np.ndarray:
         """The rows' ``(len, 2**n)`` values: a read-only view of one run,
@@ -237,6 +262,29 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch):
     return vacuous, focal, weight, simple, dense[0] if len(dense) == 1 else np.concatenate(dense)
 
 
+def _split(chunk: _Batch, segment, dense: bool):
+    """:func:`_split_rows` of one chunk, or all its rows as dense rows if
+    ``dense``, with the segments of the parts.
+
+    Returns ``(vacuous, focal, weight, simple, rest, at, rest_at)``:
+    ``vacuous`` holds the segment of each vacuous row, and ``at`` and
+    ``rest_at`` those of the column entries and the dense rows, or are
+    ``segment`` itself when that is one int.
+    """
+    if dense:
+        rest = chunk.values(fresh=True)
+        return core._NO_FOCALS, core._NO_FOCALS, core._NO_WEIGHTS, 0, rest, segment, segment
+    vac, focal, weight, simple, rest = _split_rows(chunk)
+    if isinstance(segment, int):
+        return np.full(vac, segment), focal, weight, simple, rest, segment, segment
+    # the vacuous rows, simple supports, chain components and dense rows of each row
+    kinds = np.concatenate([np.diff(block.columns().at[a : b + 1], axis=0) for block, a, b in chunk.runs])
+    at = np.concatenate([np.repeat(segment, kinds[:, 1]), np.repeat(segment, kinds[:, 2])])
+    return (
+        np.repeat(segment, kinds[:, 0]), focal, weight, simple, rest, at, np.repeat(segment, kinds[:, 3])
+    )
+
+
 #: A chunk whose dense lattice passes would update fewer cells than this
 #: (rows * n * 2**n) is pooled as dense rows: splitting off its simple
 #: supports costs more than it saves.  For 2-10 simple supports freshly
@@ -244,28 +292,243 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch):
 #: path took 76-118% longer for the conjunctive rule at n = 2 and 4 (30-147%
 #: at n = 8) and 20-62% longer for the cautious rule at n = 2 and 4; only
 #: cautious at n = 8 gained (14-33%).  100 supports at n = 2 were still
-#: 78% (conjunctive) and 24% (cautious) slower through the columns.
+#: 78% (conjunctive) and 24% (cautious) slower through the columns.  The
+#: rows counted are those of one segment.
 _COLUMN_MIN_CELLS = 1 << 15
 
 
-def _column_chunks(rows: _Batch, frame: FrameOfDiscernment):
-    """:func:`_split_rows` of every chunk; a small chunk stays dense rows."""
-    for chunk in rows.chunks():
-        if len(chunk) * frame.n * frame.powerset_size < _COLUMN_MIN_CELLS:
-            yield 0, core._NO_FOCALS, core._NO_WEIGHTS, 0, chunk.values(fresh=True)
+def _pool(ufunc: np.ufunc, state: np.ndarray, rows: np.ndarray, segment) -> None:
+    """``state[g] = ufunc(state[g], r)`` for each segment ``g`` with rows,
+    ``r`` their reduction row by row in input order, as
+    ``ufunc.reduce(rows, axis=0)`` makes it."""
+    if isinstance(segment, int):
+        state[segment] = ufunc(state[segment], ufunc.reduce(rows, axis=0, dtype=state.dtype))
+    elif ufunc is np.add:
+        # add.reduceat may sum pairwise; add.at adds row by row
+        total = np.zeros_like(state)
+        np.add.at(total, segment, rows)
+        state += total
+    else:
+        starts = np.flatnonzero(np.diff(segment, prepend=-1))
+        touched = segment[starts]
+        state[touched] = ufunc(state[touched], ufunc.reduceat(rows, starts, axis=0))
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``counts[g]`` consecutive ``values``, bit for
+    bit as ``.sum()`` of that run gives it."""
+    if len(counts) == 1:
+        return values.sum(keepdims=True)
+    if counts.max() < 8:
+        # numpy adds fewer than 8 terms one by one, so zeros after them change nothing
+        first = np.cumsum(counts) - counts
+        rows = np.repeat(np.arange(len(counts)), counts)
+        padded = np.zeros((len(counts), 7))
+        padded[rows, np.arange(len(values)) - first[rows]] = values
+        return padded.sum(axis=1)
+    ends = np.cumsum(counts).tolist()
+    return np.array([values[e - c : e].sum() for e, c in zip(ends, counts.tolist())])
+
+
+class _Fusion:
+    """G independent fusions of one rule, fed chunk by chunk by :func:`_fuse`.
+
+    ``add(chunk, segment)`` pools the rows of one chunk into the state of
+    their segments; ``finish()`` turns the state into ``masses``, one fused
+    assignment per segment, each validated as :class:`MassFunction` would.
+    ``errors`` maps each segment that failed to its first error, and its
+    row of ``masses`` is then a vacuous placeholder.  ``resolve`` is the
+    time taken to resolve the inputs, which the grouped rules report.
+    """
+
+    def __init__(self, frame: FrameOfDiscernment, groups: int, k: int, cfg: RuleConfig, resolve: float):
+        self.frame, self.k, self.cfg = frame, k, cfg
+        self.size = frame.powerset_size
+        self.every = np.arange(groups)
+        self.errors: dict[int, MassCombError] = {}
+        self.masses = None
+
+    def fail(self, segment, flags: np.ndarray, error) -> None:
+        """Fail each segment with a flagged entry and no error yet, with
+        ``error(i)``, ``i`` its first flagged entry.  ``segment`` gives the
+        segment of each entry, or is one int for all."""
+        hits = np.flatnonzero(flags)
+        if not hits.size:
+            return
+        if not isinstance(segment, int):
+            segs, first = np.unique(segment[hits], return_index=True)
+            pairs = zip(segs.tolist(), hits[first].tolist())
         else:
-            yield _split_rows(chunk)
+            pairs = [(int(segment), int(hits[0]))]
+        for g, i in pairs:
+            if g not in self.errors:
+                self.errors[g] = error(i)
+
+    def dense(self, chunk: _Batch, segment) -> bool:
+        """Whether the chunk's rows pool as dense rows (see ``_COLUMN_MIN_CELLS``)."""
+        rows = len(chunk) if isinstance(segment, int) else self.k
+        return rows * self.frame.n * self.size < _COLUMN_MIN_CELLS
+
+    def bins(self, cells: np.ndarray, weights=None) -> np.ndarray:
+        """The ``(G, 2**n)`` sums of ``weights`` (or counts) of the column
+        entries at ``cells`` (``segment * 2**n + focal``), each bin in entry
+        order."""
+        flat = np.bincount(cells, weights, minlength=self.every.size * self.size)
+        return flat.reshape(-1, self.size)
+
+    def settle(self, masses: np.ndarray, wrap=None) -> np.ndarray:
+        """Validate and renormalise each row in place as :class:`MassFunction`
+        does.  A row that fails fails its segment with the error, passed
+        through ``wrap`` if given; failed rows become vacuous first."""
+        vacuous = np.zeros(self.size)
+        vacuous[-1] = 1.0
+        if self.errors:
+            masses[list(self.errors)] = vacuous
+        try:
+            _check_rows(self.frame, masses, MASS_TOL)
+        except ParameterError:
+            for g in self.every.tolist():
+                try:
+                    _check_rows(self.frame, masses[g : g + 1], MASS_TOL)
+                except ParameterError as exc:
+                    self.errors[g] = wrap(exc) if wrap else exc
+                    masses[g] = vacuous
+        return masses
+
+    def result(self, g: int = 0) -> FusionResult:
+        """Segment ``g``'s fusion, or its error raised."""
+        if g in self.errors:
+            # a copy: the error kept here is not reachable from its own traceback
+            raise copy.copy(self.errors[g])
+        return FusionResult(core._trusted(self.frame, self.masses[g]))
 
 
-def _from_commonality(frame: FrameOfDiscernment, q: np.ndarray) -> FusionResult:
-    """The conjunctive result whose commonality is ``q`` (overwritten)."""
-    core._moebius_superset(q, frame.n)
-    return FusionResult(MassFunction(frame, q))
+def _segments(rows: _Batch, k: int):
+    """Yield ``(chunk, segment)`` over the segments of ``k`` consecutive rows.
+
+    Each segment is cut as a call on its rows alone would cut it.  Whole
+    segments share chunks of at most ``_CHUNK_ROWS`` rows, and ``segment``
+    gives each row's segment; a longer segment, or the only one, comes
+    alone in chunks of ``_CHUNK_ROWS``, and ``segment`` is its index.
+    """
+    if k > _CHUNK_ROWS or k == len(rows):
+        for g, part in enumerate(rows.chunks(k)):
+            for chunk in part.chunks():
+                yield chunk, g
+        return
+    first = 0
+    for chunk in rows.chunks(_CHUNK_ROWS // k * k):
+        count = len(chunk) // k
+        yield chunk, np.repeat(np.arange(first, first + count), k)
+        first += count
+
+
+def _feed(kind: type[_Fusion], ms, cfg: RuleConfig, k: int | None = None) -> _Fusion:
+    """A ``kind`` accumulator fed every chunk of ``ms``, read as segments of
+    ``k`` rows (one segment of all rows by default)."""
+    started = time.perf_counter()
+    rows = _batch(ms)
+    k = k or len(rows)
+    fusion = kind(rows.frame, len(rows) // k, k, cfg, time.perf_counter() - started)
+    for chunk, segment in _segments(rows, k):
+        fusion.add(chunk, segment)
+    return fusion
+
+
+def _fuse(kind: type[_Fusion], ms, cfg: RuleConfig, k: int | None = None) -> _Fusion:
+    """Fuse each segment of ``k`` consecutive rows of ``ms`` on its own with the
+    rule ``kind`` (all rows as one segment by default); see the module docstring."""
+    # failed segments carry on with meaningless numbers; checks, not warnings, find them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fusion = _feed(kind, ms, cfg, k)
+        fusion.finish()
+    return fusion
 
 
 # ---------------------------------------------------------------------------
 # Product-form rules
 # ---------------------------------------------------------------------------
+
+
+class _Conjunctive(_Fusion):
+    """Commonalities multiply: a log-weight sum for the column entries and
+    a commonality product for the dense rows."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.q = np.ones((self.every.size, self.size))
+        self.logw = None
+
+    def add(self, chunk, segment):
+        _, focal, weight, _, rest, at, rest_at = _split(chunk, segment, self.dense(chunk, segment))
+        if focal.size:
+            if self.logw is None:
+                self.logw = np.zeros_like(self.q)
+            # a weight of 0 logs to -inf and gives exact zeros
+            self.logw += self.bins(at * self.size + focal, np.log(weight))
+        if len(rest):
+            core._zeta_superset(rest, self.frame.n)
+            _pool(np.multiply, self.q, rest, rest_at)
+
+    def finish(self):
+        if self.logw is not None:
+            self.q *= core._conjoined_commonality(self.logw, self.frame.n)
+        core._moebius_superset(self.q, self.frame.n)
+        self.masses = self.settle(self.q)
+
+
+class _Dempster(_Conjunctive):
+    def finish(self):
+        super().finish()
+        arr = self.masses
+        kappa = arr[:, 0].copy()
+        self.fail(
+            self.every,
+            kappa >= 1.0 - _SATURATION_TOL,
+            lambda g: TotalConflictError(
+                f"conjunctive conflict {float(kappa[g])} leaves nothing to renormalise"
+            ),
+        )
+        arr[:, 0] = 0.0
+        arr /= arr.sum(axis=1, keepdims=True)
+        self.masses = self.settle(arr)
+
+
+class _Disjunctive(_Fusion):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.arr = np.ones((self.every.size, self.size))
+
+    def add(self, chunk, segment):
+        v = chunk.values(fresh=True)
+        core._zeta_subset(v, self.frame.n)
+        _pool(np.multiply, self.arr, v, segment)
+
+    def finish(self):
+        core._moebius_subset(self.arr, self.frame.n)
+        self.masses = self.settle(self.arr)
+
+
+class _Average(_Fusion):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.acc = np.zeros((self.every.size, self.size))
+
+    def add(self, chunk, segment):
+        if not isinstance(segment, int):
+            _pool(np.add, self.acc, chunk.values(), segment)
+            return
+        # one segment's chunk, run by run without a copy: numpy sums axis 0
+        # row by row, so a later run summed behind the running total adds in
+        # the order of the whole chunk's sum
+        (block, a, b), *rest = chunk.runs
+        total = block.values[a:b].sum(axis=0)
+        for block, a, b in rest:
+            total = np.add.reduce(np.concatenate([total[np.newaxis], block.values[a:b]]))
+        self.acc[segment] += total
+
+    def finish(self):
+        self.masses = self.settle(self.acc / self.k)
 
 
 def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -275,24 +538,7 @@ def combine_conjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
     Assumes every source is reliable.  Simple supports are pooled as
     (focal, weight) columns, the other inputs as dense commonality rows.
     """
-    rows = _batch(ms)
-    frame = rows.frame
-    size = frame.powerset_size
-    q = np.ones(size)
-    logw = None
-    for _, focal, weight, _, rest in _column_chunks(rows, frame):
-        if focal.size:
-            if logw is None:
-                logw = np.zeros(size)
-            # a weight of 0 logs to -inf and gives exact zeros
-            with np.errstate(divide="ignore"):
-                logw += np.bincount(focal, weights=np.log(weight), minlength=size)
-        if len(rest):
-            core._zeta_superset(rest, frame.n)
-            q *= rest.prod(axis=0)
-    if logw is not None:
-        q *= core._conjoined_commonality(logw, frame.n)
-    return _from_commonality(frame, q)
+    return _fuse(_Conjunctive, ms, cfg or RuleConfig()).result()
 
 
 def combine_disjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -300,15 +546,7 @@ def combine_disjunctive(ms: Sequence[MassFunction], cfg: RuleConfig | None = Non
 
     Assumes at least one source is reliable; ignorance absorbs.
     """
-    rows = _batch(ms)
-    frame = rows.frame
-    arr = np.ones(frame.powerset_size)
-    for chunk in rows.chunks():
-        v = chunk.values(fresh=True)
-        core._zeta_subset(v, frame.n)
-        arr *= v.prod(axis=0)
-    core._moebius_subset(arr, frame.n)
-    return FusionResult(MassFunction(frame, arr))
+    return _fuse(_Disjunctive, ms, cfg or RuleConfig()).result()
 
 
 def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -319,31 +557,12 @@ def combine_dempster(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     the non-empty masses, not by ``1 - conflict``, which is mostly
     rounding error once the conflict nears 1.
     """
-    conj = combine_conjunctive(ms, cfg)
-    kappa = conj.conflict
-    if kappa >= 1.0 - _SATURATION_TOL:
-        raise TotalConflictError(
-            f"conjunctive conflict {kappa} leaves nothing to renormalise"
-        )
-    arr = conj.mass.values.copy()
-    arr[0] = 0.0
-    arr /= arr.sum()
-    return FusionResult(MassFunction(conj.mass.frame, arr))
+    return _fuse(_Dempster, ms, cfg or RuleConfig()).result()
 
 
 def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
     """Elementwise arithmetic mean of the assignments."""
-    rows = _batch(ms)
-    acc = np.zeros(rows.frame.powerset_size)
-    for chunk in rows.chunks():
-        (block, a, b), *rest = chunk.runs
-        total = block.values[a:b].sum(axis=0)
-        # numpy sums axis 0 row by row, so a later run summed behind the
-        # running total adds in the order of the whole chunk's sum
-        for block, a, b in rest:
-            total = np.add.reduce(np.concatenate([total[np.newaxis], block.values[a:b]]))
-        acc += total
-    return FusionResult(MassFunction(rows.frame, acc / len(rows)))
+    return _fuse(_Average, ms, cfg or RuleConfig()).result()
 
 
 # ---------------------------------------------------------------------------
@@ -351,44 +570,129 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _focal_tuples(ms: Sequence[MassFunction] | _Batch, guard: int):
-    """Yield every focal tuple of ``ms`` in ``itertools.product`` order.
+def _focal_blocks(values: np.ndarray, k: int):
+    """Every focal tuple of each segment of ``k`` consecutive rows of
+    ``values``, segment by segment, each in ``itertools.product`` order.
 
     A tuple picks one focal element of each source; the last source varies
-    fastest.  Blocks of at most ``_ENUM_CELLS // len(ms)`` tuples come as
-    ``(subsets, masses)``, two ``(K, B)`` arrays with one row per source and
-    one column per tuple, so memory stays bounded however high the guard
-    is set.
+    fastest.  Blocks of at most ``_ENUM_CELLS // k`` tuples come as
+    ``(segment, subsets, masses)``: the segment of each tuple (one int
+    when there is one segment), and two ``(k, B)`` arrays with one row per
+    source and one column per tuple, so memory stays bounded however many
+    tuples or segments there are.
     """
-    rows = _batch(ms)
-    blocks = []
-    total = 1
-    for chunk in rows.chunks():
-        blocks.append(chunk.values())
-        sizes = (blocks[-1] != 0.0).sum(axis=1)
-        # stop once past the guard: the product over many sources has more
-        # digits than Python will format
-        for size in sizes[sizes > 1].tolist():
-            total *= size
-            if total > guard:
-                raise ComplexityGuardError(
-                    f"more than {guard} focal tuples, beyond the enumeration guard;"
-                    " the grouped 'lns' rule handles large source counts"
-                )
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     nonzero = values != 0.0
     sizes = nonzero.sum(axis=1)
     # every focal (source, subset) cell, source by source, subsets ascending
     cells = np.flatnonzero(nonzero)
     focal_subsets = cells & (values.shape[1] - 1)
     focal_masses = values.ravel()[cells]
-    first = (np.cumsum(sizes) - sizes)[:, None]
-    strides = (total // np.cumprod(sizes))[:, None]
-    sizes = sizes[:, None]
-    block = max(1, _ENUM_CELLS // len(rows))
-    for start in range(0, total, block):
-        picks = np.arange(start, min(start + block, total)) // strides % sizes + first
-        yield focal_subsets[picks], focal_masses[picks]
+    # (k, segments): source by source
+    first = (np.cumsum(sizes) - sizes).reshape(-1, k).T.copy()
+    sizes = sizes.reshape(-1, k).T.copy()
+    totals = np.multiply.reduce(sizes, axis=0)
+    offsets = np.cumsum(totals) - totals
+    end = int(totals.sum())
+    block = max(1, _ENUM_CELLS // k)
+    for start in range(0, end, block):
+        # each tuple's index in its segment, as digits of mixed radix
+        # sizes[:, segment], the last source's digit the lowest
+        local = np.arange(start, min(start + block, end))
+        if len(offsets) == 1:
+            segment, cols = 0, slice(0, 1)
+        else:
+            segment = np.searchsorted(offsets, local, side="right") - 1
+            # a block within one segment broadcasts that segment's columns
+            cols = slice(segment[0], segment[0] + 1) if segment[0] == segment[-1] else segment
+            local -= offsets[segment]
+        picks = np.empty((k, len(local)), dtype=np.intp)
+        radix = sizes[:, cols]
+        for j in range(k - 1, -1, -1):
+            np.divmod(local, radix[j], out=(local, picks[j]))
+        picks += first[:, cols]
+        subsets, masses = focal_subsets[picks], focal_masses[picks]
+        del local, picks, radix  # not held while the caller works
+        yield segment, subsets, masses
+
+
+class _Enumeration(_Fusion):
+    """Keeps the rows of every segment within the guard and counts the
+    focal tuples of each, as ``log2`` sums checked exactly near the guard."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.kept = []
+        self.log2 = np.zeros(self.every.size)
+        self.bound = math.log2(self.cfg.enumeration_guard)
+
+    def slack(self, log2):
+        """Rounding room of a ``log2`` sum over ``k`` sources."""
+        return 1e-12 * self.k * (log2 + 1.0)
+
+    def check(self, values, segment):
+        """The rule's checks on one chunk's rows, before the guard."""
+
+    def add(self, chunk, segment):
+        values = chunk.values()
+        self.check(values, segment)
+        if self.k == 1:
+            self.kept.append((values, segment, None))
+            return
+        if isinstance(segment, int):
+            # past the guard already: keep nothing more
+            if self.log2[segment] > self.bound + self.slack(self.log2[segment]):
+                return
+        sizes = np.count_nonzero(values, axis=1)
+        logs = np.log2(sizes)
+        if isinstance(segment, int):
+            self.log2[segment] += logs.sum()
+        else:
+            self.log2 += np.bincount(segment, weights=logs, minlength=self.every.size)
+        self.kept.append((values, segment, sizes))
+
+    def tuples(self):
+        """Fail the segments past the guard, then return the focal-tuple
+        blocks of every segment that has not failed (see
+        :func:`_focal_blocks`), with their segments."""
+        if self.k > 1:
+            slack = self.slack(self.log2)
+            over = self.log2 > self.bound + slack
+            near = np.flatnonzero(~over & (self.log2 >= self.bound - slack))
+            if near.size:
+                sizes = np.concatenate([s for _, _, s in self.kept])
+                owner = np.concatenate([np.broadcast_to(g, len(v)) for v, g, _ in self.kept])
+                for g in near.tolist():
+                    over[g] = math.prod(sizes[owner == g].tolist()) > self.cfg.enumeration_guard
+            self.fail(
+                self.every,
+                over,
+                lambda g: ComplexityGuardError(
+                    f"more than {self.cfg.enumeration_guard} focal tuples, beyond the"
+                    " enumeration guard; the grouped 'lns' rule handles large source counts"
+                ),
+            )
+        live = np.ones(self.every.size, dtype=bool)
+        live[list(self.errors)] = False
+        if not live.any():
+            return iter(())
+        values = [v for v, _, _ in self.kept]
+        values = values[0] if len(values) == 1 else np.concatenate(values)
+        if not live.all():
+            owner = np.concatenate([np.broadcast_to(g, len(v)) for v, g, _ in self.kept])
+            values = values[live[owner]]
+        ids = np.flatnonzero(live)
+        return ((ids[s], subsets, masses) for s, subsets, masses in _focal_blocks(values, self.k))
+
+
+def _focal_tuples(ms: Sequence[MassFunction] | _Batch, guard: int):
+    """Yield every focal tuple of ``ms`` as ``(subsets, masses)`` blocks, as
+    :func:`_focal_blocks` makes them for one segment; raise past ``guard``."""
+    fusion = _feed(_Enumeration, ms, RuleConfig(enumeration_guard=guard))
+    blocks = fusion.tuples()
+    if fusion.errors:
+        raise copy.copy(fusion.errors[0])
+    for _, subsets, masses in blocks:
+        yield subsets, masses
 
 
 def _running(op: np.ufunc, masses: np.ndarray) -> np.ndarray:
@@ -400,6 +704,71 @@ def _running(op: np.ufunc, masses: np.ndarray) -> np.ndarray:
     return acc
 
 
+class _DuboisPrade(_Enumeration):
+    def finish(self):
+        if self.k == 1:
+            # one source is its own result
+            self.masses = np.concatenate([v for v, _, _ in self.kept])
+            return
+        full = self.frame.full_set
+        out = np.zeros((self.every.size, self.size))
+        for segment, subsets, masses in self.tuples():
+            inter = np.bitwise_and.reduce(subsets, axis=0)
+            union = np.bitwise_or.reduce(subsets, axis=0)
+            committed = np.bitwise_or.reduce(np.where(subsets == full, 0, subsets), axis=0)
+            # add.at applies its updates in order, as the tuple loop did
+            np.add.at(
+                out.reshape(-1),
+                segment * self.size + np.where(inter, inter, np.where(committed, committed, union)),
+                _running(np.multiply, masses),
+            )
+        self.masses = self.settle(out)
+
+
+class _Pcr6(_Enumeration):
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.k < 2:
+            self.fail(self.every, np.ones(self.every.size, dtype=bool),
+                      lambda g: ParameterError("pcr6 needs at least two sources"))
+        self.seen = np.zeros(self.every.size, dtype=np.intp)
+
+    def check(self, values, segment):
+        conflict = values[:, 0]
+        if isinstance(segment, int):
+            source = self.seen[segment] + np.arange(len(values))
+            self.seen[segment] += len(values)
+        else:
+            # the chunk holds whole segments of k rows
+            source = np.arange(len(values)) % self.k
+        self.fail(
+            segment,
+            conflict > 0.0,
+            lambda i: ParameterError(
+                "pcr6 needs inputs with no mass on the empty set;"
+                f" source {int(source[i])} has {float(conflict[i])!r}"
+            ),
+        )
+
+    def finish(self):
+        out = np.zeros((self.every.size, self.size))
+        for segment, subsets, masses in self.tuples():
+            inter = np.bitwise_and.reduce(subsets, axis=0)
+            p = _running(np.multiply, masses)
+            total = _running(np.add, masses)
+            # an agreeing tuple puts p on its intersection, then adds zeros there
+            agree = inter != 0
+            targets = np.where(agree, inter, subsets)
+            targets += segment * self.size
+            weights = masses * p
+            weights /= total
+            weights[:, agree] = 0.0
+            weights[0, agree] = p[agree]
+            # tuple by tuple, each tuple's updates in source order
+            np.add.at(out.reshape(-1), targets.T.ravel(), weights.T.ravel())
+        self.masses = self.settle(out)
+
+
 def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
     """Mixed conjunctive/disjunctive pooling: a conflicting tuple's mass moves
     to the union of its committed picks.
@@ -409,24 +778,7 @@ def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fus
     a conflicting pair cannot involve the whole frame).  Commutative.
     Bit-identical to a tuple-by-tuple loop in ``itertools.product`` order.
     """
-    cfg = cfg or RuleConfig()
-    rows = _batch(ms)
-    if len(rows) == 1:
-        return FusionResult(ms[0])
-    frame = rows.frame
-    full = frame.full_set
-    out = np.zeros(frame.powerset_size)
-    for subsets, masses in _focal_tuples(rows, cfg.enumeration_guard):
-        inter = np.bitwise_and.reduce(subsets, axis=0)
-        union = np.bitwise_or.reduce(subsets, axis=0)
-        committed = np.bitwise_or.reduce(np.where(subsets == full, 0, subsets), axis=0)
-        # add.at applies its updates in order, as the tuple loop did
-        np.add.at(
-            out,
-            np.where(inter, inter, np.where(committed, committed, union)),
-            _running(np.multiply, masses),
-        )
-    return FusionResult(MassFunction(frame, out))
+    return _fuse(_DuboisPrade, ms, cfg or RuleConfig()).result()
 
 
 def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -438,38 +790,65 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
     otherwise.  The empty set always ends up with zero.  Bit-identical to a
     tuple-by-tuple loop in ``itertools.product`` order.
     """
-    cfg = cfg or RuleConfig()
-    rows = _batch(ms)
-    if len(rows) < 2:
-        raise ParameterError("pcr6 needs at least two sources")
-    start = 0
-    for chunk in rows.chunks():
-        conflict = chunk.values()[:, 0]
-        if conflict.max() > 0.0:
-            i = int(np.argmax(conflict > 0.0))
-            raise ParameterError(
-                "pcr6 needs inputs with no mass on the empty set;"
-                f" source {start + i} has {float(conflict[i])!r}"
-            )
-        start += len(chunk)
-    frame = rows.frame
-    out = np.zeros(frame.powerset_size)
-    for subsets, masses in _focal_tuples(rows, cfg.enumeration_guard):
-        inter = np.bitwise_and.reduce(subsets, axis=0)
-        p = _running(np.multiply, masses)
-        total = _running(np.add, masses)
-        # an agreeing tuple puts p on its intersection, then adds zeros there
-        targets = np.where(inter, inter, subsets)
-        weights = np.where(inter, 0.0, masses * p / total)
-        weights[0] = np.where(inter, p, weights[0])
-        # tuple by tuple, each tuple's updates in source order
-        np.add.at(out, targets.T.ravel(), weights.T.ravel())
-    return FusionResult(MassFunction(frame, out))
+    return _fuse(_Pcr6, ms, cfg or RuleConfig()).result()
 
 
 # ---------------------------------------------------------------------------
 # Cautious rule
 # ---------------------------------------------------------------------------
+
+
+class _Cautious(_Fusion):
+    """The subset-wise minimum of the canonical weights, recombined."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.minw = np.full((self.every.size, self.size), np.inf)
+
+    def add(self, chunk, segment):
+        vacuous, focal, weight, _, rest, at, rest_at = _split(chunk, segment, self.dense(chunk, segment))
+        def dogmatic(i):
+            return DecompositionError("cautious pooling requires non-dogmatic inputs")
+
+        self.fail(at, weight <= 0.0, dogmatic)
+        self.fail(rest_at, rest[:, self.frame.full_set] <= 0.0, dogmatic)
+        if vacuous.size or focal.size:
+            if not isinstance(at, int):
+                touched = np.unique(np.concatenate([vacuous, at]))
+            else:
+                touched = at
+            self.minw[touched] = np.minimum(self.minw[touched], 1.0)
+            np.minimum.at(self.minw.reshape(-1), at * self.size + focal, weight)
+        if len(rest):
+            _pool(np.minimum, self.minw, core._batched_weights(rest, self.frame), rest_at)
+
+    def finish(self):
+        # recompose(WeightVector(frame, minw)) for every segment
+        minw = self.minw
+        self.fail(
+            self.every,
+            ~(np.isfinite(minw).all(axis=1) & (minw.min(axis=1) > 0.0)),
+            lambda g: ParameterError("decomposition weights must be positive and finite"),
+        )
+        minw[list(self.errors)] = 1.0
+        minw[:, self.frame.full_set] = 1.0
+        arr = core._conjoined_commonality(np.log(minw), self.frame.n)
+        core._moebius_superset(arr, self.frame.n)
+        self.fail(
+            self.every,
+            ~np.isfinite(arr).all(axis=1),
+            lambda g: InvalidWeightVectorError("weight vector recombines to non-finite masses"),
+        )
+        low = arr.min(axis=1)
+        self.fail(
+            self.every,
+            low < -1e-9,
+            lambda g: InvalidWeightVectorError(
+                f"weight vector recombines to negative mass {float(low[g]):.3e}"
+                f" at subset index {int(arr[g].argmin())}"
+            ),
+        )
+        self.masses = self.settle(arr, wrap=lambda exc: InvalidWeightVectorError(str(exc)))
 
 
 def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -480,19 +859,7 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
     ``A^w`` has weight ``w`` on ``A`` and 1 elsewhere, so simple supports
     enter as (focal, weight) columns; only the other inputs are decomposed.
     """
-    rows = _batch(ms)
-    frame = rows.frame
-    full = frame.full_set
-    minw = np.full(frame.powerset_size, np.inf)
-    for vacuous, focal, weight, _, rest in _column_chunks(rows, frame):
-        if weight.min(initial=1.0) <= 0.0 or rest[:, full].min(initial=1.0) <= 0.0:
-            raise DecompositionError("cautious pooling requires non-dogmatic inputs")
-        if vacuous or focal.size:
-            np.minimum(minw, 1.0, out=minw)
-            np.minimum.at(minw, focal, weight)
-        if len(rest):
-            np.minimum(minw, core._batched_weights(rest, frame).min(axis=0), out=minw)
-    return FusionResult(recompose(WeightVector(frame, minw)))
+    return _fuse(_Cautious, ms, cfg or RuleConfig()).result()
 
 
 # ---------------------------------------------------------------------------
@@ -500,94 +867,135 @@ def combine_cautious(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _component_accumulators(rows: _Batch, need_products: bool):
-    """Break every input into simple-support components and pool them per subset.
+class _Grouped(_Fusion):
+    """Every input broken into simple-support components, pooled per subset:
+    ``counts`` of components, the sum ``logw`` of their log weights (the
+    exact rule only) and the ``vacuous`` inputs, then groups discounted by
+    their shares and combined conjunctively."""
 
-    Returns ``(counts, pooled, vacuous, seconds)`` where ``counts[A]`` is
-    the number of components focused on subset ``A``, ``pooled[A]`` their
-    weight product (ones where absent, exactly 0 where a component has
-    weight 0, None when not requested), ``vacuous`` the number of fully
-    ignorant inputs, and ``seconds`` the time split between the
-    decomposition and pooling stages.
-    """
-    frame = rows.frame
-    size = frame.powerset_size
-    full = frame.full_set
-    counts = np.zeros(size, dtype=np.int64)
-    vacuous = 0
-    seconds = {"decompose": 0.0, "inner_combine": 0.0}
-    logw = np.zeros(size)
-    for chunk in rows.chunks():
+    approximate = False
+
+    def __init__(self, frame, groups, k, cfg, resolve):
+        super().__init__(frame, groups, k, cfg, resolve)
+        self.counts = np.zeros((groups, self.size), dtype=np.int64)
+        self.logw = np.zeros((groups, self.size))
+        self.vacuous = np.zeros(groups, dtype=np.int64)
+        self.seconds = {"decompose": resolve, "inner_combine": 0.0}
+
+    def add(self, chunk, segment):
+        frame, full = self.frame, self.frame.full_set
         t0 = time.perf_counter()
-        vac, focal_idx, weight_arr, simple, rest = _split_rows(chunk)
-        if simple < len(weight_arr):
+        vacuous, focal, weight, simple, rest, at, rest_at = _split(chunk, segment, dense=False)
+        if simple < len(weight):
             # chain components vacuous to rounding go, as they do from the lattice
-            keep = weight_arr < 1.0 - _VACUOUS_WEIGHT_TOL
+            keep = weight < 1.0 - _VACUOUS_WEIGHT_TOL
             keep[:simple] = True
-            focal_idx, weight_arr = focal_idx[keep], weight_arr[keep]
-        if (focal_idx == 0).any():
-            raise ParameterError("a component focused on the empty set cannot be grouped")
+            focal, weight = focal[keep], weight[keep]
+            if not isinstance(at, int):
+                at = at[keep]
+        def empty(i):
+            return ParameterError("a component focused on the empty set cannot be grouped")
+
+        self.fail(at, focal == 0, empty)
         comp_mask = wmat = None
         if len(rest):
-            if float(rest[:, full].min()) <= 0.0:
-                raise DecompositionError(
+            self.fail(
+                rest_at,
+                rest[:, full] <= 0.0,
+                lambda i: DecompositionError(
                     "dogmatic non-simple inputs cannot be decomposed for grouping"
-                )
+                ),
+            )
             wmat = core._batched_weights(rest, frame)
-            _check_groupable(wmat, frame)
+            # inverse components (weights above 1), then empty-set components
+            over = wmat > 1.0 + SEPARABILITY_TOL
+
+            def inverse(i):
+                col = int(np.argmax(over[i]))
+                return NotSeparableError(
+                    f"input is not separable: weight {float(wmat[i, col]):.6g}"
+                    f" above 1 on subset {frame.format_subset(col)}",
+                    subset=col,
+                )
+
+            self.fail(rest_at, over.any(axis=1), inverse)
+            self.fail(rest_at, wmat[:, 0] < 1.0 - _VACUOUS_WEIGHT_TOL, empty)
             comp_mask = wmat < 1.0 - _VACUOUS_WEIGHT_TOL
             comp_mask[:, full] = False
-        seconds["decompose"] += time.perf_counter() - t0
+        self.seconds["decompose"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        vacuous += vac
+        self.vacuous += np.bincount(vacuous, minlength=self.every.size)
         # a weight of 0 logs to -inf, so its group's product comes out exactly 0
-        with np.errstate(divide="ignore"):
-            counts += np.bincount(focal_idx, minlength=size)
-            if need_products:
-                logw += np.bincount(focal_idx, weights=np.log(weight_arr), minlength=size)
-            if comp_mask is not None:
-                counts += comp_mask.sum(axis=0)
-                if need_products:
-                    logw += np.where(comp_mask, np.log(wmat), 0.0).sum(axis=0)
-        seconds["inner_combine"] += time.perf_counter() - t0
+        cells = at * self.size + focal
+        self.counts += self.bins(cells)
+        if not self.approximate:
+            self.logw += self.bins(cells, np.log(weight))
+        if comp_mask is not None:
+            _pool(np.add, self.counts, comp_mask, rest_at)
+            if not self.approximate:
+                _pool(np.add, self.logw, np.where(comp_mask, np.log(wmat), 0.0), rest_at)
+        self.seconds["inner_combine"] += time.perf_counter() - t0
 
-    pooled = None
-    if need_products:
-        pooled = np.exp(logw)
-        pooled[counts == 0] = 1.0
-    return counts, pooled, vacuous, seconds
+    def finish(self):
+        frame, cfg = self.frame, self.cfg
+        t0 = time.perf_counter()
+        self.pooled = None
+        if not self.approximate:
+            self.pooled = np.exp(self.logw)
+            self.pooled[self.counts == 0] = 1.0
+        # the groups, segment by segment, subsets ascending; each group's
+        # reliability share is its count weighted by precision,
+        # beta(A)**eta * count with beta(A) = n / |A|, over the segment's sum
+        cells = np.flatnonzero(self.counts)
+        seg, sub = cells >> frame.n, cells & frame.full_set
+        number = np.bincount(seg, minlength=self.every.size)
+        scaled = (frame.n / frame.cardinalities[sub]) ** cfg.eta * self.counts.reshape(-1)[cells]
+        share = scaled / _segment_sums(scaled, number)[seg]
+        self.shares = np.zeros((self.every.size, self.size))
+        self.shares.reshape(-1)[cells] = share
+        if self.approximate:
+            weights = 1.0 - share
+        else:
+            weights = 1.0 - share + share * self.pooled.reshape(-1)[cells]
+        self.seconds["discount"] = time.perf_counter() - t0
 
+        t0 = time.perf_counter()
+        # the conjunction of each segment's groups: vacuous without any
+        logw = np.zeros((self.every.size, self.size))
+        logw.reshape(-1)[cells] = np.log(weights)
+        masses = core._conjoined_commonality(logw, frame.n)
+        core._moebius_superset(masses, frame.n)
+        # a group alone is its simple support, as core._simple_supports builds it
+        one = np.flatnonzero(number[seg] == 1)
+        if one.size:
+            self.fail(
+                seg[one],
+                ~((weights[one] >= 0.0) & (weights[one] <= 1.0)),
+                lambda i: ParameterError(
+                    f"simple support weight {float(weights[one[i]])!r} outside [0, 1]"
+                ),
+            )
+            masses[seg[one]] = 0.0
+            masses[seg[one], frame.full_set] = weights[one]
+            masses[seg[one], sub[one]] += 1.0 - weights[one]
+        self.masses = self.settle(masses)
+        self.seconds["global_combine"] = time.perf_counter() - t0
 
-def _check_groupable(weights: np.ndarray, frame: FrameOfDiscernment) -> None:
-    """Reject inverse components (weights above 1) and empty-set components."""
-    over = weights > 1.0 + SEPARABILITY_TOL
-    if over.any():
-        col = int(np.argwhere(over)[0][1])
-        raise NotSeparableError(
-            f"input is not separable: weight {float(weights[over][0]):.6g}"
-            f" above 1 on subset {frame.format_subset(col)}",
-            subset=col,
+    def result(self, g: int = 0) -> FusionResult:
+        res = super().result(g)
+        groups = _group_summaries(
+            self.counts[g],
+            None if self.pooled is None else self.pooled[g],
+            self.shares[g],
+            int(self.vacuous[g]),
+            self.frame,
         )
-    if (weights[:, 0] < 1.0 - _VACUOUS_WEIGHT_TOL).any():
-        raise ParameterError("a component focused on the empty set cannot be grouped")
+        return FusionResult(res.mass, tuple(groups), self.seconds)
 
 
-def _group_shares(counts: np.ndarray, frame: FrameOfDiscernment, cfg: RuleConfig) -> np.ndarray:
-    """Reliability share of every group: count weighted by precision.
-
-    ``share[A] = beta(A)**eta * counts[A] / sum over groups`` with
-    ``beta(A) = n / |A|``; the whole-frame group always gets share 0 so
-    ignorance stays neutral.
-    """
-    shares = np.zeros(frame.powerset_size)
-    active = np.flatnonzero(counts)
-    if active.size == 0:
-        return shares
-    beta = frame.n / frame.cardinalities[active]
-    scaled = beta**cfg.eta * counts[active]
-    shares[active] = scaled / float(scaled.sum())
-    return shares
+class _GroupedApproximate(_Grouped):
+    approximate = True
 
 
 def _group_summaries(
@@ -617,42 +1025,6 @@ def _group_summaries(
     return summaries
 
 
-def _combine_grouped(ms: Sequence[MassFunction], cfg: RuleConfig, approximate: bool) -> FusionResult:
-    t0 = time.perf_counter()
-    rows = _batch(ms)
-    resolve = time.perf_counter() - t0
-    frame = rows.frame
-    counts, pooled, vacuous, seconds = _component_accumulators(rows, need_products=not approximate)
-    seconds["decompose"] += resolve
-
-    t0 = time.perf_counter()
-    shares = _group_shares(counts, frame, cfg)
-    active = np.flatnonzero(counts)
-    if approximate:
-        group_weights = 1.0 - shares[active]
-    else:
-        group_weights = 1.0 - shares[active] + shares[active] * pooled[active]
-    seconds["discount"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if len(active) <= 1:
-        # the conjunction is the identity on one normal simple support
-        ssfs = core._simple_supports(frame, active, group_weights)
-        mass = ssfs[0] if ssfs else MassFunction.vacuous(frame)
-    else:
-        logw = np.zeros(frame.powerset_size)
-        with np.errstate(divide="ignore"):
-            logw[active] = np.log(group_weights)
-        mass = _from_commonality(frame, core._conjoined_commonality(logw, frame.n)).mass
-    seconds["global_combine"] = time.perf_counter() - t0
-
-    return FusionResult(
-        mass=mass,
-        groups=tuple(_group_summaries(counts, pooled, shares, vacuous, frame)),
-        step_seconds=seconds,
-    )
-
-
 def combine_lns(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
     """Grouped conjunctive pooling for large numbers of sources.
 
@@ -663,8 +1035,7 @@ def combine_lns(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> Fu
     conjunctively, the mass on the empty set being the conflict.  Fully
     ignorant inputs never change the result.
     """
-    cfg = cfg or RuleConfig(rule="lns")
-    return _combine_grouped(ms, cfg, approximate=False)
+    return _fuse(_Grouped, ms, cfg or RuleConfig(rule="lns")).result()
 
 
 def combine_lnsa(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
@@ -675,85 +1046,29 @@ def combine_lnsa(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
     share.  Equivalent to the exact rule once groups are large, cheaper to
     evaluate, and different from it when groups are small.
     """
-    cfg = cfg or RuleConfig(rule="lnsa")
-    return _combine_grouped(ms, cfg, approximate=True)
-
-
-# ---------------------------------------------------------------------------
-# Conflict-based reliability estimation (comparison baseline)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _jaccard_matrix(frame: FrameOfDiscernment) -> np.ndarray:
-    """Subset-similarity matrix ``|A ∩ B| / |A ∪ B|`` with the empty pair set to 1."""
-    if frame.n > 10:
-        raise ParameterError(
-            "the pairwise-distance reliability estimator materialises a"
-            f" {frame.powerset_size}x{frame.powerset_size} matrix; frames above"
-            " 10 elements are not supported"
-        )
-    idx = np.arange(frame.powerset_size)
-    card = frame.cardinalities
-    inter = card[idx[:, None] & idx[None, :]].astype(float)
-    union = card[idx[:, None] | idx[None, :]].astype(float)
-    d = np.ones_like(inter)
-    nz = union > 0
-    d[nz] = inter[nz] / union[nz]
-    d.setflags(write=False)
-    return d
-
-
-def evidential_distance(m1: MassFunction, m2: MassFunction) -> float:
-    """Jaccard-weighted quadratic distance between two assignments, in [0, 1]."""
-    if m1.frame != m2.frame:
-        raise EncodingError("distance requires a shared frame")
-    d = _jaccard_matrix(m1.frame)
-    diff = m1.values - m2.values
-    val = 0.5 * float(diff @ d @ diff)
-    return math.sqrt(max(val, 0.0))
-
-
-def martin_reliability(ms: Sequence[MassFunction], lam: float = 1.0) -> np.ndarray:
-    """Per-source reliability from mean pairwise conflict.
-
-    Source ``j`` gets ``(1 - conf_j**lam)**(1/lam)`` where ``conf_j`` is
-    the mean evidential distance from ``j`` to every other source.
-    Callers discount each source by its factor before combining.
-    """
-    _batch(ms)  # one frame
-    if len(ms) < 2:
-        raise ParameterError("reliability estimation needs at least two sources")
-    if not lam > 0.0:
-        raise ParameterError(f"lambda must be positive, got {lam!r}")
-    s = len(ms)
-    dist = np.zeros((s, s))
-    for i in range(s):
-        for j in range(i + 1, s):
-            dist[i, j] = dist[j, i] = evidential_distance(ms[i], ms[j])
-    conf = dist.sum(axis=1) / (s - 1)
-    return np.clip(1.0 - conf**lam, 0.0, None) ** (1.0 / lam)
+    return _fuse(_GroupedApproximate, ms, cfg or RuleConfig(rule="lnsa")).result()
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_COMBINERS: dict[str, Callable[..., FusionResult]] = {
-    "conjunctive": combine_conjunctive,
-    "dempster": combine_dempster,
-    "disjunctive": combine_disjunctive,
-    "dp": combine_dp,
-    "pcr6": combine_pcr6,
-    "cautious": combine_cautious,
-    "average": combine_average,
-    "lns": combine_lns,
-    "lnsa": combine_lnsa,
+_FUSIONS: dict[str, type[_Fusion]] = {
+    "conjunctive": _Conjunctive,
+    "dempster": _Dempster,
+    "disjunctive": _Disjunctive,
+    "dp": _DuboisPrade,
+    "pcr6": _Pcr6,
+    "cautious": _Cautious,
+    "average": _Average,
+    "lns": _Grouped,
+    "lnsa": _GroupedApproximate,
 }
 
-RULE_NAMES = tuple(_COMBINERS)
+RULE_NAMES = tuple(_FUSIONS)
 
 
 def combine(ms: Sequence[MassFunction], cfg: RuleConfig) -> FusionResult:
     """Apply the rule selected by ``cfg.rule``."""
-    return _COMBINERS[cfg.rule](ms, cfg)
+    return _fuse(_FUSIONS[cfg.rule], ms, cfg).result()
+

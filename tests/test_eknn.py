@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masscomb import eknn
+from masscomb import eknn, rules
 from masscomb.cli import main
 from masscomb.core import FrameOfDiscernment
 from masscomb.eknn import (
@@ -188,6 +188,40 @@ class TestClassify:
             evaluate_loo(toy, EknnConfig(k=6))
 
 
+class TestNeighbours:
+    def test_ties_keep_the_stable_sort_order(self):
+        # 60 points on 6 grid sites: every distance ties with many others,
+        # within a site and across sites alike
+        rng = np.random.default_rng(8)
+        sites = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
+        points = sites[rng.integers(0, len(sites), 60)]
+        ds = LabeledDataset(points, rng.integers(0, 3, 60), FrameOfDiscernment.of("a", "b", "c"))
+        dist = np.sqrt(((ds.points - ds.points[:, np.newaxis]) ** 2).sum(axis=-1))
+        dist[np.arange(60), np.arange(60)] = np.inf
+        want = np.argsort(dist, axis=-1, kind="stable")
+        for k in range(1, 61):
+            assert np.array_equal(eknn._nearest(dist, k), want[:, :k]), k
+        for rule in ("dempster", "lns"):
+            for k in (1, 7, 30):
+                cfg = EknnConfig(k=k, rule=RuleConfig(rule=rule))
+                for i in range(0, 60, 7):
+                    try:
+                        _, fused, betp = per_neighbour_classify(ds.points[i], ds, cfg, exclude=i)
+                    except MassCombError as exc:
+                        with pytest.raises(type(exc)) as err:
+                            classify(ds.points[i], ds, cfg, exclude=i)
+                        assert str(err.value) == str(exc)
+                        continue
+                    got = classify(ds.points[i], ds, cfg, exclude=i)
+                    assert np.array_equal(got.fused.mass.values, fused.mass.values)
+                    assert np.array_equal(got.betp, betp)
+                predictions, kappa, errors = per_sample_loo(ds, cfg)
+                rep = evaluate_loo(ds, cfg)
+                assert np.array_equal(rep.predictions, predictions)
+                assert np.array_equal(rep.kappa, kappa, equal_nan=True)
+                assert rep.errors == errors
+
+
 class TestLeaveOneOut:
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_equals_per_sample_classify(self, rule, monkeypatch):
@@ -221,19 +255,21 @@ class TestLeaveOneOut:
         if rule in ("conjunctive", "dempster", "dp", "pcr6", "cautious"):
             assert any(0 < n < 14 for n in failed), failed
 
-    def test_overflowing_distances_fail_their_own_samples(self):
-        # the class spread overflows to an infinite mean distance, so its
-        # derived scale is 0 and 0 * inf makes NaN weights for its members
+    def test_overflowing_distances_fail_their_own_samples(self, tmp_path):
+        # the class spread overflows to an infinite mean distance, whose
+        # inverse 0 is no scale: the run is refused, where a scale of 0
+        # once made NaN weights that failed every sample of the class
         pts = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         ds = LabeledDataset(pts, np.array([0, 0, 0, 1, 1, 1]), FrameOfDiscernment.of("a", "b"))
         cfg = EknnConfig(k=2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            predictions, kappa, errors = per_sample_loo(ds, cfg)
-            rep = evaluate_loo(ds, cfg)
-        assert [i for i, _ in errors] == [0, 1, 2]
-        assert np.array_equal(rep.predictions, predictions)
-        assert np.array_equal(rep.kappa, kappa, equal_nan=True)
-        assert rep.errors == errors
+        with np.errstate(over="ignore"):
+            with pytest.raises(UndefinedGammaError, match="'a' has no finite positive scale"):
+                evaluate_loo(ds, cfg)
+            with pytest.raises(UndefinedGammaError, match="'a' has no finite positive scale"):
+                classify([0.0, 0.0], ds, cfg)
+            train = tmp_path / "train.csv"
+            train.write_text("".join(f"{x!r},{y!r},{'ab'[q]}\n" for (x, y), q in zip(pts.tolist(), ds.labels)))
+            assert main(["eknn", "--train", str(train), "--k", "2"]) == 2
 
     def test_peak_memory_far_below_a_pairwise_array(self):
         # 3,000 points: one (S, S) float array would take 72 MB; an
@@ -265,6 +301,37 @@ class TestLeaveOneOut:
         evaluate_loo(ds, cfg)
         assert sum(sizes) == ds.n_samples and len(sizes) > 1
         assert max(sizes) * cells <= budget
+
+    @pytest.mark.parametrize("rule", ["dp", "pcr6"])
+    def test_enumeration_blocks_stay_within_the_pick_budget(self, monkeypatch, rule):
+        # one chunk fuses every sample; its segments share enumeration
+        # blocks, and no block holds more than _ENUM_CELLS picks
+        ds = two_gaussian_dataset(30, 1.0, seed=4)
+        cfg = EknnConfig(k=6, rule=RuleConfig(rule=rule))
+        picks, tuples, shared = [], 0, 0
+        blocks = rules._focal_blocks
+
+        def recorded(values, k):
+            nonlocal tuples, shared
+            for segment, subsets, masses in blocks(values, k):
+                assert subsets.shape == masses.shape == (k, len(segment))
+                picks.append(subsets.size)
+                tuples += len(segment)
+                shared += segment[0] != segment[-1]
+                yield segment, subsets, masses
+
+        want = evaluate_loo(ds, cfg)
+        monkeypatch.setattr(rules, "_ENUM_CELLS", 60)
+        monkeypatch.setattr(rules, "_focal_blocks", recorded)
+        rep = evaluate_loo(ds, cfg)
+        assert np.array_equal(rep.predictions, want.predictions)
+        assert np.array_equal(rep.kappa, want.kappa, equal_nan=True)
+        assert max(picks) <= 60 and shared > 0
+        # every focal tuple of every sample, each once: a support of weight
+        # below 1 has two focal sets
+        own = np.arange(ds.n_samples)
+        _, weights = eknn._neighbours(ds, ds.points, own, cfg.k, cfg.alpha, resolve_gamma(ds, cfg))
+        assert tuples == int((2 ** (weights < 1.0).sum(axis=1)).sum())
 
     def test_unanimous_neighbourhoods_score_perfectly(self, toy):
         rep = evaluate_loo(toy, EknnConfig(k=2, rule=RuleConfig(rule="dempster")))

@@ -33,8 +33,6 @@ from masscomb.rules import (
     combine_lns,
     combine_lnsa,
     combine_pcr6,
-    evidential_distance,
-    martin_reliability,
 )
 
 from conftest import (
@@ -328,7 +326,7 @@ class TestRuleConfig:
             RuleConfig(**params)
 
     def test_no_lambda_field(self):
-        # the conflict-based reliability shape is martin_reliability's own argument
+        # the rules take no conflict-based reliability shape
         with pytest.raises(TypeError):
             RuleConfig(lam=1.0)
 
@@ -1136,64 +1134,3 @@ class TestCommutativity:
         base = combine(ms, cfg).mass.values
         for perm in itertools.islice(itertools.permutations(ms), 1, 8):
             assert np.max(np.abs(combine(list(perm), cfg).mass.values - base)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Reliability estimation
-# ---------------------------------------------------------------------------
-
-
-class TestMartinReliability:
-    def test_identical_sources_fully_reliable(self, frame2):
-        m = MassFunction(frame2, [0, 0.5, 0.2, 0.3])
-        alphas = martin_reliability([m, m, m])
-        assert np.allclose(alphas, 1.0, atol=1e-12)
-
-    def test_closed_form_values(self, frame2):
-        # distance between categorical singletons is 1, so with two sources conf = 1
-        a = MassFunction.categorical(frame2, 1)
-        b = MassFunction.categorical(frame2, 2)
-        assert math.isclose(evidential_distance(a, b), 1.0, abs_tol=1e-12)
-        assert np.allclose(martin_reliability([a, b], lam=1.0), 0.0, atol=1e-12)
-
-    def test_lambda_shapes_the_map(self, frame2):
-        # conf = 0.5 -> alpha = 0.5 at lam = 1
-        half = discount_pair_conf(frame2, 0.5)
-        assert np.allclose(martin_reliability(half, lam=1.0), 0.5, atol=1e-12)
-        # conf = 0.6 -> alpha = (1 - 0.36)**0.5 = 0.8 at lam = 2
-        sixty = discount_pair_conf(frame2, 0.6)
-        assert np.allclose(martin_reliability(sixty, lam=2.0), 0.8, atol=1e-12)
-
-    def test_needs_two_sources(self, frame2):
-        with pytest.raises(ParameterError):
-            martin_reliability([MassFunction.vacuous(frame2)])
-
-    def test_distance_is_a_bounded_metric_sample(self, frame3):
-        rng = np.random.default_rng(31)
-        ms = [random_mass(rng, frame3) for _ in range(6)]
-        for a in ms:
-            assert evidential_distance(a, a) == 0.0
-            for b in ms:
-                d1, d2 = evidential_distance(a, b), evidential_distance(b, a)
-                assert math.isclose(d1, d2, abs_tol=1e-15)
-                assert 0.0 <= d1 <= 1.0 + 1e-12
-
-    def test_discount_then_combine_recovers_majority(self, frame3):
-        ms = six_sources(frame3)
-        from masscomb.core import discount, pignistic
-
-        alphas = martin_reliability(ms, lam=1.0)
-        assert alphas[5] < min(alphas[:5])  # the dissenter is the least reliable
-        fused = combine_conjunctive([discount(m, float(a)) for m, a in zip(ms, alphas)])
-        bp = pignistic(fused.mass).values
-        assert bp[0] > bp[1]
-
-
-def discount_pair_conf(frame2, target):
-    """Two sources whose mutual evidential distance is exactly ``target``."""
-    a = MassFunction.categorical(frame2, 1)
-    b = MassFunction(frame2, [0, 1 - target, target, 0])
-    # distance between m({t1})=1 and m with masses (1-x, x) on the two
-    # singletons is x, so conf for both sources equals target
-    assert math.isclose(evidential_distance(a, b), target, abs_tol=1e-12)
-    return [a, b]
