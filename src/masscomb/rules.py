@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core
+from . import core, expansion
 from .core import (
     MASS_TOL,
     SEPARABILITY_TOL,
@@ -58,12 +58,16 @@ _SATURATION_TOL = 1e-12
 
 _CHUNK_ROWS = 16384
 
-#: Picks (tuples x sources) per block of the dp/pcr6 enumeration.  A block
-#: holds about ten temporaries of this many cells: 1.3 MB at 2**14.  On a
-#: 2-core Xeon at 2.0 GHz, EkNN leave-one-out (50 points, K = 2..10) ran
-#: 35-40% faster with 2**14 than with 2**16, and one call on 12 sources of
-#: 3 and 4 focal sets took about as long.
-_ENUM_CELLS = 1 << 14
+#: Picks (tuples x sources) per block of the dp/pcr6 enumeration: a block
+#: holds at most this many // K tuples, and pcr6's arrays for the picks of
+#: its conflicting tuples at most this many cells.  On a 2-core Xeon at
+#: 2.0 GHz, with 2**14, 2**15 and 2**16: dp and pcr6 leave-one-out on the
+#: eknn-sweep data (50 points, K = 2..10) took 0.50, 0.37 and 0.35 times as
+#: long as the per-pick digit enumeration before prefix expansion, one pcr6
+#: call on 12 sources of 4 and 2 focal sets 0.94, 0.90 and 1.08 times, and
+#: a pass of eknn-sweep peaked at 0.60, 0.63 and 0.91 MB under tracemalloc
+#: (1.27 MB before).
+_ENUM_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -352,7 +356,7 @@ class _Fusion:
         """Fail each segment with a flagged entry and no error yet, with
         ``error(i)``, ``i`` its first flagged entry.  ``segment`` gives the
         segment of each entry, or is one int for all."""
-        hits = np.flatnonzero(flags)
+        hits = flags.nonzero()[0]
         if not hits.size:
             return
         if not isinstance(segment, int):
@@ -570,51 +574,6 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _focal_blocks(values: np.ndarray, k: int):
-    """Every focal tuple of each segment of ``k`` consecutive rows of
-    ``values``, segment by segment, each in ``itertools.product`` order.
-
-    A tuple picks one focal element of each source; the last source varies
-    fastest.  Blocks of at most ``_ENUM_CELLS // k`` tuples come as
-    ``(segment, subsets, masses)``: the segment of each tuple (one int
-    when there is one segment), and two ``(k, B)`` arrays with one row per
-    source and one column per tuple, so memory stays bounded however many
-    tuples or segments there are.
-    """
-    nonzero = values != 0.0
-    sizes = nonzero.sum(axis=1)
-    # every focal (source, subset) cell, source by source, subsets ascending
-    cells = np.flatnonzero(nonzero)
-    focal_subsets = cells & (values.shape[1] - 1)
-    focal_masses = values.ravel()[cells]
-    # (k, segments): source by source
-    first = (np.cumsum(sizes) - sizes).reshape(-1, k).T.copy()
-    sizes = sizes.reshape(-1, k).T.copy()
-    totals = np.multiply.reduce(sizes, axis=0)
-    offsets = np.cumsum(totals) - totals
-    end = int(totals.sum())
-    block = max(1, _ENUM_CELLS // k)
-    for start in range(0, end, block):
-        # each tuple's index in its segment, as digits of mixed radix
-        # sizes[:, segment], the last source's digit the lowest
-        local = np.arange(start, min(start + block, end))
-        if len(offsets) == 1:
-            segment, cols = 0, slice(0, 1)
-        else:
-            segment = np.searchsorted(offsets, local, side="right") - 1
-            # a block within one segment broadcasts that segment's columns
-            cols = slice(segment[0], segment[0] + 1) if segment[0] == segment[-1] else segment
-            local -= offsets[segment]
-        picks = np.empty((k, len(local)), dtype=np.intp)
-        radix = sizes[:, cols]
-        for j in range(k - 1, -1, -1):
-            np.divmod(local, radix[j], out=(local, picks[j]))
-        picks += first[:, cols]
-        subsets, masses = focal_subsets[picks], focal_masses[picks]
-        del local, picks, radix  # not held while the caller works
-        yield segment, subsets, masses
-
-
 class _Enumeration(_Fusion):
     """Keeps the rows of every segment within the guard and counts the
     focal tuples of each, as ``log2`` sums checked exactly near the guard."""
@@ -650,10 +609,10 @@ class _Enumeration(_Fusion):
             self.log2 += np.bincount(segment, weights=logs, minlength=self.every.size)
         self.kept.append((values, segment, sizes))
 
-    def tuples(self):
-        """Fail the segments past the guard, then return the focal-tuple
+    def blocks(self, fields):
+        """Fail the segments past the guard, then yield the focal-tuple
         blocks of every segment that has not failed (see
-        :func:`_focal_blocks`), with their segments."""
+        :func:`expansion.expand`), with their segments."""
         if self.k > 1:
             slack = self.slack(self.log2)
             over = self.log2 > self.bound + slack
@@ -671,37 +630,24 @@ class _Enumeration(_Fusion):
                     " enumeration guard; the grouped 'lns' rule handles large source counts"
                 ),
             )
-        live = np.ones(self.every.size, dtype=bool)
-        live[list(self.errors)] = False
-        if not live.any():
-            return iter(())
-        values = [v for v, _, _ in self.kept]
-        values = values[0] if len(values) == 1 else np.concatenate(values)
-        if not live.all():
+        if len(self.errors) == self.every.size:
+            return
+        if len(self.kept) == 1:
+            ((values, _, sizes),) = self.kept
+        else:
+            values = np.concatenate([v for v, _, _ in self.kept])
+            sizes = np.concatenate([s for _, _, s in self.kept])
+        ids = None
+        if self.errors:
+            live = np.ones(self.every.size, dtype=bool)
+            live[list(self.errors)] = False
             owner = np.concatenate([np.broadcast_to(g, len(v)) for v, g, _ in self.kept])
-            values = values[live[owner]]
-        ids = np.flatnonzero(live)
-        return ((ids[s], subsets, masses) for s, subsets, masses in _focal_blocks(values, self.k))
-
-
-def _focal_tuples(ms: Sequence[MassFunction] | _Batch, guard: int):
-    """Yield every focal tuple of ``ms`` as ``(subsets, masses)`` blocks, as
-    :func:`_focal_blocks` makes them for one segment; raise past ``guard``."""
-    fusion = _feed(_Enumeration, ms, RuleConfig(enumeration_guard=guard))
-    blocks = fusion.tuples()
-    if fusion.errors:
-        raise copy.copy(fusion.errors[0])
-    for _, subsets, masses in blocks:
-        yield subsets, masses
-
-
-def _running(op: np.ufunc, masses: np.ndarray) -> np.ndarray:
-    """``op`` over each column, source by source from the first, as the
-    tuple loop did (``op.reduce`` may sum pairwise)."""
-    acc = masses[0].copy()
-    for row in masses[1:]:
-        op(acc, row, out=acc)
-    return acc
+            values, sizes = values[live[owner]], sizes[live[owner]]
+            ids = np.flatnonzero(live)
+        for block in expansion.expand(values, sizes, self.k, fields, _ENUM_CELLS):
+            if ids is not None:
+                block.segment = ids[block.segment]
+            yield block
 
 
 class _DuboisPrade(_Enumeration):
@@ -710,19 +656,32 @@ class _DuboisPrade(_Enumeration):
             # one source is its own result
             self.masses = np.concatenate([v for v, _, _ in self.kept])
             return
-        full = self.frame.full_set
+        n, full = self.frame.n, self.frame.full_set
+
+        def fields(subsets, masses):
+            # one OR carries the union of the picks other than the frame
+            # (n bits), a bit for a pick of the frame, and the complement
+            # of the intersection (n bits)
+            bits = subsets.astype(expansion.bits_dtype(2 * n + 1))
+            bits[bits == full] = 1 << n
+            bits |= (full ^ subsets).astype(bits.dtype) << (n + 1)
+            return [(np.multiply, masses), (np.bitwise_or, bits)]
+
         out = np.zeros((self.every.size, self.size))
-        for segment, subsets, masses in self.tuples():
-            inter = np.bitwise_and.reduce(subsets, axis=0)
-            union = np.bitwise_or.reduce(subsets, axis=0)
-            committed = np.bitwise_or.reduce(np.where(subsets == full, 0, subsets), axis=0)
-            # add.at applies its updates in order, as the tuple loop did
-            np.add.at(
-                out.reshape(-1),
-                segment * self.size + np.where(inter, inter, np.where(committed, committed, union)),
-                _running(np.multiply, masses),
-            )
+        for block in self.blocks(fields):
+            self.scatter(block, out)
         self.masses = self.settle(out)
+
+    def scatter(self, block: expansion.Tuples, out: np.ndarray) -> None:
+        """Add each tuple of ``block`` to ``out``; its temporaries go with it."""
+        n, full = self.frame.n, self.frame.full_set
+        p, bits = block.values
+        inter = (bits >> (n + 1)) ^ full
+        committed = bits & full
+        # no common pick and no committed one: the frame if picked, else the empty set
+        fallback = (bits >> n & 1) * full
+        target = np.where(inter, inter, np.where(committed, committed, fallback))
+        block.add(out, block.cells(target, self.size), p)
 
 
 class _Pcr6(_Enumeration):
@@ -752,21 +711,47 @@ class _Pcr6(_Enumeration):
 
     def finish(self):
         out = np.zeros((self.every.size, self.size))
-        for segment, subsets, masses in self.tuples():
-            inter = np.bitwise_and.reduce(subsets, axis=0)
-            p = _running(np.multiply, masses)
-            total = _running(np.add, masses)
-            # an agreeing tuple puts p on its intersection, then adds zeros there
-            agree = inter != 0
-            targets = np.where(agree, inter, subsets)
-            targets += segment * self.size
-            weights = masses * p
-            weights /= total
-            weights[:, agree] = 0.0
-            weights[0, agree] = p[agree]
-            # tuple by tuple, each tuple's updates in source order
-            np.add.at(out.reshape(-1), targets.T.ravel(), weights.T.ravel())
+
+        def fields(subsets, masses):
+            return [(np.multiply, masses), (np.bitwise_and, subsets)]
+
+        for block in self.blocks(fields):
+            self.scatter(block, out)
         self.masses = self.settle(out)
+
+    def scatter(self, block: expansion.Tuples, out: np.ndarray) -> None:
+        """Add each tuple of ``block`` to ``out``; its temporaries go with it."""
+        p, inter = block.values
+        # an agreeing tuple puts p on its intersection
+        cells = block.cells(inter, self.size)
+        clash = inter == 0
+        at = clash.nonzero()[0]
+        if not at.size:
+            block.add(out, cells, p)
+            return
+        # a conflicting tuple gives each pick its share, in source order
+        subsets, share = block.picks(at)
+        # the sum of the picks' masses, source by source as the tuple loop adds them
+        total = share[:, 0].copy()
+        for j in range(1, self.k):
+            total += share[:, j]
+        share *= p[at, np.newaxis]
+        share /= total[:, np.newaxis]
+        # the cell of a conflicting tuple is its row's offset
+        targets = subsets + (cells[at[0]] if block.one else cells[at, np.newaxis])
+        if len(at) < len(p):
+            # one entry per agreeing tuple and k per conflicting one, in tuple order
+            agree = ~clash
+            last = np.where(clash, self.k, 1).cumsum()[agree] - 1
+            mine = np.ones(len(p) + (self.k - 1) * len(at), dtype=bool)
+            mine[last] = False
+            entries = np.empty(len(mine), dtype=np.intp)
+            entries[mine], entries[last] = targets.reshape(-1), cells[agree]
+            targets = entries
+            weights = np.empty(len(mine))
+            weights[mine], weights[last] = share.reshape(-1), p[agree]
+            share = weights
+        block.add(out, targets.reshape(-1), share.reshape(-1))
 
 
 def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masscomb import eknn, rules
+from masscomb import eknn, expansion, rules
 from masscomb.cli import main
 from masscomb.core import FrameOfDiscernment
 from masscomb.eknn import (
@@ -89,6 +89,30 @@ class TestGamma:
             resolve_gamma(toy, EknnConfig(k=1, gamma=[bad, 1.0]))
         with pytest.raises(ParameterError):
             evaluate_loo(toy, EknnConfig(k=2, gamma=[bad, 1.0]))
+
+    def test_sweep_resolves_gamma_once(self, monkeypatch):
+        ds = two_gaussian_dataset(10, 2.0, seed=6)
+        rule = RuleConfig(rule="conjunctive")
+        want = [evaluate_loo(ds, EknnConfig(k=k, rule=rule)) for k in (1, 3, 5)]
+        gamma = resolve_gamma(ds, EknnConfig())
+        calls = []
+        auto = eknn.gamma_auto
+        monkeypatch.setattr(eknn, "gamma_auto", lambda d: calls.append(d) or auto(d))
+        accs, maxk, errs = eknn._loo_sweep(ds, [1, 3, 5], 0.95, rule)
+        assert len(calls) == 1
+        assert accs == [r.accuracy for r in want] and maxk == [r.max_kappa for r in want]
+        # a given gamma is used as it is
+        rep = evaluate_loo(ds, EknnConfig(k=3, rule=rule), gamma=gamma)
+        assert np.array_equal(rep.kappa, want[1].kappa) and len(calls) == 1
+
+    def test_sweep_checks_k_before_gamma(self):
+        # as each evaluate_loo call did: a K too large is refused first
+        pts = np.array([[0.0], [1.0], [2.0]])
+        ds = LabeledDataset(pts, np.array([0, 0, 1]), FrameOfDiscernment.of("a", "b"))
+        with pytest.raises(ParameterError, match="k must be at most"):
+            eknn._loo_sweep(ds, [5, 1], 0.95, RuleConfig(rule="dempster"))
+        with pytest.raises(UndefinedGammaError):
+            eknn._loo_sweep(ds, [1, 5], 0.95, RuleConfig(rule="dempster"))
 
     @pytest.mark.parametrize("bad", [{0: 1.0, 1: 2.0}, ["a", "b"], [[1.0], [2.0, 3.0]], None])
     def test_non_numeric_gamma_rejected(self, toy, bad):
@@ -309,24 +333,26 @@ class TestLeaveOneOut:
         ds = two_gaussian_dataset(30, 1.0, seed=4)
         cfg = EknnConfig(k=6, rule=RuleConfig(rule=rule))
         picks, tuples, shared = [], 0, 0
-        blocks = rules._focal_blocks
+        expand = expansion.expand
 
-        def recorded(values, k):
+        def recorded(values, sizes, k, fields, cells):
             nonlocal tuples, shared
-            for segment, subsets, masses in blocks(values, k):
-                assert subsets.shape == masses.shape == (k, len(segment))
-                picks.append(subsets.size)
-                tuples += len(segment)
-                shared += segment[0] != segment[-1]
-                yield segment, subsets, masses
+            for block in expand(values, sizes, k, fields, cells):
+                count = len(block.segment) * block.width
+                assert all(v.shape == (count,) for v in block.values)
+                picks.append(k * count)
+                tuples += count
+                shared += block.segment[0] != block.segment[-1]
+                yield block
 
         want = evaluate_loo(ds, cfg)
-        monkeypatch.setattr(rules, "_ENUM_CELLS", 60)
-        monkeypatch.setattr(rules, "_focal_blocks", recorded)
+        # room for two segments of 2**6 tuples per block
+        monkeypatch.setattr(rules, "_ENUM_CELLS", 1000)
+        monkeypatch.setattr(expansion, "expand", recorded)
         rep = evaluate_loo(ds, cfg)
         assert np.array_equal(rep.predictions, want.predictions)
         assert np.array_equal(rep.kappa, want.kappa, equal_nan=True)
-        assert max(picks) <= 60 and shared > 0
+        assert max(picks) <= 1000 and shared > 0
         # every focal tuple of every sample, each once: a support of weight
         # below 1 has two focal sets
         own = np.arange(ds.n_samples)

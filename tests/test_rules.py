@@ -1,5 +1,6 @@
 """Combination rules: worked examples, oracle equivalence, and algebraic properties."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -681,16 +682,87 @@ class TestEnumerationOracle:
         ms += [random_mass(rng, frame3, max_focals=2, min_frame_mass=0.1) for _ in range(4)]
         self._check(ms)
 
-    def test_block_size_does_not_follow_the_guard(self, frame3):
+    def test_block_size_does_not_follow_the_guard(self, frame3, monkeypatch):
         import masscomb.rules as rules_mod
+        from masscomb import expansion
 
         ms = [MassFunction.from_dict(frame3, {1: 0.2, 2: 0.3, 4: 0.1, 7: 0.4})] * 9
         seen = 0
-        for subsets, masses in rules_mod._focal_tuples(ms, guard=10**12):
-            assert subsets.shape == masses.shape
-            assert subsets.size <= rules_mod._ENUM_CELLS
-            seen += subsets.shape[1]
+        expand = expansion.expand
+
+        def recorded(values, sizes, k, fields, cells):
+            nonlocal seen
+            for block in expand(values, sizes, k, fields, cells):
+                tuples = len(block.segment) * block.width
+                assert all(v.shape == (tuples,) for v in block.values)
+                assert k * tuples <= rules_mod._ENUM_CELLS
+                seen += tuples
+                yield block
+
+        monkeypatch.setattr(expansion, "expand", recorded)
+        combine_dp(ms, RuleConfig(rule="dp", enumeration_guard=10**12))
         assert seen == 4**9
+
+    @staticmethod
+    def _segment(rng, frame, case, k):
+        """The k rows of one segment of ``case``."""
+        size, full = frame.powerset_size, frame.full_set
+        rows = np.zeros((k, size))
+        for j, row in enumerate(rows):
+            if case == "mixed":
+                # EkNN supports: a singleton with weight below 1, or weight 1
+                # (vacuous, one focal set), and now and then a general row
+                kind = rng.integers(3)
+                if kind == 2:
+                    cells = rng.choice(np.arange(1, size), size=3, replace=False)
+                    row[cells] = rng.dirichlet(np.ones(3))
+                else:
+                    w = 1.0 if kind else 0.1 + 0.8 * rng.random()
+                    row[1 << int(rng.integers(frame.n))] = 1.0 - w
+                    row[full] += w
+            elif case == "agree":
+                # every focal set holds the first hypothesis
+                cells = rng.choice(np.arange(1, size, 2), size=int(rng.integers(1, 4)), replace=False)
+                row[cells] = rng.dirichlet(np.ones(len(cells)))
+            else:
+                # the first two sources pick disjoint halves of the frame
+                half = (1 << (frame.n // 2)) - 1
+                pool = {0: np.arange(1, half + 1), 1: np.arange(1, half + 1) << (frame.n // 2)}
+                pool = pool.get(j, np.arange(1, size))
+                cells = rng.choice(pool, size=min(len(pool), int(rng.integers(1, 4))), replace=False)
+                row[cells] = rng.dirichlet(np.ones(len(cells)))
+        return rows
+
+    @pytest.mark.parametrize("cells", [1, 5, 17, None])
+    @pytest.mark.parametrize("case", ["mixed", "agree", "conflict"])
+    def test_segments_match_tuple_loops(self, monkeypatch, cells, case):
+        # one chunk of segments, with their focal counts alike or not, each
+        # segment against the loops on its rows alone
+        import masscomb.rules as rules_mod
+        from masscomb.core import _mass_rows
+
+        if cells is not None:
+            monkeypatch.setattr(rules_mod, "_ENUM_CELLS", cells)
+        frame = FrameOfDiscernment.numbered(4)
+        rng = np.random.default_rng([cells or 0, len(case)])
+        k, groups = 4, 15
+        block = np.concatenate([self._segment(rng, frame, case, k) for _ in range(groups)])
+        rows = _mass_rows(frame, block)
+        counts = {tuple(np.count_nonzero(block[g * k : (g + 1) * k], axis=1)) for g in range(groups)}
+        assert len(counts) > 1 or case == "agree"
+        for rule, brute in (("dp", brute_dp), ("pcr6", brute_pcr6)):
+            fusion = rules_mod._fuse(rules_mod._FUSIONS[rule], rows, RuleConfig(rule=rule), k)
+            assert not fusion.errors
+            for g in range(groups):
+                ms = rows[g * k : (g + 1) * k]
+                want = MassFunction(frame, brute(ms)).values
+                assert np.array_equal(fusion.masses[g], want), (rule, g)
+                inter = [functools.reduce(lambda a, b: a & b, combo) for combo in
+                         itertools.product(*[m.focal_elements() for m in ms])]
+                if case == "agree":
+                    assert all(inter)
+                elif case == "conflict":
+                    assert not any(inter)
 
     @pytest.mark.parametrize("fn", [combine_dp, combine_pcr6])
     def test_guard_edge(self, frame3, fn):
