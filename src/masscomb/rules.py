@@ -741,15 +741,13 @@ class _Pcr6(_Enumeration):
         targets = subsets + (cells[at[0]] if block.one else cells[at, np.newaxis])
         if len(at) < len(p):
             # one entry per agreeing tuple and k per conflicting one, in tuple order
-            agree = ~clash
-            last = np.where(clash, self.k, 1).cumsum()[agree] - 1
-            mine = np.ones(len(p) + (self.k - 1) * len(at), dtype=bool)
-            mine[last] = False
+            mine = np.repeat(clash, np.where(clash, self.k, 1))
+            agree, lone = ~clash, ~mine
             entries = np.empty(len(mine), dtype=np.intp)
-            entries[mine], entries[last] = targets.reshape(-1), cells[agree]
+            entries[mine], entries[lone] = targets.reshape(-1), cells[agree]
             targets = entries
             weights = np.empty(len(mine))
-            weights[mine], weights[last] = share.reshape(-1), p[agree]
+            weights[mine], weights[lone] = share.reshape(-1), p[agree]
             share = weights
         block.add(out, targets.reshape(-1), share.reshape(-1))
 
