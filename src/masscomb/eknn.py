@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -273,23 +273,19 @@ def classify(
     return Classification(klass=int(decisions[0]), fused=fusion.result(0), betp=betp[0])
 
 
-def evaluate_loo(
-    ds: LabeledDataset, cfg: EknnConfig, *, gamma: np.ndarray | None = None
-) -> LooReport:
+def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     """Classify every point against the others and report accuracy and conflict.
 
     Results equal ``classify(points[i], ds, cfg, exclude=i)`` for each
     sample, but a chunk of samples (see ``_LOO_CELLS``) is searched, fused
     and decided at once, one segment per sample.  The per-class scales are
-    derived once from the full dataset, unless ``gamma`` gives them, as
-    :func:`resolve_gamma` would.  Samples whose classification fails (for
-    example Dempster saturation) are recorded instead of aborting the run
-    and score as wrong.
+    derived once from the full dataset.  Samples whose classification
+    fails (for example Dempster saturation) are recorded instead of
+    aborting the run and score as wrong.
     """
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
-    if gamma is None:
-        gamma = resolve_gamma(ds, cfg)
+    gamma = resolve_gamma(ds, cfg)
     size, k = ds.n_samples, cfg.k
     predictions = np.full(size, -1, dtype=np.int64)
     kappa = np.full(size, np.nan)
@@ -322,14 +318,15 @@ def _loo_sweep(
     every sample failed: JSON has no NaN.
     """
     accs, maxk, errs = [], [], []
-    gamma = None
+    gamma = "auto"
     for k in ks:
-        cfg = EknnConfig(k=int(k), alpha=alpha, rule=rule)
-        if gamma is None and cfg.k < ds.n_samples:
+        cfg = EknnConfig(k=int(k), alpha=alpha, gamma=gamma, rule=rule)
+        if isinstance(gamma, str) and cfg.k < ds.n_samples:
             # the scales do not depend on K: resolve them once, after the
             # first K has passed evaluate_loo's own check
             gamma = resolve_gamma(ds, cfg)
-        rep = evaluate_loo(ds, cfg, gamma=gamma)
+            cfg = replace(cfg, gamma=gamma)
+        rep = evaluate_loo(ds, cfg)
         accs.append(rep.accuracy)
         maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
         errs.append(len(rep.errors))

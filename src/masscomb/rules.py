@@ -738,7 +738,7 @@ class _Pcr6(_Enumeration):
         share *= p[at, np.newaxis]
         share /= total[:, np.newaxis]
         # the cell of a conflicting tuple is its row's offset
-        targets = subsets + (cells[at[0]] if block.one else cells[at, np.newaxis])
+        targets = subsets + cells[at, np.newaxis]
         if len(at) < len(p):
             # one entry per agreeing tuple and k per conflicting one, in tuple order
             mine = np.repeat(clash, np.where(clash, self.k, 1))

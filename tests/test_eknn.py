@@ -101,8 +101,8 @@ class TestGamma:
         accs, maxk, errs = eknn._loo_sweep(ds, [1, 3, 5], 0.95, rule)
         assert len(calls) == 1
         assert accs == [r.accuracy for r in want] and maxk == [r.max_kappa for r in want]
-        # a given gamma is used as it is
-        rep = evaluate_loo(ds, EknnConfig(k=3, rule=rule), gamma=gamma)
+        # the resolved scales, given as per-class values, give the same report
+        rep = evaluate_loo(ds, EknnConfig(k=3, gamma=gamma, rule=rule))
         assert np.array_equal(rep.kappa, want[1].kappa) and len(calls) == 1
 
     def test_sweep_checks_k_before_gamma(self):
