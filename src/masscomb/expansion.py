@@ -101,37 +101,21 @@ class Tuples:
     ``width`` tuples each, in ``itertools.product`` order.
 
     ``segment`` gives the segment of each row, and ``values`` holds one flat
-    array per field, row by row.  ``binned`` says that each row is a whole
-    segment, and the rows few enough for one ``bincount``.
+    array per field, row by row.
     """
 
-    __slots__ = ("segment", "values", "width", "binned", "_group", "_rows", "_prefix")
+    __slots__ = ("segment", "values", "width", "_group", "_rows", "_prefix")
 
-    def __init__(self, segment, values, width, binned, group, rows, prefix):
+    def __init__(self, segment, values, width, group, rows, prefix):
         self.segment, self.values, self.width = segment, values, width
-        self.binned = binned
         # each row's segment in the group, and the table columns of its prefix
         self._group, self._rows, self._prefix = group, rows, prefix
 
     def cells(self, subsets: np.ndarray, size: int) -> np.ndarray:
-        """Each tuple's cell for :meth:`add`: its subset in ``subsets`` plus
-        its row's offset."""
-        if self.binned and len(self._rows) == 1:
-            return subsets
-        rows = np.arange(len(self._rows)) if self.binned else self.segment
-        return (subsets.reshape(len(rows), -1) + (rows * size)[:, np.newaxis]).reshape(-1)
-
-    def add(self, out: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> None:
-        """Add ``weights`` at ``cells`` into the ``(G, 2**n)`` rows of
-        ``out``, entry by entry in order."""
-        if self.binned:
-            # bincount sums each cell from 0.0 in entry order, as add.at
-            # does into a row of zeros that no other block touches; on 6 ssf
-            # rows at n = 3, dp took 0.95 of the time it takes by add.at
-            rows, size = len(self.segment), out.shape[1]
-            out[self.segment] = np.bincount(cells, weights, minlength=rows * size).reshape(rows, size)
-        else:
-            np.add.at(out.reshape(-1), cells, weights)
+        """Each tuple's cell in the flat ``(G, size)`` output: its subset in
+        ``subsets`` plus its row's offset."""
+        rows = len(self.segment)
+        return (subsets.reshape(rows, -1) + (self.segment * size)[:, np.newaxis]).reshape(-1)
 
     def picks(self, at: np.ndarray):
         """The ``(len(at), k)`` subsets and masses that the tuples at flat
@@ -234,7 +218,6 @@ def expand(values: np.ndarray, sizes: np.ndarray, k: int, fields, cells: int):
                     cols = slice(first[j], first[j] + s[j])
                     for i, (op, _) in enumerate(tables):
                         acc[i] = _grow(op, acc[i], rows[i][:, np.newaxis, cols])
-                binned = not split and (b - a) * size <= cells
                 width = acc[0].shape[1]
                 acc = [v.reshape(-1) for v in acc]
-                yield Tuples(group.segments[segment], acc, width, binned, group, segment, prefix)
+                yield Tuples(group.segments[segment], acc, width, group, segment, prefix)

@@ -27,11 +27,11 @@ import copy
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import core, expansion
+from . import core
 from .core import (
     MASS_TOL,
     SEPARABILITY_TOL,
@@ -49,6 +49,9 @@ from .errors import (
     ParameterError,
     TotalConflictError,
 )
+
+if TYPE_CHECKING:
+    from . import expansion
 
 #: Weights closer to 1 than this are vacuous components and are dropped.
 _VACUOUS_WEIGHT_TOL = 1e-12
@@ -613,6 +616,11 @@ class _Enumeration(_Fusion):
         """Fail the segments past the guard, then yield the focal-tuple
         blocks of every segment that has not failed (see
         :func:`expansion.expand`), with their segments."""
+        # imported here, not at the top: with no bytecode written, every
+        # process that imports masscomb would compile it (2.5 ms, 0.8 MB
+        # peak), most of them never running dp or pcr6
+        from . import expansion
+
         if self.k > 1:
             slack = self.slack(self.log2)
             over = self.log2 > self.bound + slack
@@ -656,6 +664,8 @@ class _DuboisPrade(_Enumeration):
             # one source is its own result
             self.masses = np.concatenate([v for v, _, _ in self.kept])
             return
+        from . import expansion
+
         n, full = self.frame.n, self.frame.full_set
 
         def fields(subsets, masses):
@@ -681,7 +691,7 @@ class _DuboisPrade(_Enumeration):
         # no common pick and no committed one: the frame if picked, else the empty set
         fallback = (bits >> n & 1) * full
         target = np.where(inter, inter, np.where(committed, committed, fallback))
-        block.add(out, block.cells(target, self.size), p)
+        np.add.at(out.reshape(-1), block.cells(target, self.size), p)
 
 
 class _Pcr6(_Enumeration):
@@ -727,7 +737,7 @@ class _Pcr6(_Enumeration):
         clash = inter == 0
         at = clash.nonzero()[0]
         if not at.size:
-            block.add(out, cells, p)
+            np.add.at(out.reshape(-1), cells, p)
             return
         # a conflicting tuple gives each pick its share, in source order
         subsets, share = block.picks(at)
@@ -749,7 +759,7 @@ class _Pcr6(_Enumeration):
             weights = np.empty(len(mine))
             weights[mine], weights[lone] = share.reshape(-1), p[agree]
             share = weights
-        block.add(out, targets.reshape(-1), share.reshape(-1))
+        np.add.at(out.reshape(-1), targets.reshape(-1), share.reshape(-1))
 
 
 def combine_dp(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> FusionResult:
