@@ -148,7 +148,9 @@ def _grow(op: np.ufunc, acc: np.ndarray, leaf: np.ndarray) -> np.ndarray:
 #: broadcast call; above, one call per column, whose inner loop runs along a
 #: row.  A broadcast over a column of 2 steps 2 cells per inner loop: on a
 #: 2-core Xeon at 2.0 GHz it took 6.8 us for 1024 cells against 4.7 us by
-#: columns, and 2.8 against 4.4 us for 200.
+#: columns, and 2.8 against 4.4 us for 200.  eknn-sweep meets both sides
+#: (K = 2..10 sources of 2 focal sets): a pass took a median 0.052 s with
+#: this switch and 0.055 s with either form alone, over 5 runs each.
 _GROW_CELLS = 512
 
 

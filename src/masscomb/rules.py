@@ -64,12 +64,13 @@ _CHUNK_ROWS = 16384
 #: Picks (tuples x sources) per block of the dp/pcr6 enumeration: a block
 #: holds at most this many // K tuples, and pcr6's arrays for the picks of
 #: its conflicting tuples at most this many cells.  On a 2-core Xeon at
-#: 2.0 GHz, with 2**14, 2**15 and 2**16: dp and pcr6 leave-one-out on the
-#: eknn-sweep data (50 points, K = 2..10) took 0.50, 0.37 and 0.35 times as
-#: long as the per-pick digit enumeration before prefix expansion, one pcr6
-#: call on 12 sources of 4 and 2 focal sets 0.94, 0.90 and 1.08 times, and
-#: a pass of eknn-sweep peaked at 0.60, 0.63 and 0.91 MB under tracemalloc
-#: (1.27 MB before).
+#: 2.0 GHz, against 2**15: dp and pcr6 leave-one-out on the eknn-sweep data
+#: (50 points, K = 2..10) took 1.27 times as long with 2**14 and 0.89 times
+#: with 2**16; one call on 12 sources of 4 and 2 focal sets 1.55 and 0.61
+#: times (dp), 1.21 and 0.95 times (pcr6).  A pass of eknn-sweep peaked at
+#: 0.54, 0.59 and 0.73 MB under tracemalloc with 2**14, 2**15 and 2**16
+#: (1.27 MB with the per-pick digit enumeration before prefix expansion).
+#: 2**16 would be faster but peaks 24% higher; memory is the tighter bound.
 _ENUM_CELLS = 1 << 15
 
 
