@@ -131,7 +131,7 @@ class Tuples:
 
 def _grow(op: np.ufunc, acc: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     """``op`` of each of the ``(rows, width, 1)`` values so far with each of
-    the ``(rows or 1, 1, s)`` values of the next source, row-major:
+    the ``(rows, 1, s)`` values of the next source, row-major:
     ``(rows, width * s, 1)``."""
     rows, width, _ = acc.shape
     s = leaf.shape[2]
