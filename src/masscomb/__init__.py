@@ -50,7 +50,7 @@ from .rules import (
     combine_pcr6,
 )
 from .genrand import GenSpec, generate
-from .eknn import EknnConfig, LabeledDataset, classify, evaluate_loo, gamma_auto, neighbor_bba
+from .eknn import EknnConfig, LabeledDataset, classify, evaluate_loo, gamma_auto
 from .experiments import ExperimentReport, run_experiment
 
 __version__ = "0.1.0"
@@ -99,7 +99,6 @@ __all__ = [
     "classify",
     "evaluate_loo",
     "gamma_auto",
-    "neighbor_bba",
     "ExperimentReport",
     "run_experiment",
 ]

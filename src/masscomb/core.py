@@ -159,10 +159,6 @@ class FrameOfDiscernment:
     def cardinality(self, a: int) -> int:
         return int(self.cardinalities[self.check_index(a)])
 
-    def is_subset(self, a: int, b: int) -> bool:
-        """True when subset ``a`` is contained in subset ``b``."""
-        return self.check_index(a) & self.check_index(b) == a
-
 
 # ---------------------------------------------------------------------------
 # In-place lattice transforms.  All of them accept arrays of shape
@@ -290,18 +286,6 @@ class MassFunction:
     @property
     def is_vacuous(self) -> bool:
         return float(self.values[self.frame.full_set]) >= 1.0 - 1e-12
-
-    @property
-    def is_dogmatic(self) -> bool:
-        return float(self.values[self.frame.full_set]) == 0.0
-
-    @property
-    def is_categorical(self) -> bool:
-        focs = self.focal_elements()
-        if len(focs) != 1:
-            return False
-        a = int(focs[0])
-        return a != 0 and a != self.frame.full_set
 
     def focal_elements(self) -> np.ndarray:
         """Indices of the subsets carrying strictly positive mass."""
@@ -603,18 +587,27 @@ class SimpleSupport:
         return _simple_supports(self.frame, [self.focal], [self.weight])[0]
 
 
-def _check_support_weights(weights: np.ndarray) -> None:
-    inside = (weights >= 0.0) & (weights <= 1.0)
-    if not inside.all():
-        bad = float(weights[np.argmin(inside)])
-        raise ParameterError(f"simple support weight {bad!r} outside [0, 1]")
+def _raise_first(flags: np.ndarray, error) -> None:
+    """The ``fail`` of one call: raise the first flagged row's error."""
+    if flags.any():
+        raise error(int(np.argmax(flags)))
 
 
-def _support_block(frame: FrameOfDiscernment, focals, weights) -> np.ndarray:
+def _check_support_weights(weights: np.ndarray, fail=_raise_first) -> None:
+    fail(~((weights >= 0.0) & (weights <= 1.0)),
+         lambda i: ParameterError(f"simple support weight {float(weights[i])!r} outside [0, 1]"))
+
+
+def _check_weight_rows(weights: np.ndarray, fail=_raise_first) -> None:
+    fail(~(np.isfinite(weights).all(axis=1) & (weights.min(axis=1) > 0.0)),
+         lambda i: ParameterError("decomposition weights must be positive and finite"))
+
+
+def _support_block(frame: FrameOfDiscernment, focals, weights, fail=_raise_first) -> np.ndarray:
     """The simple supports ``focals[i]^weights[i]`` as one ``(S, 2**n)``
-    block, weights checked, rows not yet validated."""
+    block, weights checked through ``fail``, rows not yet validated."""
     weights = np.asarray(weights, dtype=float)
-    _check_support_weights(weights)
+    _check_support_weights(weights, fail)
     block = np.zeros((len(weights), frame.powerset_size))
     block[:, frame.full_set] = weights
     block[np.arange(len(weights)), focals] += 1.0 - weights
@@ -662,8 +655,7 @@ class WeightVector:
             raise EncodingError(
                 f"expected {self.frame.powerset_size} weights, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all() or float(arr.min()) <= 0.0:
-            raise ParameterError("decomposition weights must be positive and finite")
+        _check_weight_rows(arr[np.newaxis])
         arr[self.frame.full_set] = 1.0
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
@@ -900,6 +892,25 @@ def canonical_decompose(m: MassFunction) -> WeightVector:
     return WeightVector(m.frame, _batched_weights(m.values[None, :].copy(), m.frame)[0])
 
 
+def _recompose_rows(frame: FrameOfDiscernment, weights: np.ndarray, fail) -> np.ndarray:
+    """:func:`recompose` of each row of a ``(G, 2**n)`` array of weights,
+    the frame's read as 1, before validation.  Each check runs on every row
+    in recompose's order and reports the rows it flags as ``fail(flags,
+    error)``, ``error(i)`` being row ``i``'s error."""
+    _check_weight_rows(weights, fail)
+    logw = np.log(weights)
+    logw[:, frame.full_set] = 0.0
+    arr = _conjoined_commonality(logw, frame.n)
+    _moebius_superset(arr, frame.n)
+    fail(~np.isfinite(arr).all(axis=1),
+         lambda i: InvalidWeightVectorError("weight vector recombines to non-finite masses"))
+    low = arr.min(axis=1)
+    fail(low < -1e-9, lambda i: InvalidWeightVectorError(
+        f"weight vector recombines to negative mass {float(low[i]):.3e}"
+        f" at subset index {int(arr[i].argmin())}"))
+    return arr
+
+
 def recompose(w: WeightVector) -> MassFunction:
     """Conjunctively recombine the simple supports described by a weight vector.
 
@@ -907,16 +918,7 @@ def recompose(w: WeightVector) -> MassFunction:
     commonality of the product is ``prod of w_A over A not containing X``,
     computed from one lattice pass over the log weights.
     """
-    n = w.frame.n
-    arr = _conjoined_commonality(np.log(w.weights), n)
-    _moebius_superset(arr, n)
-    if not np.isfinite(arr).all():
-        raise InvalidWeightVectorError("weight vector recombines to non-finite masses")
-    if float(arr.min()) < -1e-9:
-        raise InvalidWeightVectorError(
-            f"weight vector recombines to negative mass {float(arr.min()):.3e}"
-            f" at subset index {int(arr.argmin())}"
-        )
+    arr = _recompose_rows(w.frame, w.weights[np.newaxis], _raise_first)[0]
     try:
         return MassFunction(w.frame, arr)
     except ParameterError as exc:

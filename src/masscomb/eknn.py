@@ -21,7 +21,6 @@ from .core import (
     _PIGNISTIC_UNDEFINED,
     MASS_TOL,
     FrameOfDiscernment,
-    SimpleSupport,
     _Block,
     _check_rows,
     _pignistic_rows,
@@ -221,17 +220,9 @@ def _classify(ds: LabeledDataset, queries: np.ndarray, own, cfg: EknnConfig, gam
     rows = rules._Batch.of(_Block(ds.frame, block))
     fusion = rules._fuse(rules._FUSIONS[cfg.rule.rule], rows, cfg.rule, cfg.k)
     betp, undefined = _pignistic_rows(ds.frame, fusion.masses)
-    fusion.fail(fusion.every, undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
+    fusion.fail(undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
     betp.setflags(write=False)
     return fusion, np.argmax(betp, axis=1), betp
-
-
-def neighbor_bba(
-    frame: FrameOfDiscernment, dist: float, klass: int, cfg: EknnConfig, gamma: np.ndarray
-) -> SimpleSupport:
-    """Simple support on the class singleton with focal mass ``alpha * exp(-gamma d^2)``."""
-    w = _support_weights(np.array([dist], dtype=float), np.array([klass]), cfg.alpha, gamma)
-    return SimpleSupport(frame, 1 << klass, float(w[0]))
 
 
 def classify(
@@ -240,7 +231,6 @@ def classify(
     cfg: EknnConfig,
     *,
     exclude: int | None = None,
-    gamma: np.ndarray | None = None,
 ) -> Classification:
     """Classify a feature vector from its K nearest training neighbours.
 
@@ -267,9 +257,7 @@ def classify(
     available = ds.n_samples - (1 if own is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
-    if gamma is None:
-        gamma = resolve_gamma(ds, cfg)
-    fusion, decisions, betp = _classify(ds, x[np.newaxis], own, cfg, gamma)
+    fusion, decisions, betp = _classify(ds, x[np.newaxis], own, cfg, resolve_gamma(ds, cfg))
     return Classification(klass=int(decisions[0]), fused=fusion.result(0), betp=betp[0])
 
 

@@ -356,19 +356,18 @@ class _Fusion:
         self.errors: dict[int, MassCombError] = {}
         self.masses = None
 
-    def fail(self, segment, flags: np.ndarray, error) -> None:
+    def fail(self, flags: np.ndarray, error, segment=None) -> None:
         """Fail each segment with a flagged entry and no error yet, with
-        ``error(i)``, ``i`` its first flagged entry.  ``segment`` gives the
-        segment of each entry, or is one int for all."""
+        ``error(i)``, ``i`` its first flagged entry.  ``segment`` gives each
+        entry's segment, or one for all; by default entry ``g`` is segment ``g``."""
         hits = flags.nonzero()[0]
+        # not only a shortcut: dense rows leave no column entries, yet
+        # _split gives their segments per row as the entries' segments
         if not hits.size:
             return
-        if not isinstance(segment, int):
-            segs, first = np.unique(segment[hits], return_index=True)
-            pairs = zip(segs.tolist(), hits[first].tolist())
-        else:
-            pairs = [(int(segment), int(hits[0]))]
-        for g, i in pairs:
+        segment = self.every if segment is None else segment
+        segs, first = np.unique(np.broadcast_to(segment, flags.shape)[hits], return_index=True)
+        for g, i in zip(segs.tolist(), hits[first].tolist()):
             if g not in self.errors:
                 self.errors[g] = error(i)
 
@@ -431,24 +430,17 @@ def _segments(rows: _Batch, k: int):
         first += count
 
 
-def _feed(kind: type[_Fusion], ms, cfg: RuleConfig, k: int | None = None) -> _Fusion:
-    """A ``kind`` accumulator fed every chunk of ``ms``, read as segments of
-    ``k`` rows (one segment of all rows by default)."""
-    started = time.perf_counter()
-    rows = _batch(ms)
-    k = k or len(rows)
-    fusion = kind(rows.frame, len(rows) // k, k, cfg, time.perf_counter() - started)
-    for chunk, segment in _segments(rows, k):
-        fusion.add(chunk, segment)
-    return fusion
-
-
 def _fuse(kind: type[_Fusion], ms, cfg: RuleConfig, k: int | None = None) -> _Fusion:
     """Fuse each segment of ``k`` consecutive rows of ``ms`` on its own with the
     rule ``kind`` (all rows as one segment by default); see the module docstring."""
     # failed segments carry on with meaningless numbers; checks, not warnings, find them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fusion = _feed(kind, ms, cfg, k)
+        started = time.perf_counter()
+        rows = _batch(ms)
+        k = k or len(rows)
+        fusion = kind(rows.frame, len(rows) // k, k, cfg, time.perf_counter() - started)
+        for chunk, segment in _segments(rows, k):
+            fusion.add(chunk, segment)
         fusion.finish()
     return fusion
 
@@ -491,7 +483,6 @@ class _Dempster(_Conjunctive):
         arr = self.masses
         kappa = arr[:, 0].copy()
         self.fail(
-            self.every,
             kappa >= 1.0 - _SATURATION_TOL,
             lambda g: TotalConflictError(
                 f"conjunctive conflict {float(kappa[g])} leaves nothing to renormalise"
@@ -632,7 +623,6 @@ class _Enumeration(_Fusion):
                 for g in near.tolist():
                     over[g] = math.prod(sizes[owner == g].tolist()) > self.cfg.enumeration_guard
             self.fail(
-                self.every,
                 over,
                 lambda g: ComplexityGuardError(
                     f"more than {self.cfg.enumeration_guard} focal tuples, beyond the"
@@ -699,7 +689,7 @@ class _Pcr6(_Enumeration):
     def __init__(self, *args):
         super().__init__(*args)
         if self.k < 2:
-            self.fail(self.every, np.ones(self.every.size, dtype=bool),
+            self.fail(np.ones(self.every.size, dtype=bool),
                       lambda g: ParameterError("pcr6 needs at least two sources"))
         self.seen = np.zeros(self.every.size, dtype=np.intp)
 
@@ -712,12 +702,12 @@ class _Pcr6(_Enumeration):
             # the chunk holds whole segments of k rows
             source = np.arange(len(values)) % self.k
         self.fail(
-            segment,
             conflict > 0.0,
             lambda i: ParameterError(
                 "pcr6 needs inputs with no mass on the empty set;"
                 f" source {int(source[i])} has {float(conflict[i])!r}"
             ),
+            segment,
         )
 
     def finish(self):
@@ -804,8 +794,8 @@ class _Cautious(_Fusion):
         def dogmatic(i):
             return DecompositionError("cautious pooling requires non-dogmatic inputs")
 
-        self.fail(at, weight <= 0.0, dogmatic)
-        self.fail(rest_at, rest[:, self.frame.full_set] <= 0.0, dogmatic)
+        self.fail(weight <= 0.0, dogmatic, at)
+        self.fail(rest[:, self.frame.full_set] <= 0.0, dogmatic, rest_at)
         if vacuous.size or focal.size:
             if not isinstance(at, int):
                 touched = np.unique(np.concatenate([vacuous, at]))
@@ -818,30 +808,7 @@ class _Cautious(_Fusion):
 
     def finish(self):
         # recompose(WeightVector(frame, minw)) for every segment
-        minw = self.minw
-        self.fail(
-            self.every,
-            ~(np.isfinite(minw).all(axis=1) & (minw.min(axis=1) > 0.0)),
-            lambda g: ParameterError("decomposition weights must be positive and finite"),
-        )
-        minw[list(self.errors)] = 1.0
-        minw[:, self.frame.full_set] = 1.0
-        arr = core._conjoined_commonality(np.log(minw), self.frame.n)
-        core._moebius_superset(arr, self.frame.n)
-        self.fail(
-            self.every,
-            ~np.isfinite(arr).all(axis=1),
-            lambda g: InvalidWeightVectorError("weight vector recombines to non-finite masses"),
-        )
-        low = arr.min(axis=1)
-        self.fail(
-            self.every,
-            low < -1e-9,
-            lambda g: InvalidWeightVectorError(
-                f"weight vector recombines to negative mass {float(low[g]):.3e}"
-                f" at subset index {int(arr[g].argmin())}"
-            ),
-        )
+        arr = core._recompose_rows(self.frame, self.minw, self.fail)
         self.masses = self.settle(arr, wrap=lambda exc: InvalidWeightVectorError(str(exc)))
 
 
@@ -890,15 +857,15 @@ class _Grouped(_Fusion):
         def empty(i):
             return ParameterError("a component focused on the empty set cannot be grouped")
 
-        self.fail(at, focal == 0, empty)
+        self.fail(focal == 0, empty, at)
         comp_mask = wmat = None
         if len(rest):
             self.fail(
-                rest_at,
                 rest[:, full] <= 0.0,
                 lambda i: DecompositionError(
                     "dogmatic non-simple inputs cannot be decomposed for grouping"
                 ),
+                rest_at,
             )
             wmat = core._batched_weights(rest, frame)
             # inverse components (weights above 1), then empty-set components
@@ -912,8 +879,8 @@ class _Grouped(_Fusion):
                     subset=col,
                 )
 
-            self.fail(rest_at, over.any(axis=1), inverse)
-            self.fail(rest_at, wmat[:, 0] < 1.0 - _VACUOUS_WEIGHT_TOL, empty)
+            self.fail(over.any(axis=1), inverse, rest_at)
+            self.fail(wmat[:, 0] < 1.0 - _VACUOUS_WEIGHT_TOL, empty, rest_at)
             comp_mask = wmat < 1.0 - _VACUOUS_WEIGHT_TOL
             comp_mask[:, full] = False
         self.seconds["decompose"] += time.perf_counter() - t0
@@ -945,7 +912,11 @@ class _Grouped(_Fusion):
         seg, sub = cells >> frame.n, cells & frame.full_set
         number = np.bincount(seg, minlength=self.every.size)
         scaled = (frame.n / frame.cardinalities[sub]) ** cfg.eta * self.counts.reshape(-1)[cells]
-        share = scaled / _segment_sums(scaled, number)[seg]
+        total = _segment_sums(scaled, number)
+        self.fail(~np.isfinite(total), lambda g: ParameterError(
+            f"eta {cfg.eta!r} is too large for {frame.n} hypotheses:"
+            " (n / |A|)**eta * count overflows"))
+        share = scaled / total[seg]
         self.shares = np.zeros((self.every.size, self.size))
         self.shares.reshape(-1)[cells] = share
         if self.approximate:
@@ -963,16 +934,9 @@ class _Grouped(_Fusion):
         # a group alone is its simple support, as core._simple_supports builds it
         one = np.flatnonzero(number[seg] == 1)
         if one.size:
-            self.fail(
-                seg[one],
-                ~((weights[one] >= 0.0) & (weights[one] <= 1.0)),
-                lambda i: ParameterError(
-                    f"simple support weight {float(weights[one[i]])!r} outside [0, 1]"
-                ),
+            masses[seg[one]] = core._support_block(
+                frame, sub[one], weights[one], lambda flags, error: self.fail(flags, error, seg[one])
             )
-            masses[seg[one]] = 0.0
-            masses[seg[one], frame.full_set] = weights[one]
-            masses[seg[one], sub[one]] += 1.0 - weights[one]
         self.masses = self.settle(masses)
         self.seconds["global_combine"] = time.perf_counter() - t0
 

@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -32,7 +33,7 @@ from masscomb.core import (
     as_simple_support,
     pignistic,
 )
-from masscomb.eknn import classify, neighbor_bba, resolve_gamma
+from masscomb.eknn import _support_weights, classify, resolve_gamma
 from masscomb.errors import (
     DecompositionError,
     EncodingError,
@@ -415,7 +416,7 @@ def row_by_row(frame: FrameOfDiscernment, values, tol: float) -> np.ndarray:
 
 
 def per_neighbour_classify(x, ds, cfg, *, exclude=None):
-    """EkNN with one ``neighbor_bba(...).to_mass()`` per neighbour.
+    """EkNN with one ``SimpleSupport(...).to_mass()`` per neighbour.
 
     Returns ``(klass, fused, betp)``.
     """
@@ -425,9 +426,10 @@ def per_neighbour_classify(x, ds, cfg, *, exclude=None):
     if exclude is not None:
         dist[exclude] = np.inf
     order = np.argsort(dist, kind="stable")[: cfg.k]
+    weights = _support_weights(dist[order], ds.labels[order], cfg.alpha, gamma)
     supports = [
-        neighbor_bba(ds.frame, float(dist[i]), int(ds.labels[i]), cfg, gamma).to_mass()
-        for i in order
+        SimpleSupport(ds.frame, 1 << int(ds.labels[i]), float(w)).to_mass()
+        for i, w in zip(order, weights)
     ]
     fused = combine(supports, cfg.rule)
     betp = pignistic(fused.mass).values
@@ -447,7 +449,7 @@ def per_sample_loo(ds, cfg):
     errors = []
     for i in range(ds.n_samples):
         try:
-            result = classify(ds.points[i], ds, cfg, exclude=i, gamma=gamma)
+            result = classify(ds.points[i], ds, replace(cfg, gamma=gamma), exclude=i)
         except MassCombError as exc:
             errors.append((i, str(exc)))
             continue

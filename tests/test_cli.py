@@ -94,6 +94,11 @@ class TestFuse:
     def test_infinite_parameter_exit_code(self, six_csv, flag):
         assert main(["fuse", "--input", str(six_csv), "--rule", "lns", flag, "inf"]) == 2
 
+    def test_eta_overflow_exit_code(self, six_csv, capsys):
+        # 3**1000 is past the float range
+        assert main(["fuse", "--input", str(six_csv), "--rule", "lns", "--eta", "1000"]) == 2
+        assert "eta 1000.0 is too large for 3 hypotheses" in capsys.readouterr().err
+
     def test_pcr6_empty_set_input_exit_code(self, tmp_path, frame2, capsys):
         path = tmp_path / "empty.csv"
         write_csv(path, [MassFunction(frame2, [0.5, 0.5, 0, 0]), MassFunction(frame2, [0, 0, 0.6, 0.4])])

@@ -1,13 +1,18 @@
 """Frames, mass functions, transforms, discounting, consistency, decomposition."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import masscomb
 from masscomb.core import (
     _conjoined_commonality,
     FrameOfDiscernment,
@@ -17,6 +22,8 @@ from masscomb.core import (
     SimpleSupport,
     WeightVector,
     _mass_rows,
+    _raise_first,
+    _recompose_rows,
     as_simple_support,
     canonical_decompose,
     commonality_to_mass,
@@ -35,6 +42,7 @@ from masscomb.errors import (
     DecompositionError,
     EncodingError,
     InvalidImageError,
+    InvalidWeightVectorError,
     MassCombError,
     ParameterError,
     TotalConflictError,
@@ -58,6 +66,16 @@ def test_every_export_resolves():
 
     for name in masscomb.__all__:
         getattr(masscomb, name)
+
+
+def test_import_leaves_io_and_expansion_unloaded():
+    # both load on first use: most processes that import masscomb read no
+    # file and run neither dp nor pcr6
+    src = str(Path(masscomb.__file__).parents[1])
+    code = "import masscomb, sys; print(sorted(set(sys.modules) & {'masscomb.io', 'masscomb.expansion'}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -99,8 +117,6 @@ class TestFrame:
         assert frame3.intersection(1, 4) == 0
         assert frame3.cardinality(1) == 1
         assert frame3.cardinality(7) == 3
-        assert frame3.is_subset(2, 6)
-        assert not frame3.is_subset(6, 2)
 
     def test_frame_is_absorbing_for_union(self, frame3):
         for a in range(frame3.powerset_size):
@@ -141,10 +157,6 @@ class TestMassFunction:
 
     def test_flags(self, frame2):
         assert MassFunction.vacuous(frame2).is_vacuous
-        cat = MassFunction.categorical(frame2, 2)
-        assert cat.is_categorical and cat.is_dogmatic
-        assert not MassFunction.vacuous(frame2).is_dogmatic
-        assert not MassFunction.categorical(frame2, frame2.full_set).is_categorical
 
     def test_immutable(self, frame2):
         m = MassFunction.vacuous(frame2)
@@ -450,6 +462,39 @@ class TestDecomposition:
         single[1] = 0.88
         m2 = recompose(WeightVector(frame2, single))
         assert np.max(np.abs(m2.values - [0, 0.12, 0, 0.88])) <= 1e-12
+
+    def test_recompose_refusals_pinned(self):
+        frame = FrameOfDiscernment.numbered(2)
+        with pytest.raises(InvalidWeightVectorError) as negative:
+            recompose(WeightVector(frame, [1, 5, 5, 1]))
+        assert str(negative.value) == "weight vector recombines to negative mass -2.000e+01 at subset index 1"
+        with np.errstate(over="ignore"), pytest.raises(InvalidWeightVectorError) as overflow:
+            recompose(WeightVector(frame, [1, 1e300, 1e300, 1]))
+        assert str(overflow.value) == "weight vector recombines to non-finite masses"
+
+    def test_recompose_rows_fail_a_row_alone(self):
+        # a failing row between passing ones; the frame's weights are read as 1
+        frame = FrameOfDiscernment.numbered(3)
+        weights = np.random.default_rng(8).uniform(0.05, 1.0, (5, frame.powerset_size))
+        weights[2] = 1.0
+        weights[2, [1, 2]] = 5.0
+        errors = {}
+
+        def fail(flags, error):
+            for i in np.flatnonzero(flags).tolist():
+                errors.setdefault(i, error(i))
+
+        masses = _recompose_rows(frame, weights.copy(), fail)
+        with pytest.raises(InvalidWeightVectorError) as want:
+            recompose(WeightVector(frame, weights[2]))
+        assert list(errors) == [2]
+        assert type(errors[2]) is InvalidWeightVectorError and str(errors[2]) == str(want.value)
+        for g in (0, 1, 3, 4):
+            alone = recompose(WeightVector(frame, weights[g])).values
+            assert np.array_equal(MassFunction(frame, masses[g]).values, alone)
+        with pytest.raises(InvalidWeightVectorError) as first:
+            _recompose_rows(frame, weights, _raise_first)
+        assert str(first.value) == str(want.value)
 
     def test_conjoined_commonality_does_not_cancel(self):
         # every support holds hypothesis 1 and the log weights sum to about

@@ -12,7 +12,7 @@ import pytest
 
 from masscomb import eknn, expansion, rules
 from masscomb.cli import main
-from masscomb.core import FrameOfDiscernment
+from masscomb.core import FrameOfDiscernment, SimpleSupport
 from masscomb.eknn import (
     EknnConfig,
     LabeledDataset,
@@ -20,7 +20,6 @@ from masscomb.eknn import (
     evaluate_loo,
     gamma_auto,
     load_dataset_csv,
-    neighbor_bba,
     resolve_gamma,
     two_gaussian_dataset,
 )
@@ -120,21 +119,27 @@ class TestGamma:
             resolve_gamma(toy, EknnConfig(k=1, gamma=bad))
 
 
+def neighbour_support(frame, dist, klass, cfg, gamma):
+    """One neighbour's simple support, its weight from ``eknn._support_weights``."""
+    w = eknn._support_weights(np.array([dist], dtype=float), np.array([klass]), cfg.alpha, gamma)
+    return SimpleSupport(frame, 1 << klass, float(w[0]))
+
+
 class TestNeighborBba:
     def test_zero_distance(self, toy):
         cfg = EknnConfig(k=1, alpha=0.95)
-        s = neighbor_bba(toy.frame, 0.0, 1, cfg, np.array([1.0, 1.0]))
+        s = neighbour_support(toy.frame, 0.0, 1, cfg, np.array([1.0, 1.0]))
         assert math.isclose(s.weight, 0.05, abs_tol=1e-12)
         assert s.focal == 2
 
     def test_decay_value(self, toy):
         cfg = EknnConfig(k=1, alpha=0.95)
-        s = neighbor_bba(toy.frame, 1.0, 0, cfg, np.array([1.0, 1.0]))
+        s = neighbour_support(toy.frame, 1.0, 0, cfg, np.array([1.0, 1.0]))
         assert math.isclose(1.0 - s.weight, 0.95 * math.exp(-1.0), abs_tol=1e-12)
 
     def test_far_neighbour_is_nearly_vacuous(self, toy):
         cfg = EknnConfig(k=1, alpha=0.95)
-        s = neighbor_bba(toy.frame, 1e4, 0, cfg, np.array([1.0, 1.0]))
+        s = neighbour_support(toy.frame, 1e4, 0, cfg, np.array([1.0, 1.0]))
         assert s.weight > 1.0 - 1e-12
 
     def test_weight_is_the_scalar_formula_bit_for_bit(self, toy):
@@ -142,14 +147,14 @@ class TestNeighborBba:
         gamma = np.array([0.7, 1.3])
         rng = np.random.default_rng(1)
         for dist, klass in zip(rng.exponential(2.0, 200), rng.integers(0, 2, 200)):
-            s = neighbor_bba(toy.frame, float(dist), int(klass), cfg, gamma)
+            s = neighbour_support(toy.frame, float(dist), int(klass), cfg, gamma)
             phi = float(np.exp(-gamma[klass] * dist * dist))
             assert s.weight == 1.0 - cfg.alpha * phi
 
     def test_weight_increases_with_distance(self, toy):
         cfg = EknnConfig(k=1, alpha=0.95)
         g = np.array([1.0, 1.0])
-        weights = [neighbor_bba(toy.frame, d, 0, cfg, g).weight for d in (0.0, 0.5, 1.0, 2.0)]
+        weights = [neighbour_support(toy.frame, d, 0, cfg, g).weight for d in (0.0, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import masscomb.rules as rules_mod
+
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
 from masscomb.genrand import GenSpec, generate
 from masscomb.errors import (
@@ -510,6 +512,66 @@ class TestOneGroup:
         inner = 0.0 if group.inner_weight is None else group.inner_weight
         weight = 1.0 - group.alpha + group.alpha * inner
         assert np.array_equal(res.mass.values, SimpleSupport(frame3, 1, weight).to_mass().values)
+
+
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    def test_one_group_segment_is_its_simple_support(self, frame3, rule):
+        # the middle segment forms one group, its neighbours two each
+        rows = [
+            SimpleSupport(frame3, focal, w).to_mass()
+            for focal, w in [(1, 0.3), (2, 0.6), (1, 0.4), (4, 0.7), (1, 0.2), (1, 0.9), (2, 0.5), (6, 0.8)]
+        ]
+        fusion = rules_mod._fuse(rules_mod._FUSIONS[rule], rows, RuleConfig(rule=rule), 2)
+        assert not fusion.errors
+        (group,) = fusion.result(2).groups
+        inner = 0.0 if group.inner_weight is None else group.inner_weight
+        weight = 1.0 - group.alpha + group.alpha * inner
+        assert np.array_equal(fusion.masses[2], SimpleSupport(frame3, 1, weight).to_mass().values)
+        for g in range(4):
+            want = combine(rows[2 * g : 2 * g + 2], RuleConfig(rule=rule))
+            assert np.array_equal(fusion.masses[g], want.mass.values)
+
+
+class TestEtaOverflow:
+    """A precision weight (n / |A|)**eta * count past the float range is
+    refused, naming eta and the frame size; every smaller eta still fuses."""
+
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    @pytest.mark.parametrize("eta", [341.0, 400.0])
+    @pytest.mark.parametrize("focals", [(1, 1), (1, 2)], ids=["one-group", "two-groups"])
+    def test_refused(self, rule, eta, focals):
+        frame = FrameOfDiscernment.numbered(8)
+        ms = [SimpleSupport(frame, a, 0.5).to_mass() for a in focals]
+        with pytest.raises(ParameterError, match=f"eta {eta!r} is too large for 8 hypotheses"):
+            combine(ms, RuleConfig(rule=rule, eta=eta))
+
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    @pytest.mark.parametrize("focals", [(1,), (1, 1), (1, 2)])
+    def test_largest_eta_that_fits(self, rule, focals):
+        # 8**341 fits and 8**341 * 2 does not; 8**340 * 2 fits.  Each share
+        # is 1 or 1/2 whatever eta, so the result is the one at eta = 1.
+        frame = FrameOfDiscernment.numbered(8)
+        ms = [SimpleSupport(frame, a, 0.5).to_mass() for a in focals]
+        eta = 341.0 if len(focals) == 1 else 340.0
+        got = combine(ms, RuleConfig(rule=rule, eta=eta))
+        assert np.array_equal(got.mass.values, combine(ms, RuleConfig(rule=rule)).mass.values)
+
+    @pytest.mark.parametrize("rule", ["lns", "lnsa"])
+    def test_a_segment_overflows_alone(self, rule):
+        frame = FrameOfDiscernment.numbered(8)
+        s, t = SimpleSupport(frame, 1, 0.5).to_mass(), SimpleSupport(frame, 2, 0.3).to_mass()
+        vacuous = MassFunction.vacuous(frame)
+        rows = [s, vacuous, s, s, t, vacuous]
+        cfg = RuleConfig(rule=rule, eta=341.0)
+        fusion = rules_mod._fuse(rules_mod._FUSIONS[rule], rows, cfg, 2)
+        assert list(fusion.errors) == [1]
+        for g in range(3):
+            try:
+                want = combine(rows[2 * g : 2 * g + 2], cfg)
+            except ParameterError as exc:
+                assert type(fusion.errors[g]) is ParameterError and str(fusion.errors[g]) == str(exc)
+                continue
+            assert np.array_equal(fusion.masses[g], want.mass.values)
 
 
 class TestLnsa:
