@@ -3,8 +3,10 @@ before and after a change.
 
 Times ``masscomb.eknn.evaluate_loo`` on the ``eknn-sweep`` dataset (two
 unit Gaussians, 25 points per class, centres 4 apart, two features) for
-the rules dempster, lns, dp and pcr6 at K = 2..10, and single ``combine``
-calls of dp and pcr6 on two fixed inputs:
+the rules dempster, lns, dp and pcr6 at K = 2..10; the whole sweep of
+those rules and Ks as the ``eknn-sweep`` benchmark workload runs it, one
+``run_experiment("eknn-sweep")`` call; and single ``combine`` calls of dp
+and pcr6 on two fixed inputs:
 
 * ``small``: 6 ssf rows at n = 3 (``generate`` with seed 3), 64 tuples;
 * ``large``: 12 sources at n = 3, alternately of 4 and 2 focal sets
@@ -63,6 +65,8 @@ def _cells(src: str) -> dict:
         for k in KS:
             cfg = eknn.EknnConfig(k=k, alpha=DATASET["alpha"], rule=RuleConfig(rule=rule))
             cells[f"loo/{rule}/{k}"] = (lambda cfg=cfg: eknn.evaluate_loo(ds, cfg), 1)
+    params = dict(DATASET, rules=list(RULES), ks=list(KS))
+    cells["experiment/eknn-sweep"] = (lambda: masscomb.run_experiment("eknn-sweep", params), 1)
     frame = masscomb.core.FrameOfDiscernment.numbered(3)
     rng = np.random.default_rng(5)
     large = []
@@ -141,7 +145,7 @@ def main() -> None:
         for side, src in trees.items()
     }
     numpy_version = {side: json.loads(child.stdout.readline()) for side, child in children.items()}
-    names = [f"loo/{rule}/{k}" for rule in RULES for k in KS]
+    names = [f"loo/{rule}/{k}" for rule in RULES for k in KS] + ["experiment/eknn-sweep"]
     names += [f"single/{rule}/{name}" for rule in SINGLE_RULES for name in SINGLE_INPUTS]
     samples = {side: {name: [] for name in names} for side in trees}
     try:
@@ -169,7 +173,8 @@ def main() -> None:
     doc = {
         "benchmark": "eknn-loo",
         "what": (
-            "in-process seconds of one evaluate_loo call, and of one combine call on the single-call"
+            "in-process seconds of one evaluate_loo call, of one run_experiment('eknn-sweep') call"
+            " over every rule and K of the dataset, and of one combine call on the single-call"
             " inputs: median of the repeats after one warm-up, then median over the rounds, the two"
             " trees asked in turn cell by cell; ratio is the median over the rounds of change/parent"
         ),
@@ -191,11 +196,14 @@ def main() -> None:
             "numpy": numpy_version["change"],
         },
         "results": results,
+        "experiment": {"eknn-sweep": cell("experiment/eknn-sweep")},
         "single": single,
         "totals": totals,
     }
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"parent {totals['parent']:.4f} s, change {totals['change']:.4f} s over {len(RULES) * len(KS)} cells")
+    sweep = doc["experiment"]["eknn-sweep"]
+    print(f"eknn-sweep: parent {sweep['parent']:.4f} s, change {sweep['change']:.4f} s, ratio {sweep['ratio']:.3f}")
     for rule in SINGLE_RULES:
         for name in SINGLE_INPUTS:
             a, b = single[rule][name]["parent"], single[rule][name]["change"]

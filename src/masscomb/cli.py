@@ -222,7 +222,7 @@ def _cmd_eknn(args) -> int:
     ds = eknn_mod.load_dataset_csv(args.train)
     rule_cfg = _rule_config(args)
     ks = _parse_ks(args.k)
-    accs, maxk, errs = eknn_mod._loo_sweep(ds, ks, args.alpha, rule_cfg)
+    [(accs, maxk, errs)] = eknn_mod._loo_sweep(ds, ks, args.alpha, [rule_cfg])
     payload = {
         "dataset": {"samples": ds.n_samples, "features": ds.n_features,
                     "classes": list(ds.frame.labels)},

@@ -291,11 +291,6 @@ class MassFunction:
         """Indices of the subsets carrying strictly positive mass."""
         return np.flatnonzero(self.values)
 
-    def approx_equal(self, other: "MassFunction", tol: float = 1e-12) -> bool:
-        return self.frame == other.frame and bool(
-            np.max(np.abs(self.values - other.values)) <= tol
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
@@ -900,8 +895,10 @@ def _recompose_rows(frame: FrameOfDiscernment, weights: np.ndarray, fail) -> np.
     _check_weight_rows(weights, fail)
     logw = np.log(weights)
     logw[:, frame.full_set] = 0.0
-    arr = _conjoined_commonality(logw, frame.n)
-    _moebius_superset(arr, frame.n)
+    # weights that overflow the lattice pass fail the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = _conjoined_commonality(logw, frame.n)
+        _moebius_superset(arr, frame.n)
     fail(~np.isfinite(arr).all(axis=1),
          lambda i: InvalidWeightVectorError("weight vector recombines to non-finite masses"))
     low = arr.min(axis=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -203,8 +203,8 @@ def _neighbours(
     return klass, _support_weights(np.take_along_axis(dist, order, axis=-1), klass, alpha, gamma)
 
 
-def _classify(ds: LabeledDataset, queries: np.ndarray, own, cfg: EknnConfig, gamma: np.ndarray):
-    """Classify each of the ``(Q, dim)`` queries from its K nearest neighbours.
+def _score(frame: FrameOfDiscernment, klass: np.ndarray, weights: np.ndarray, rule: RuleConfig):
+    """Fuse and decide each query from its K neighbours' ``(Q, K)`` classes and weights.
 
     The Q neighbourhoods' supports are validated as one block and fused as
     Q segments of K rows in one call (see :mod:`masscomb.rules`); one
@@ -214,12 +214,11 @@ def _classify(ds: LabeledDataset, queries: np.ndarray, own, cfg: EknnConfig, gam
     ``fusion.errors`` the error of each query whose fusion or decision
     failed, as one query alone would raise it.
     """
-    klass, weights = _neighbours(ds, queries, own, cfg.k, cfg.alpha, gamma)
-    block = _support_block(ds.frame, (1 << klass).ravel(), weights.ravel())
-    _check_rows(ds.frame, block, MASS_TOL)
-    rows = rules._Batch.of(_Block(ds.frame, block))
-    fusion = rules._fuse(rules._FUSIONS[cfg.rule.rule], rows, cfg.rule, cfg.k)
-    betp, undefined = _pignistic_rows(ds.frame, fusion.masses)
+    block = _support_block(frame, (1 << klass).ravel(), weights.ravel())
+    _check_rows(frame, block, MASS_TOL)
+    rows = rules._Batch.of(_Block(frame, block))
+    fusion = rules._fuse(rules._FUSIONS[rule.rule], rows, rule, klass.shape[1])
+    betp, undefined = _pignistic_rows(frame, fusion.masses)
     fusion.fail(undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
     betp.setflags(write=False)
     return fusion, np.argmax(betp, axis=1), betp
@@ -257,8 +256,27 @@ def classify(
     available = ds.n_samples - (1 if own is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
-    fusion, decisions, betp = _classify(ds, x[np.newaxis], own, cfg, resolve_gamma(ds, cfg))
+    klass, weights = _neighbours(ds, x[np.newaxis], own, cfg.k, cfg.alpha, resolve_gamma(ds, cfg))
+    fusion, decisions, betp = _score(ds.frame, klass, weights, cfg.rule)
     return Classification(klass=int(decisions[0]), fused=fusion.result(0), betp=betp[0])
+
+
+def _loo_scores(ds: LabeledDataset, ks: Sequence[int], alpha: float, gamma, configs):
+    """Yield ``(r, j, own, ok, decisions, fusion)``: rule ``configs[r]`` at K = ``ks[j]``
+    scored on the chunk of samples ``own``, ``ok`` flagging those that did not fail.
+    One search at the largest K serves every rule and K: (distance, index) is a
+    total order, so the K nearest are its first K, and support weights are elementwise."""
+    size, kmax = ds.n_samples, max(ks)
+    step = max(1, _LOO_CELLS // (size * ds.n_features + kmax * ds.frame.powerset_size))
+    for start in range(0, size, step):
+        own = np.arange(start, min(start + step, size))
+        klass, weights = _neighbours(ds, ds.points[own], own, kmax, alpha, gamma)
+        for r, rule in enumerate(configs):
+            for j, k in enumerate(ks):
+                fusion, decisions, _ = _score(ds.frame, klass[:, :k], weights[:, :k], rule)
+                ok = np.ones(len(own), dtype=bool)
+                ok[list(fusion.errors)] = False
+                yield r, j, own, ok, decisions, fusion
 
 
 def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
@@ -273,17 +291,12 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     """
     if cfg.k > ds.n_samples - 1:
         raise ParameterError("k must be at most the number of points minus one")
-    gamma = resolve_gamma(ds, cfg)
-    size, k = ds.n_samples, cfg.k
+    size = ds.n_samples
     predictions = np.full(size, -1, dtype=np.int64)
     kappa = np.full(size, np.nan)
     errors: list[tuple[int, str]] = []
-    step = max(1, _LOO_CELLS // (size * ds.n_features + k * ds.frame.powerset_size))
-    for start in range(0, size, step):
-        own = np.arange(start, min(start + step, size))
-        fusion, decisions, _ = _classify(ds, ds.points[own], own, cfg, gamma)
-        ok = np.ones(len(own), dtype=bool)
-        ok[list(fusion.errors)] = False
+    scores = _loo_scores(ds, [cfg.k], cfg.alpha, resolve_gamma(ds, cfg), [cfg.rule])
+    for _, _, own, ok, decisions, fusion in scores:
         predictions[own[ok]] = decisions[ok]
         kappa[own[ok]] = fusion.masses[ok, 0]
         errors += [(int(own[g]), str(fusion.errors[g])) for g in sorted(fusion.errors)]
@@ -298,27 +311,31 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
 
 
 def _loo_sweep(
-    ds: LabeledDataset, ks: Sequence[int], alpha: float, rule: RuleConfig
-) -> tuple[list[float], list[float | None], list[int]]:
-    """Leave-one-out accuracy, maximum conflict and failure count at each K.
+    ds: LabeledDataset, ks: Sequence[int], alpha: float, configs: Sequence[RuleConfig]
+) -> list[tuple[list[float], list[float | None], list[int]]]:
+    """Leave-one-out accuracy, maximum conflict and failure count at each K,
+    one triple of lists per rule, each K checked as :func:`evaluate_loo` does.
 
     The maximum conflict is undefined, and reported as None, at a K where
     every sample failed: JSON has no NaN.
     """
-    accs, maxk, errs = [], [], []
     gamma = "auto"
-    for k in ks:
-        cfg = EknnConfig(k=int(k), alpha=alpha, gamma=gamma, rule=rule)
-        if isinstance(gamma, str) and cfg.k < ds.n_samples:
-            # the scales do not depend on K: resolve them once, after the
-            # first K has passed evaluate_loo's own check
-            gamma = resolve_gamma(ds, cfg)
-            cfg = replace(cfg, gamma=gamma)
-        rep = evaluate_loo(ds, cfg)
-        accs.append(rep.accuracy)
-        maxk.append(None if math.isnan(rep.max_kappa) else rep.max_kappa)
-        errs.append(len(rep.errors))
-    return accs, maxk, errs
+    for rule in configs:
+        for k in ks:
+            cfg = EknnConfig(k=int(k), alpha=alpha, gamma=gamma, rule=rule)
+            if cfg.k > ds.n_samples - 1:
+                raise ParameterError("k must be at most the number of points minus one")
+            if isinstance(gamma, str):
+                # the scales depend on neither K nor the rule
+                gamma = resolve_gamma(ds, cfg)
+    hits, errs, worst = ([[x] * len(ks) for _ in configs] for x in (0, 0, -math.inf))
+    for r, j, own, ok, decisions, fusion in _loo_scores(ds, ks, alpha, gamma, configs):
+        hits[r][j] += int((decisions[ok] == ds.labels[own[ok]]).sum())
+        errs[r][j] += len(fusion.errors)
+        # the fused assignments of the samples that did not fail are finite
+        worst[r][j] = max(worst[r][j], float(fusion.masses[ok, 0].max(initial=-math.inf)))
+    return [([h / ds.n_samples for h in hit], [None if w == -math.inf else w for w in top], err)
+            for hit, top, err in zip(hits, worst, errs)]
 
 
 def two_gaussian_dataset(

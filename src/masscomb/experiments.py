@@ -365,8 +365,8 @@ def _run_eknn_sweep(p: dict) -> ExperimentReport:
         parameters=p,
         notes={"gamma": "auto (inverse mean same-class pair distance)"},
     )
-    for rule in p["rules"]:
-        accs, maxk, err_counts = eknn._loo_sweep(ds, p["ks"], p["alpha"], RuleConfig(rule=rule))
+    sweeps = eknn._loo_sweep(ds, p["ks"], p["alpha"], [RuleConfig(rule=rule) for rule in p["rules"]])
+    for rule, (accs, maxk, err_counts) in zip(p["rules"], sweeps):
         xs = list(p["ks"])
         report.series[f"accuracy/{rule}"] = _series(xs, accs)
         report.series[f"max_kappa/{rule}"] = _series(xs, maxk, errors=err_counts)

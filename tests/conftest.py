@@ -76,6 +76,11 @@ def random_mass(
     return MassFunction(frame, arr)
 
 
+def approx_equal(a: MassFunction, b: MassFunction, tol: float = 1e-12) -> bool:
+    """Whether ``a`` and ``b`` share a frame and no mass differs by more than ``tol``."""
+    return a.frame == b.frame and bool(np.max(np.abs(a.values - b.values)) <= tol)
+
+
 def opposed_halves(frame: FrameOfDiscernment, count: int, k: float) -> list[MassFunction]:
     """``count // 2`` simple supports on {θ1}, then as many on {θ2}, all of
     one weight ``w`` chosen so that their conjunctive conflict is about

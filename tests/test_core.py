@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from masscomb.genrand import GenSpec, generate
 from masscomb.io import FILE_MASS_TOL
 
 from conftest import (
+    approx_equal,
     loop_pignistic,
     naive_belief,
     naive_commonality,
@@ -325,7 +327,7 @@ class TestTransforms:
     def test_transform_dispatch(self, frame2):
         m = MassFunction(frame2, [0, 0.5, 0.2, 0.3])
         assert transform(m, "q").kind == "commonality"
-        assert transform(transform(m, "b"), "mass").approx_equal(m)
+        assert approx_equal(transform(transform(m, "b"), "mass"), m)
         with pytest.raises(ParameterError):
             transform(transform(m, "bel"), "mass")
         with pytest.raises(ParameterError):
@@ -363,7 +365,7 @@ class TestPignistic:
 class TestDiscount:
     def test_unchanged_at_one(self, frame2):
         m = MassFunction(frame2, [0, 0.5, 0.2, 0.3])
-        assert discount(m, 1.0).approx_equal(m, tol=0)
+        assert approx_equal(discount(m, 1.0), m, tol=0)
 
     def test_vacuous_at_zero(self, frame2):
         m = MassFunction(frame2, [0, 0.5, 0.2, 0.3])
@@ -471,6 +473,14 @@ class TestDecomposition:
         with np.errstate(over="ignore"), pytest.raises(InvalidWeightVectorError) as overflow:
             recompose(WeightVector(frame, [1, 1e300, 1e300, 1]))
         assert str(overflow.value) == "weight vector recombines to non-finite masses"
+
+    @pytest.mark.parametrize("big", [1e300, 1e308])
+    def test_recompose_overflow_raises_without_a_warning(self, big):
+        frame = FrameOfDiscernment.numbered(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidWeightVectorError, match="recombines to non-finite masses"):
+                recompose(WeightVector(frame, [1, big, big, 1]))
 
     def test_recompose_rows_fail_a_row_alone(self):
         # a failing row between passing ones; the frame's weights are read as 1

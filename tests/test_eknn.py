@@ -42,6 +42,14 @@ def clustered_dataset(dim: int, classes: int, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(points, labels, frame)
 
 
+def rounded_dataset(seed: int, size: int = 24) -> LabeledDataset:
+    """``size`` points of 3 classes on an integer grid: many equal distances,
+    and coincident points within a class and across classes."""
+    rng = np.random.default_rng(seed)
+    points = (1.5 * rng.normal(size=(size, 2))).round()
+    return LabeledDataset(points, np.arange(size) % 3, FrameOfDiscernment.of("a", "b", "c"))
+
+
 @pytest.fixture
 def toy():
     # two tight clusters on a line
@@ -97,7 +105,7 @@ class TestGamma:
         calls = []
         auto = eknn.gamma_auto
         monkeypatch.setattr(eknn, "gamma_auto", lambda d: calls.append(d) or auto(d))
-        accs, maxk, errs = eknn._loo_sweep(ds, [1, 3, 5], 0.95, rule)
+        accs, maxk, errs = eknn._loo_sweep(ds, [1, 3, 5], 0.95, [rule])[0]
         assert len(calls) == 1
         assert accs == [r.accuracy for r in want] and maxk == [r.max_kappa for r in want]
         # the resolved scales, given as per-class values, give the same report
@@ -109,9 +117,9 @@ class TestGamma:
         pts = np.array([[0.0], [1.0], [2.0]])
         ds = LabeledDataset(pts, np.array([0, 0, 1]), FrameOfDiscernment.of("a", "b"))
         with pytest.raises(ParameterError, match="k must be at most"):
-            eknn._loo_sweep(ds, [5, 1], 0.95, RuleConfig(rule="dempster"))
+            eknn._loo_sweep(ds, [5, 1], 0.95, [RuleConfig(rule="dempster")])
         with pytest.raises(UndefinedGammaError):
-            eknn._loo_sweep(ds, [1, 5], 0.95, RuleConfig(rule="dempster"))
+            eknn._loo_sweep(ds, [1, 5], 0.95, [RuleConfig(rule="dempster")])
 
     @pytest.mark.parametrize("bad", [{0: 1.0, 1: 2.0}, ["a", "b"], [[1.0], [2.0, 3.0]], None])
     def test_non_numeric_gamma_rejected(self, toy, bad):
@@ -385,6 +393,50 @@ class TestLeaveOneOut:
         # features enter the distances as given
         with pytest.raises(TypeError):
             EknnConfig(standardize=True)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("alpha", [0.95, 1.0])
+    def test_equals_one_evaluate_loo_per_rule_and_k(self, monkeypatch, alpha):
+        # K out of order; a guard of 1000 focal tuples fails every dp and
+        # pcr6 sample at K = 23, and alpha = 1 saturates Dempster's rule
+        # on coincident points of different classes
+        ks = [7, 1, 2, 23, 3]
+        configs = [RuleConfig(rule=rule, enumeration_guard=1000) for rule in RULE_NAMES]
+        failed = 0
+        for seed in range(4):
+            ds = rounded_dataset(seed)
+            want = [[evaluate_loo(ds, EknnConfig(k=k, alpha=alpha, rule=cfg)) for k in ks] for cfg in configs]
+            cells = ds.n_samples * ds.n_features + max(ks) * ds.frame.powerset_size
+            with monkeypatch.context() as patch:
+                patch.setattr(eknn, "_LOO_CELLS", 5 * cells)
+                got = eknn._loo_sweep(ds, ks, alpha, configs)
+            assert len(got) == len(configs)
+            for (accs, maxk, errs), reps in zip(got, want):
+                assert accs == [r.accuracy for r in reps]
+                assert maxk == [None if math.isnan(r.max_kappa) else r.max_kappa for r in reps]
+                assert errs == [len(r.errors) for r in reps]
+                failed += sum(errs)
+        assert failed > 0
+
+    def test_one_search_per_chunk_and_one_gamma(self, monkeypatch):
+        ds = two_gaussian_dataset(20, 2.0, seed=9)
+        ks = [2, 4, 6, 8, 10]
+        cells = ds.n_samples * ds.n_features + max(ks) * ds.frame.powerset_size
+        searches, scales = [], []
+        search, auto = eknn._neighbours, eknn.gamma_auto
+
+        def recorded(ds, queries, own, k, *args):
+            searches.append((len(queries), k))
+            return search(ds, queries, own, k, *args)
+
+        monkeypatch.setattr(eknn, "_LOO_CELLS", 6 * cells)
+        monkeypatch.setattr(eknn, "_neighbours", recorded)
+        monkeypatch.setattr(eknn, "gamma_auto", lambda d: scales.append(d) or auto(d))
+        eknn._loo_sweep(ds, ks, 0.95, [RuleConfig(rule=r) for r in ("dempster", "lns", "pcr6")])
+        assert len(scales) == 1
+        # 40 samples in chunks of 6, each searched once at the largest K
+        assert searches == [(6, 10)] * 6 + [(4, 10)]
 
 
 class TestReportsPinned:
