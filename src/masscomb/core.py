@@ -371,23 +371,27 @@ class _Block:
     block and its key ``keys[row] = key + row``, the very int object, so a
     list of rows, however it was cut and joined, resolves to runs of block
     rows, and rows of one block in order compare by identity.  The block's
-    split by kind (:class:`_Columns`) is made on first use and kept.  A
-    block never references its rows: dropping them frees it.
+    split by kind (:class:`_Columns`) is made on first use and kept; the
+    producer's focal cells, if it passed them (see :meth:`_Columns.split`),
+    are held until then and dropped once the split is made.  A block never
+    references its rows: dropping them frees it.
     """
 
-    __slots__ = ("frame", "values", "key", "keys", "_columns", "__weakref__")
+    __slots__ = ("frame", "values", "key", "keys", "_columns", "_cells", "__weakref__")
 
-    def __init__(self, frame: FrameOfDiscernment, values: np.ndarray):
+    def __init__(self, frame: FrameOfDiscernment, values: np.ndarray, cells=None):
         values.setflags(write=False)
         self.frame = frame
         self.values = values
         self.key = next(_SERIALS) << 32
         self.keys = list(range(self.key, self.key + len(values)))
         self._columns = None
+        self._cells = cells
 
     def columns(self) -> "_Columns":
         if self._columns is None:
-            self._columns = _Columns.split(self.values, self.frame.full_set)
+            self._columns = _Columns.split(self.values, self.frame.full_set, self._cells)
+            self._cells = None
         return self._columns
 
 
@@ -431,16 +435,30 @@ class _Columns:
         self._at = None
 
     @classmethod
-    def split(cls, values: np.ndarray, full: int) -> "_Columns":
-        focal_cells = values[:, :full] != 0.0
-        nonzero = focal_cells.sum(axis=1)
-        simple = nonzero == 1
-        focal = np.argmax(focal_cells[simple], axis=1)
+    def split(cls, values: np.ndarray, full: int, cells=None) -> "_Columns":
+        """Split validated ``values``, scanning them for the non-zero cells
+        below the frame unless ``cells``, from the producer that wrote them,
+        gives their ``(rows, subsets)``: row-major, subsets ascending within
+        a row, as ``np.nonzero(values[:, :full])``.  Weights and the chain
+        checks always come from ``values``."""
+        if cells is None:
+            focal_cells = values[:, :full] != 0.0
+            nonzero = focal_cells.sum(axis=1)
+            simple, multi = nonzero == 1, nonzero > 1
+            focal = np.argmax(focal_cells[simple], axis=1)
+            sub, sets = np.nonzero(focal_cells[multi])
+        else:
+            r, s = cells
+            nonzero = np.bincount(r, minlength=len(values))
+            simple, multi = nonzero == 1, nonzero > 1
+            focal = s[simple[r]]
+            kept = multi[r]
+            sub, sets = (np.cumsum(multi) - 1)[r[kept]], s[kept]
         weight = values[simple, full]
-        rows = np.flatnonzero(nonzero > 1)
+        rows = np.flatnonzero(multi)
         if not rows.size:
             return cls(nonzero, focal, weight)
-        chain, chain_focal, chain_weight = _chain_components(values, rows, focal_cells[rows], full)
+        chain, chain_focal, chain_weight = _chain_components(values, rows, sub, sets, full)
         return cls(nonzero, focal, weight, rows[chain], chain_focal, chain_weight, rows[~chain])
 
     @property
@@ -462,18 +480,18 @@ class _Columns:
         return self._at
 
 
-def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, full: int):
+def _chain_components(v: np.ndarray, rows: np.ndarray, sub: np.ndarray, sets: np.ndarray, full: int):
     """Canonical components of the chain rows among ``v[rows]``.
 
     A chain row's focal sets are nested, ``A_1 ⊂ ... ⊂ A_k``, with ``A_k``
     the whole frame.  With ``Q_i = m(A_i) + ... + m(A_k)``, its weight on
     ``A_i`` is ``Q_{i+1} / Q_i`` (Denoeux 2008), the closed form of the
-    lattice decomposition.  ``focal_cells`` marks the focal sets of each
-    row other than the frame; a chain row has one component per such set.
+    lattice decomposition.  ``sub`` and ``sets`` list the focal sets of
+    each row other than the frame, row by row in ascending order, ``sub``
+    indexing ``rows``; a chain row has one component per such set.
     Returns ``(chain, focal, weight)``: which of the rows are chains, and
     their components row by row.
     """
-    sub, sets = np.nonzero(focal_cells)
     # ascending index is chain order, since A ⊂ B implies A < B
     broken = (sub[1:] == sub[:-1]) & (sets[:-1] & sets[1:] != sets[:-1])
     chain = v[rows, full] > 0.0
@@ -498,16 +516,18 @@ def _chain_components(v: np.ndarray, rows: np.ndarray, focal_cells: np.ndarray, 
 
 
 def _mass_rows(
-    frame: FrameOfDiscernment, block: np.ndarray, tol: float = MASS_TOL
+    frame: FrameOfDiscernment, block: np.ndarray, tol: float = MASS_TOL, cells=None
 ) -> list[MassFunction]:
     """Validate a freshly built ``(S, 2**n)`` block in one pass and return one
     assignment per row.
 
     The assignments' values are read-only views into ``block``, which the
     caller must not write to afterwards; each row keeps the :class:`_Block`
-    made around it.  A single row (``SimpleSupport.to_mass``, a one-group
-    ``lns`` result) belongs to no block, as if built on its own: a list of
-    such rows is stacked once per call rather than split block by block.
+    made around it, and the block keeps ``cells`` for its split (see
+    :meth:`_Columns.split`).  A single row (``SimpleSupport.to_mass``, a
+    one-group ``lns`` result) belongs to no block, as if built on its own: a
+    list of such rows is stacked once per call rather than split block by
+    block.
     Rows are bit-identical to ``MassFunction(frame, row, tol=tol)``, and a
     failure is the error of the first offending row (see
     :func:`_check_rows`).
@@ -516,7 +536,7 @@ def _mass_rows(
     if len(block) == 1:
         block.setflags(write=False)
         return [_trusted(frame, block[0])]
-    owner = _Block(frame, block)
+    owner = _Block(frame, block, cells)
     # the rows of a read-only block are read-only views already
     new = object.__new__
     out = []

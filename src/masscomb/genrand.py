@@ -7,7 +7,9 @@ exponential transforms of uniform draws.
 The stream is that of numpy's own calls, one draw at a time.  ssf and
 consonant draws with no singleton-mass threshold are replayed from raw
 PCG64 words, bit for bit, and filled into the block for all rows at once;
-thresholded draws, and general draws, run one by one.
+thresholded draws, and general draws, run one by one.  The replays also
+return the focal cells they wrote, which the block's split takes in place
+of a scan (see ``core._Columns.split``).
 """
 
 from __future__ import annotations
@@ -100,15 +102,16 @@ def _draw_general(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr
     arr[focals] = _simplex(rng, count)
 
 
-def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
+def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> int:
     # the same stream as rng.choice(pool), without its overhead
     focal = int(pool[rng.integers(0, len(pool))])
     w = float(rng.random())
     arr[spec.frame.full_set] = w
     arr[focal] += 1.0 - w
+    return focal
 
 
-def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
+def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray):
     """One consonant draw by numpy's own calls: a permutation of the
     hypotheses, ``num_focals`` distinct chain sizes and one uniform per
     focal set.  Thresholded draws run through it, and so does any draw
@@ -118,13 +121,15 @@ def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, a
     sizes = rng.choice(pool, size=k, replace=False)
     u = np.empty(k + 1)
     rng.random(out=u[: k + (sizes.max() < n)])
-    _fill_chains(spec, order[np.newaxis], sizes[np.newaxis], u[np.newaxis], arr[np.newaxis])
+    return _fill_chains(spec, order[np.newaxis], sizes[np.newaxis], u[np.newaxis], arr[np.newaxis])
 
 
 def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.ndarray,
-                 block: np.ndarray) -> None:
+                 block: np.ndarray):
     """Fill the zeroed rows of ``block`` with the consonant draws that
-    ``orders``, ``sizes`` and ``u`` hold, one row each.
+    ``orders``, ``sizes`` and ``u`` hold, one row each, and return the
+    focal cells written: each row's chain sets but the frame, every mass
+    being positive.
 
     The chain's set of size ``s`` holds the first ``s`` hypotheses of the
     row's order, and the whole frame is added on top unless a size is
@@ -139,31 +144,43 @@ def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.nda
     # a padded row would not sum in the order of a draw's own vector
     for top in (False, True):
         rows = np.flatnonzero(topped == top)
+        if not rows.size:
+            continue
         e = -np.log(np.maximum(u[rows, : k + top], 1e-300))
         masses = e / e.sum(axis=1, keepdims=True)
         block[rows[:, np.newaxis], chains[rows]] = masses[:, :k]
         if top:
             block[rows, spec.frame.full_set] = masses[:, k]
+    # nested sets ascend, so a row's chain is its cells in order
+    kept = np.ones(chains.shape, dtype=bool)
+    kept[:, -1] = topped
+    rows, cols = np.nonzero(kept)
+    return rows, chains[rows, cols]
 
 
-def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
+def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray):
     """Fill the zeroed rows of ``block`` with the consonant draws that
     :func:`_draw_consonant` would make one by one, replayed a slab of raw
-    words at a time; a draw the replay cannot make runs one by one."""
-    filled = 0
+    words at a time; a draw the replay cannot make runs one by one.
+    Returns the focal cells written."""
+    filled, rows, sets = 0, [], []
     while filled < len(block):
-        done = _replay_chains(rng.bit_generator, spec, pool, block[filled:])
+        done, cells = _replay_chains(rng.bit_generator, spec, pool, block[filled:])
         if not done:
-            _draw_consonant(rng, spec, pool, block[filled])
+            cells = _draw_consonant(rng, spec, pool, block[filled])
             done = 1
+        rows.append(cells[0] + filled)
+        sets.append(cells[1])
         filled += done
+    return np.concatenate(rows), np.concatenate(sets)
 
 
 def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarray,
-                   block: np.ndarray) -> int:
+                   block: np.ndarray):
     """Fill the first rows of ``block`` with the draws of
     :func:`_draw_consonant`, from one slab of at most ``_SLAB_WORDS`` raw
-    PCG64 words; return how many rows, leaving ``bitgen`` just past them.
+    PCG64 words; return how many rows and their focal cells, leaving
+    ``bitgen`` just past them.
 
     A draw makes three kinds of 32-bit draw, then ``num_focals`` uniforms
     (one more if the frame goes on top):
@@ -246,7 +263,7 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     m = int(rejected[0]) if rejected.size else len(picks)
     bitgen.state = start
     if not m:
-        return 0
+        return 0, None
 
     orders = np.tile(np.arange(n), (m, 1))
     places = np.array(swaps[: m * (n - 1)], dtype=np.intp).reshape(m, n - 1)
@@ -262,7 +279,7 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     firsts = (np.array(ends[:m]) + 1) // 2
     u = (words[np.minimum(firsts[:, np.newaxis] + np.arange(k + 1), limit - 1)]
          >> np.uint64(11)) * 2.0**-53
-    _fill_chains(spec, orders, sizes, u, block[:m])
+    cells = _fill_chains(spec, orders, sizes, u, block[:m])
 
     # past the last row's uniforms, less the stand-in word 0
     last = ends[m - 1]
@@ -271,7 +288,7 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = 1, walk[last]
         bitgen.state = state
-    return m
+    return m, cells
 
 
 #: Each drawer writes one draw, picking from ``_pool(spec)``, into a zeroed row.
@@ -284,10 +301,11 @@ def _singleton_masses(arr: np.ndarray, n: int) -> np.ndarray:
     return arr[[1 << i for i in range(n)]]
 
 
-def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray) -> None:
+def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray):
     """Fill ``block`` with the rows that :func:`generate` draws one by one for
     ``ssf`` with no threshold and at least two pool entries, from raw PCG64
-    words.
+    words, and return the focal cells written: each row's focal set, unless
+    it is the frame, its mass ``1 - w`` being at least ``2**-53``.
 
     An ssf draw calls ``integers(0, m)`` and then ``random()``.  The integer
     takes the low half of a fresh 64-bit word, and the next draw's integer
@@ -304,10 +322,11 @@ def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block
     bitgen = rng.bit_generator
     m = len(pool)
     full = spec.frame.full_set
+    focals = np.empty(len(block), dtype=np.intp)
     filled = 0
     while filled < len(block):
         if bitgen.state["has_uint32"]:
-            _draw_ssf(rng, spec, pool, block[filled])
+            focals[filled] = _draw_ssf(rng, spec, pool, block[filled])
             filled += 1
             continue
         need = len(block) - filled
@@ -320,15 +339,18 @@ def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block
         stop = int(rejected[0]) if rejected.size else need
         rows = np.arange(filled, filled + stop)
         w = (words[:, 1:].ravel()[:stop] >> np.uint64(11)).astype(float) * 2.0**-53
+        focals[rows] = picked = pool[(scaled[:stop] >> np.uint64(32)).astype(np.intp)]
         block[rows, full] = w
-        block[rows, pool[(scaled[:stop] >> np.uint64(32)).astype(np.intp)]] += 1.0 - w
+        block[rows, picked] += 1.0 - w
         filled += stop
         if stop < need:
             # back to the words before the rejected draw, then draw it one by one
             bitgen.state = start
             bitgen.random_raw(3 * (stop // 2) + 2 * (stop % 2))
-            _draw_ssf(rng, spec, pool, block[filled])
+            focals[filled] = _draw_ssf(rng, spec, pool, block[filled])
             filled += 1
+    rows = np.flatnonzero(focals != full)
+    return rows, focals[rows]
 
 
 def generate(spec: GenSpec, count: int) -> list[MassFunction]:
@@ -344,11 +366,9 @@ def generate(spec: GenSpec, count: int) -> list[MassFunction]:
     pool = _pool(spec)
     block = np.zeros((count, spec.frame.powerset_size))
     if spec.kind == "ssf" and spec.min_singleton_mass is None and len(pool) > 1:
-        _replay_ssf(rng, spec, pool, block)
-        return _mass_rows(spec.frame, block)
+        return _mass_rows(spec.frame, block, cells=_replay_ssf(rng, spec, pool, block))
     if spec.kind == "consonant" and spec.min_singleton_mass is None:
-        _draw_chains(rng, spec, pool, block)
-        return _mass_rows(spec.frame, block)
+        return _mass_rows(spec.frame, block, cells=_draw_chains(rng, spec, pool, block))
     draw = _DRAWERS[spec.kind]
     for arr in block:
         for attempt in range(_MAX_REJECTIONS):

@@ -207,7 +207,7 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
         if keys == block.keys[start : start + len(keys)]:
             return _Batch(block.frame, [(block, start, start + len(keys))], len(keys))
     frame = ms[0].frame
-    keys = np.array(keys)
+    keys = np.fromiter(keys, np.int64, len(keys))
     # every row of no block (key -1) heads a run here, and every other row
     # shares the block of the row before it
     heads = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1).tolist()

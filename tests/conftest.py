@@ -28,6 +28,7 @@ from masscomb.core import (
     MassFunction,
     SimpleSupport,
     WeightVector,
+    _Columns,
     _moebius_superset,
     _zeta_superset,
     as_simple_support,
@@ -526,6 +527,26 @@ _ORACLE_DRAWERS = {
     "ssf": _oracle_draw_ssf,
     "consonant": _oracle_draw_consonant,
 }
+
+
+_SPLIT_FIELDS = ("focal", "weight", "chain_focal", "chain_weight", "dense", "_nonzero", "_chains", "at")
+
+
+def assert_same_split(got: _Columns, values: np.ndarray) -> None:
+    """``got`` equals the split of ``values`` by scan in every field, ``at``
+    included, byte for byte: the check on a producer's focal cells."""
+    want = _Columns.split(values, values.shape[1] - 1)
+    for field in _SPLIT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+def assert_block_split(rows: list[MassFunction]) -> None:
+    """The block of ``generate``'s ``rows`` splits as a scan of its values
+    would; a one-row result has no block."""
+    block = rows[0]._block
+    if block is not None:
+        assert_same_split(block.columns(), block.values)
 
 
 def per_draw_generate(spec: genrand.GenSpec, count: int) -> list[MassFunction]:

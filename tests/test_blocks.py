@@ -215,9 +215,9 @@ class TestRuns:
         splits = []
         split = core._Columns.split.__func__
 
-        def counted(cls, values, full):
+        def counted(cls, values, full, cells=None):
             splits.append(len(values))
-            return split(cls, values, full)
+            return split(cls, values, full, cells)
 
         monkeypatch.setattr(core._Columns, "split", classmethod(counted))
         for want in ([800, 200], []):
@@ -225,6 +225,15 @@ class TestRuns:
             for rule in ("lns", "lnsa", "conjunctive", "cautious", "average"):
                 combine(batch, RuleConfig(rule=rule))
             assert splits == want
+
+    @pytest.mark.parametrize("kind, cells", [("ssf", True), ("consonant", True), ("general", False)])
+    def test_producer_cells_are_held_until_the_split(self, kind, cells):
+        # the ssf and consonant replays hand their focal cells to the block,
+        # which drops them once the split is made from them
+        block = generate(GenSpec(FrameOfDiscernment.numbered(4), kind=kind, seed=1), 50)[0]._block
+        assert (block._cells is not None) == cells
+        block.columns()
+        assert block._cells is None
 
 
 class TestNoCycle:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from masscomb import genrand
-from masscomb.core import FrameOfDiscernment, as_simple_support
+from masscomb.core import FrameOfDiscernment, _Columns, as_simple_support
 from masscomb.errors import ParameterError
 from masscomb.genrand import GenSpec, generate
 
-from conftest import per_draw_chains, per_draw_generate
+from conftest import assert_block_split, assert_same_split, per_draw_chains, per_draw_generate
 
 
 @pytest.fixture
@@ -139,6 +139,7 @@ class TestOneBlock:
         got = generate(spec, 150)
         want = per_draw_generate(spec, 150)
         assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+        assert_block_split(got)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("stream", [0, 3])
@@ -151,6 +152,7 @@ class TestOneBlock:
             got = generate(spec, count)
             want = per_draw_generate(spec, count)
             assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in want]
+            assert_block_split(got)
 
     def test_assignments_share_the_frame_and_stay_read_only(self, frame4):
         out = generate(GenSpec(frame4, kind="general", seed=1), 20)
@@ -161,12 +163,15 @@ class TestOneBlock:
 
 
 def _outcome(gen, spec, count):
-    """The rows ``gen`` draws, or ``"exhausted"`` if rejection sampling gives up."""
+    """The rows ``gen`` draws, or ``"exhausted"`` if rejection sampling gives
+    up; the block of rows ``generate`` draws must split as a scan would."""
     try:
-        return [m.values.tobytes() for m in gen(spec, count)]
+        rows = gen(spec, count)
     except ParameterError as exc:
         assert str(exc).startswith("rejection sampling failed")
         return "exhausted"
+    assert_block_split(rows)
+    return [m.values.tobytes() for m in rows]
 
 
 class TestSsfReplay:
@@ -174,7 +179,7 @@ class TestSsfReplay:
     threshold or from a one-element pool; each hazard must give the rows, or
     the error, of the per-draw oracle."""
 
-    @pytest.mark.parametrize("n, pool", [(1, (1,)), (3, (2,)), (3, (7,)), (3, (1, 6)), (4, None)])
+    @pytest.mark.parametrize("n, pool", [(1, (1,)), (3, (2,)), (3, (7,)), (3, (1, 6)), (3, (1, 7)), (4, None)])
     @pytest.mark.parametrize("count", [1, 2, 7, 40])
     @pytest.mark.parametrize("stream", [0, 3])
     @pytest.mark.parametrize("threshold", [None, 0.0, 0.4])
@@ -246,9 +251,10 @@ class TestConsonantReplay:
     def check(spec, count, make_rng):
         rng, oracle = make_rng(), make_rng()
         block = np.zeros((count, spec.frame.powerset_size))
-        genrand._draw_chains(rng, spec, genrand._pool(spec), block)
+        cells = genrand._draw_chains(rng, spec, genrand._pool(spec), block)
         assert block.tobytes() == per_draw_chains(oracle, spec, count).tobytes()
         assert _position(rng) == _position(oracle)
+        assert_same_split(_Columns.split(block, spec.frame.full_set, cells), block)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_size_picked(self, n):
@@ -271,6 +277,7 @@ class TestConsonantReplay:
         got = generate(spec, 5000)
         want = per_draw_generate(spec, 5000)
         assert b"".join(m.values.tobytes() for m in got) == b"".join(m.values.tobytes() for m in want)
+        assert_block_split(got)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_starts_on_a_buffered_half(self, n):
