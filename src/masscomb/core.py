@@ -314,6 +314,10 @@ def _check_rows(frame: FrameOfDiscernment, block: np.ndarray, tol: float) -> Non
     The checks are those of :class:`MassFunction`, in its order: shape,
     finite, no mass below ``-tol``, then clip and a total within ``tol`` of
     1, so each row ends up bit-identical to ``MassFunction(frame, row)``.
+    A valid block costs two reads: a sign-bit test, then the row sums.
+    Only a block with a sign bit set (a negative, ``-0.0`` or ``-nan``) is
+    clipped, as the clip changes no other entry, and only rows whose total
+    is not exactly 1 are divided, as ``x / 1.0`` is ``x``.
     The error raised is the one the first offending row would raise on its
     own; a :class:`ParameterError` names that row in ``row``.
     """
@@ -322,17 +326,21 @@ def _check_rows(frame: FrameOfDiscernment, block: np.ndarray, tol: float) -> Non
             f"expected {frame.powerset_size} masses for a {frame.n}-element frame,"
             f" got shape {block.shape[1:]}"
         )
-    # nan compares false, so a NaN or -inf anywhere fails the first check
-    if block.min(initial=0.0) >= -tol:
-        np.maximum(block, 0.0, out=block)  # the clip, bit for bit
+    signed = block.view(np.int64).min(initial=0) < 0
+    # nan compares false, so a NaN or -inf anywhere fails the first check;
+    # +nan and +inf, unsigned, fail the sum test
+    if not signed or block.min(initial=0.0) >= -tol:
+        if signed:
+            np.maximum(block, 0.0, out=block)  # the clip, bit for bit
         total = np.add.reduce(block, axis=1)
         deviation = np.abs(total - 1.0).max(initial=0.0)
         if deviation <= tol:
-            if deviation:  # x / 1.0 is x, so rows that sum to 1 exactly are left as they are
-                block /= total[:, np.newaxis]
+            if deviation:
+                np.divide(block, total[:, np.newaxis], out=block, where=(total != 1.0)[:, np.newaxis])
             return
     # Some row fails: find the first, checking each in order.  The block
-    # was clipped only if no row holds a mass below -tol.
+    # was clipped only if no row holds a mass below -tol, and a clip that
+    # did not run would have changed nothing the checks below read.
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.maximum(block, 0.0).sum(axis=1)
     finite = np.isfinite(block).all(axis=1)
@@ -518,8 +526,8 @@ def _chain_components(v: np.ndarray, rows: np.ndarray, sub: np.ndarray, sets: np
 def _mass_rows(
     frame: FrameOfDiscernment, block: np.ndarray, tol: float = MASS_TOL, cells=None
 ) -> list[MassFunction]:
-    """Validate a freshly built ``(S, 2**n)`` block in one pass and return one
-    assignment per row.
+    """Validate a freshly built ``(S, 2**n)`` block in two reads (see
+    :func:`_check_rows`) and return one assignment per row.
 
     The assignments' values are read-only views into ``block``, which the
     caller must not write to afterwards; each row keeps the :class:`_Block`

@@ -172,7 +172,7 @@ def _loadtxt_body(fh, size: int) -> np.ndarray:
 
 
 def _read_rows(frame: FrameOfDiscernment, count: int, fill, error) -> list[MassFunction]:
-    """Parse ``count`` assignments into one block, then validate it in one pass.
+    """Parse ``count`` assignments into one block, then validate the block.
 
     ``fill(i, out)`` parses the ``i``-th assignment into the zeroed row
     ``out``, raising :class:`ParseError` on a malformed one.  ``error(i,

@@ -190,23 +190,34 @@ class _Batch:
 def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     """Resolve the inputs into runs of block rows.
 
-    Reads one attribute per row.  Rows of one block in order, as a producer
-    returned them or a slice of that, are one run with no further work;
-    otherwise runs are found by comparing the keys in numpy, and each run's
-    block is read from its first row, unless the runs are short (see
-    ``_RUN_MIN_ROWS``).  A :class:`_Batch` comes back as it is.
+    Reads one attribute per row.  A list that is runs of block rows each
+    reaching the end of its block or of the list, as producers returned
+    them or head and tail slices of that, is walked run by run, one list
+    compare per run; otherwise runs are found by comparing the keys in
+    numpy, and each run's block is read from its first row.  Either way,
+    short runs are stacked (see ``_RUN_MIN_ROWS``).  A :class:`_Batch`
+    comes back as it is.
     """
     if isinstance(ms, _Batch):
         return ms
     if not ms:
         raise ParameterError("need at least one mass function to combine")
     keys = [m._key for m in ms]
-    block = ms[0]._block
-    if block is not None:
-        start = keys[0] - block.key
-        if keys == block.keys[start : start + len(keys)]:
-            return _Batch(block.frame, [(block, start, start + len(keys))], len(keys))
-    frame = ms[0].frame
+    frame, runs, i = ms[0].frame, [], 0
+    while i < len(keys):
+        # the rest of the block, or of the list, in one C-level compare
+        block = ms[i]._block
+        if block is None or not (block.frame is frame or block.frame == frame):
+            break
+        start = keys[i] - block.key
+        stop = min(len(block.keys), start + len(keys) - i)
+        if keys[i : i + stop - start] != block.keys[start:stop]:
+            break
+        runs.append((block, start, stop))
+        i += stop - start
+    else:
+        if len(runs) == 1 or len(keys) >= _RUN_MIN_ROWS * len(runs):
+            return _Batch(frame, runs, len(keys))
     keys = np.fromiter(keys, np.int64, len(keys))
     # every row of no block (key -1) heads a run here, and every other row
     # shares the block of the row before it
@@ -509,6 +520,15 @@ class _Disjunctive(_Fusion):
 
 
 class _Average(_Fusion):
+    """Sums each subset's masses row by row in input order, then divides.
+
+    numpy sums a block's axis 0 row by row, and ``np.bincount`` adds its
+    entries in order, so a run of vacuous rows, simple supports and chains
+    is summed from its block's columns: each row's cells below the frame
+    and its frame cell, behind the running total.  Skipping a zero cell
+    adds ``+ 0.0`` to no sum, exact as validated masses are never ``-0.0``.
+    """
+
     def __init__(self, *args):
         super().__init__(*args)
         self.acc = np.zeros((self.every.size, self.size))
@@ -517,13 +537,27 @@ class _Average(_Fusion):
         if not isinstance(segment, int):
             _pool(np.add, self.acc, chunk.values(), segment)
             return
-        # one segment's chunk, run by run without a copy: numpy sums axis 0
-        # row by row, so a later run summed behind the running total adds in
-        # the order of the whole chunk's sum
-        (block, a, b), *rest = chunk.runs
-        total = block.values[a:b].sum(axis=0)
-        for block, a, b in rest:
-            total = np.add.reduce(np.concatenate([total[np.newaxis], block.values[a:b]]))
+        total = None
+        for block, a, b in chunk.runs:
+            v = block.values
+            # a block whose cells are unknown, or with dense rows, is summed
+            # dense: that one pass is what a scan for its cells would cost
+            cols = block.columns() if block._columns is not None or block._cells is not None else None
+            if cols is not None and not len(cols.dense):
+                (s0, c0), (s1, c1) = cols.at[[a, b], 1:3].tolist()
+                nonzero = cols._nonzero[a:b]
+                rows = np.repeat(np.arange(a, b), nonzero)  # row-major
+                sets = np.empty(len(rows), dtype=np.intp)
+                simple = np.repeat(nonzero == 1, nonzero)
+                sets[simple], sets[~simple] = cols.focal[s0:s1], cols.chain_focal[c0:c1]
+                cells = np.concatenate([np.arange(self.size), sets, np.full(b - a, self.size - 1)])
+                start = np.zeros(self.size) if total is None else total
+                total = np.bincount(cells, np.concatenate([start, v[rows, sets], v[a:b, -1]]))
+            elif total is None:
+                total = v[a:b].sum(axis=0)
+            else:
+                # behind the running total, in the order of the whole chunk's sum
+                total = np.add.reduce(np.concatenate([total[np.newaxis], v[a:b]]))
         self.acc[segment] += total
 
     def finish(self):

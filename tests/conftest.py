@@ -24,6 +24,7 @@ import pytest
 
 from masscomb import genrand
 from masscomb.core import (
+    MASS_TOL,
     FrameOfDiscernment,
     MassFunction,
     SimpleSupport,
@@ -419,6 +420,50 @@ def row_by_row(frame: FrameOfDiscernment, values, tol: float) -> np.ndarray:
         raise ParameterError(f"masses sum to {total!r}, expected 1")
     arr /= total
     return arr
+
+
+def check_rows_oracle(frame: FrameOfDiscernment, block: np.ndarray, tol: float) -> None:
+    """The batched check in four passes, as it was before the sign-bit
+    test: a minimum, the clip in place, the row sums, and a division of
+    every row whenever any row is off 1."""
+    if block.shape[1:] != (frame.powerset_size,):
+        raise EncodingError(
+            f"expected {frame.powerset_size} masses for a {frame.n}-element frame,"
+            f" got shape {block.shape[1:]}"
+        )
+    if block.min(initial=0.0) >= -tol:
+        np.maximum(block, 0.0, out=block)
+        total = np.add.reduce(block, axis=1)
+        deviation = np.abs(total - 1.0).max(initial=0.0)
+        if deviation <= tol:
+            if deviation:
+                block /= total[:, np.newaxis]
+            return
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.maximum(block, 0.0).sum(axis=1)
+    finite = np.isfinite(block).all(axis=1)
+    lo = block.min(axis=1)
+    low = lo < -tol
+    i = int(np.argmax(~finite | low | ~(np.abs(total - 1.0) <= tol)))
+    if not finite[i]:
+        raise ParameterError("mass values must be finite", row=i)
+    if low[i]:
+        raise ParameterError(
+            f"negative mass {lo[i]:.3e} at subset index {int(block[i].argmin())}", row=i
+        )
+    raise ParameterError(f"masses sum to {float(total[i])!r}, expected 1", row=i)
+
+
+def row_by_row_average(ms: list[MassFunction], chunk: int) -> np.ndarray:
+    """The mean of ``ms`` as numpy sums a stack's axis 0, row by row, in
+    chunks of ``chunk`` rows whose sums are then added in order, validated
+    as a fused result is."""
+    total = np.zeros(ms[0].frame.powerset_size)
+    for start in range(0, len(ms), chunk):
+        total += np.add.reduce(np.stack([m.values for m in ms[start : start + chunk]]), axis=0)
+    mean = (total / len(ms))[np.newaxis]
+    check_rows_oracle(ms[0].frame, mean, MASS_TOL)
+    return mean[0]
 
 
 def per_neighbour_classify(x, ds, cfg, *, exclude=None):

@@ -127,6 +127,8 @@ class TestAnyList:
             generate(GenSpec(FrameOfDiscernment.numbered(2), kind="ssf", seed=1), 2),
             generate(GenSpec(FrameOfDiscernment.of("a", "b", "c"), kind="ssf", seed=1), 2),
             [MassFunction.vacuous(FrameOfDiscernment.numbered(4))],
+            # runs long enough to be kept as runs, not stacked
+            generate(GenSpec(FrameOfDiscernment.of("a", "b", "c"), kind="ssf", seed=1), 300),
         ):
             for mixed in (ms + other, other + ms, ms[:2] + other + ms[2:], ms[::2] + other):
                 with pytest.raises(EncodingError):

@@ -22,6 +22,7 @@ from masscomb.core import (
     RepresentationVector,
     SimpleSupport,
     WeightVector,
+    _check_rows,
     _mass_rows,
     _raise_first,
     _recompose_rows,
@@ -53,6 +54,7 @@ from masscomb.io import FILE_MASS_TOL
 
 from conftest import (
     approx_equal,
+    check_rows_oracle,
     loop_pignistic,
     naive_belief,
     naive_commonality,
@@ -222,7 +224,7 @@ _ROW_KINDS = (
 
 
 class TestBatchValidation:
-    """``_mass_rows`` checks a block in one pass; it must act exactly like
+    """``_mass_rows`` checks a whole block at once; it must act exactly like
     validating each row on its own."""
 
     @given(
@@ -258,6 +260,39 @@ class TestBatchValidation:
                 _mass_rows(frame, np.array(rows), tol)
             assert str(err.value) == str(exc)
             assert err.value.row == i
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_four_pass_oracle(self, seed):
+        """Blocks with every special value: the same bytes, or the same
+        error class, message and row, as the check before the sign-bit test."""
+        rng = np.random.default_rng(seed)
+        specials = [-0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, -0.5 * MASS_TOL, -3.0 * MASS_TOL]
+        for _ in range(50):
+            n, rows = int(rng.integers(1, 6)), int(rng.integers(1, 41))
+            frame = FrameOfDiscernment.numbered(n)
+            block = rng.dirichlet(np.ones(frame.powerset_size), size=rows)
+            block[rng.random(block.shape) < 0.5] = 0.0
+            block[:, -1] += 1.0 - block.sum(axis=1)  # many rows sum to 1 exactly
+            off = rng.random(rows) < 0.3
+            block[off] *= 1.0 + rng.uniform(-0.9, 0.9, size=(int(off.sum()), 1)) * MASS_TOL
+            for _ in range(int(rng.integers(0, 3))):
+                value = specials[int(rng.integers(len(specials)))]
+                block[rng.integers(rows), rng.integers(frame.powerset_size)] = value
+            outcomes = []
+            for check in (_check_rows, check_rows_oracle):
+                b = block.copy()
+                try:
+                    check(frame, b, MASS_TOL)
+                    outcomes.append(b.tobytes())
+                except MassCombError as exc:
+                    outcomes.append((type(exc), str(exc), exc.row))
+            assert outcomes[0] == outcomes[1]
+
+    def test_negative_zero_is_clipped(self, frame2):
+        block = np.array([[-0.0, 0.25, 0.25, 0.5], [0.0, 0.5, -0.0, 0.5]])
+        _check_rows(frame2, block, MASS_TOL)
+        assert not np.signbit(block).any()
+        assert block.tobytes() == np.array([[0.0, 0.25, 0.25, 0.5], [0.0, 0.5, 0.0, 0.5]]).tobytes()
 
     def test_wrong_width_rejected(self, frame2):
         with pytest.raises(EncodingError, match=r"got shape \(3,\)"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import masscomb.rules as rules_mod
 
-from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport
+from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _mass_rows, _simple_supports
 from masscomb.genrand import GenSpec, generate
 from masscomb.errors import (
     ComplexityGuardError,
@@ -49,6 +49,7 @@ from conftest import (
     opposed_halves,
     opposed_halves_dempster,
     random_mass,
+    row_by_row_average,
     single_row_decompose,
 )
 
@@ -272,6 +273,68 @@ class TestAverage:
         rng = np.random.default_rng(7)
         m = random_mass(rng, frame3)
         assert approx_equal(combine_average([m] * 5).mass, m, tol=1e-12)
+
+
+def _average_lists(n: int, seed: int) -> dict[str, list[MassFunction]]:
+    """Lists of producer rows: whole blocks of every kind in producer order,
+    head and tail slices joined across blocks, and loose rows among them."""
+    frame = FrameOfDiscernment.numbered(n)
+    rng = np.random.default_rng(seed)
+    ssf = generate(GenSpec(frame, kind="ssf", seed=seed, stream=1), 300)
+    chains = generate(GenSpec(frame, kind="consonant", num_focals=min(3, n), seed=seed, stream=2), 200)
+    vacuous = generate(GenSpec(frame, kind="ssf", focal_pool=(frame.full_set,), seed=seed), 30)
+    categorical = _simple_supports(frame, rng.integers(1, frame.full_set, size=40), np.zeros(40))
+    general = generate(GenSpec(frame, kind="general", seed=seed, stream=3), 50)
+    loose = [MassFunction(frame, m.values) for m in (ssf[7], chains[3], general[0])]
+    # one block of simple supports, chains and vacuous rows in turn, as a reader makes it
+    mixed = _mass_rows(frame, np.array([m.values for trio in zip(ssf, chains, vacuous) for m in trio]))
+    return {
+        "whole": ssf + chains + vacuous + categorical + general,
+        "columns only": vacuous + ssf + categorical + chains,
+        "slices": ssf[170:] + chains[:150] + categorical[9:] + general[:20] + chains[150:],
+        "loose": loose[:1] + ssf[:200] + loose[1:] + chains + loose,
+        "one mid-slice": ssf[40:260],
+        "mixed": mixed[5:] + ssf[:100] + mixed[:5],
+    }
+
+
+class TestAverageRowByRow:
+    """``average`` sums each subset's masses row by row in input order,
+    from columns or dense rows alike."""
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_stacked_sum(self, n, seed):
+        fresh, again = _average_lists(n, seed), _average_lists(n, seed)
+        for name, ms in fresh.items():
+            want = row_by_row_average(ms, rules_mod._CHUNK_ROWS).tobytes()
+            assert combine_average(ms).mass.values.tobytes() == want, name
+            # after another rule has split every block
+            rules_mod._split_rows(again[name])
+            assert combine_average(again[name]).mass.values.tobytes() == want, name
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_past_the_chunk_size(self, monkeypatch, chunk):
+        ms = _average_lists(8, 4)["whole"]
+        rules_mod._split_rows(ms[:200])
+        monkeypatch.setattr(rules_mod, "_CHUNK_ROWS", chunk)
+        assert combine_average(ms).mass.values.tobytes() == row_by_row_average(ms, chunk).tobytes()
+
+    def test_numpy_sums_axis_0_row_by_row(self):
+        # the order every average rests on: numpy's axis-0 sum of a C-ordered
+        # stack adds row by row, and bincount adds its entries in order
+        rng = np.random.default_rng(11)
+        x = rng.random((1000, 16)) * 10.0 ** rng.integers(-8, 8, size=(1000, 1))
+        acc = x[0].copy()
+        for row in x[1:]:
+            acc += row
+        assert np.add.reduce(x, axis=0).tobytes() == acc.tobytes()
+        assert np.add.reduce(x[::-1], axis=0).tobytes() != acc.tobytes()  # the order shows
+        cells = rng.integers(0, 16, size=x.size)
+        bins = np.zeros(16)
+        for cell, value in zip(cells.tolist(), x.ravel().tolist()):
+            bins[cell] += value
+        assert np.bincount(cells, x.ravel(), minlength=16).tobytes() == bins.tobytes()
 
 
 # ---------------------------------------------------------------------------
