@@ -156,8 +156,6 @@ def _support_weights(
     dist: np.ndarray, klass: np.ndarray, alpha: float, gamma: np.ndarray
 ) -> np.ndarray:
     """Weight ``1 - alpha * exp(-gamma[klass] * dist**2)`` of each neighbour's support."""
-    if (dist < 0).any():
-        raise ParameterError("distance must be non-negative")
     return 1.0 - alpha * np.exp(-gamma[klass] * dist * dist)
 
 
@@ -203,25 +201,40 @@ def _neighbours(
     return klass, _support_weights(np.take_along_axis(dist, order, axis=-1), klass, alpha, gamma)
 
 
-def _score(frame: FrameOfDiscernment, klass: np.ndarray, weights: np.ndarray, rule: RuleConfig):
-    """Fuse and decide each query from its K neighbours' ``(Q, K)`` classes and weights.
+def _scores(ds: LabeledDataset, queries: np.ndarray, own, ks: Sequence[int], alpha: float, gamma, configs):
+    """Yield ``(r, j, own, ok, decisions, fusion, betp)``: rule ``configs[r]``
+    at K = ``ks[j]`` scored on one chunk of the ``(Q, dim)`` queries, ``own``
+    their own dataset indices (see :func:`_neighbours`) or None, ``ok``
+    flagging those that did not fail.  ``fusion.errors`` holds the error of
+    each query whose fusion or decision failed, as one query alone would
+    raise it.
 
-    The Q neighbourhoods' supports are validated as one block and fused as
-    Q segments of K rows in one call (see :mod:`masscomb.rules`); one
-    pignistic pass and one argmax over the ``(Q, 2**n)`` results decide,
-    ties toward the lower class index.  Returns ``(fusion, decisions,
-    betp)``: ``fusion.masses`` holds the fused assignments, and
-    ``fusion.errors`` the error of each query whose fusion or decision
-    failed, as one query alone would raise it.
+    A chunk (see ``_LOO_CELLS``) is searched once at the largest K:
+    (distance, index) is a total order, so the K nearest are its first K.
+    Its supports are built and validated once, each row on its own.  At each
+    K, one block of every query's first K supports serves every rule, which
+    fuses the queries as Q segments of K rows in one call (see
+    :mod:`masscomb.rules`); one pignistic pass and one argmax decide, ties
+    toward the lower class index.
     """
-    block = _support_block(frame, (1 << klass).ravel(), weights.ravel())
-    _check_rows(frame, block, MASS_TOL)
-    rows = rules._Batch.of(_Block(frame, block))
-    fusion = rules._fuse(rules._FUSIONS[rule.rule], rows, rule, klass.shape[1])
-    betp, undefined = _pignistic_rows(frame, fusion.masses)
-    fusion.fail(undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
-    betp.setflags(write=False)
-    return fusion, np.argmax(betp, axis=1), betp
+    frame, kmax = ds.frame, max(ks)
+    step = max(1, _LOO_CELLS // (ds.n_samples * ds.n_features + kmax * frame.powerset_size))
+    for start in range(0, len(queries), step):
+        mine = None if own is None else own[start : start + step]
+        klass, weights = _neighbours(ds, queries[start : start + step], mine, kmax, alpha, gamma)
+        supports = _support_block(frame, (1 << klass).ravel(), weights.ravel())
+        _check_rows(frame, supports, MASS_TOL)
+        supports = supports.reshape(len(klass), kmax, frame.powerset_size)
+        for j, k in enumerate(ks):
+            rows = rules._Batch.of(_Block(frame, supports[:, :k].reshape(-1, frame.powerset_size)))
+            for r, rule in enumerate(configs):
+                fusion = rules._fuse(rules._FUSIONS[rule.rule], rows, rule, k)
+                betp, undefined = _pignistic_rows(frame, fusion.masses)
+                fusion.fail(undefined, lambda g: TotalConflictError(_PIGNISTIC_UNDEFINED))
+                betp.setflags(write=False)
+                ok = np.ones(len(klass), dtype=bool)
+                ok[list(fusion.errors)] = False
+                yield r, j, mine, ok, np.argmax(betp, axis=1), fusion, betp
 
 
 def classify(
@@ -256,27 +269,10 @@ def classify(
     available = ds.n_samples - (1 if own is not None else 0)
     if cfg.k > available:
         raise ParameterError(f"k={cfg.k} exceeds the {available} available neighbours")
-    klass, weights = _neighbours(ds, x[np.newaxis], own, cfg.k, cfg.alpha, resolve_gamma(ds, cfg))
-    fusion, decisions, betp = _score(ds.frame, klass, weights, cfg.rule)
+    ((*_, decisions, fusion, betp),) = _scores(
+        ds, x[np.newaxis], own, [cfg.k], cfg.alpha, resolve_gamma(ds, cfg), [cfg.rule]
+    )
     return Classification(klass=int(decisions[0]), fused=fusion.result(0), betp=betp[0])
-
-
-def _loo_scores(ds: LabeledDataset, ks: Sequence[int], alpha: float, gamma, configs):
-    """Yield ``(r, j, own, ok, decisions, fusion)``: rule ``configs[r]`` at K = ``ks[j]``
-    scored on the chunk of samples ``own``, ``ok`` flagging those that did not fail.
-    One search at the largest K serves every rule and K: (distance, index) is a
-    total order, so the K nearest are its first K, and support weights are elementwise."""
-    size, kmax = ds.n_samples, max(ks)
-    step = max(1, _LOO_CELLS // (size * ds.n_features + kmax * ds.frame.powerset_size))
-    for start in range(0, size, step):
-        own = np.arange(start, min(start + step, size))
-        klass, weights = _neighbours(ds, ds.points[own], own, kmax, alpha, gamma)
-        for r, rule in enumerate(configs):
-            for j, k in enumerate(ks):
-                fusion, decisions, _ = _score(ds.frame, klass[:, :k], weights[:, :k], rule)
-                ok = np.ones(len(own), dtype=bool)
-                ok[list(fusion.errors)] = False
-                yield r, j, own, ok, decisions, fusion
 
 
 def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
@@ -295,8 +291,8 @@ def evaluate_loo(ds: LabeledDataset, cfg: EknnConfig) -> LooReport:
     predictions = np.full(size, -1, dtype=np.int64)
     kappa = np.full(size, np.nan)
     errors: list[tuple[int, str]] = []
-    scores = _loo_scores(ds, [cfg.k], cfg.alpha, resolve_gamma(ds, cfg), [cfg.rule])
-    for _, _, own, ok, decisions, fusion in scores:
+    scores = _scores(ds, ds.points, np.arange(size), [cfg.k], cfg.alpha, resolve_gamma(ds, cfg), [cfg.rule])
+    for _, _, own, ok, decisions, fusion, _ in scores:
         predictions[own[ok]] = decisions[ok]
         kappa[own[ok]] = fusion.masses[ok, 0]
         errors += [(int(own[g]), str(fusion.errors[g])) for g in sorted(fusion.errors)]
@@ -329,7 +325,8 @@ def _loo_sweep(
                 # the scales depend on neither K nor the rule
                 gamma = resolve_gamma(ds, cfg)
     hits, errs, worst = ([[x] * len(ks) for _ in configs] for x in (0, 0, -math.inf))
-    for r, j, own, ok, decisions, fusion in _loo_scores(ds, ks, alpha, gamma, configs):
+    scores = _scores(ds, ds.points, np.arange(ds.n_samples), ks, alpha, gamma, configs)
+    for r, j, own, ok, decisions, fusion, _ in scores:
         hits[r][j] += int((decisions[ok] == ds.labels[own[ok]]).sum())
         errs[r][j] += len(fusion.errors)
         # the fused assignments of the samples that did not fail are finite

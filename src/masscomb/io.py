@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rules
 from .core import FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError, ParseError
 
@@ -56,21 +57,19 @@ def _sink(target, **open_kw):
 _WRITE_CELLS = 1 << 18
 
 
-def _frame_to_write(bbas: Sequence[MassFunction]) -> FrameOfDiscernment:
-    """The first assignment's frame, whose size every assignment must share."""
+def _to_write(bbas: Sequence[MassFunction]):
+    """The assignments' frame, and their values in blocks of about
+    ``_WRITE_CELLS`` cells, views of the producers' blocks where it can.
+
+    Every assignment must share the first one's frame size, then its frame
+    (see :func:`rules._batch`), before anything is written."""
     if not bbas:
         raise ParameterError("nothing to write")
     frame = bbas[0].frame
     if any(len(m.values) != frame.powerset_size for m in bbas):
         raise ParameterError("assignments to write must share one frame size")
-    return frame
-
-
-def _blocks(bbas: Sequence[MassFunction]):
-    """The assignments' values, stacked in blocks of about ``_WRITE_CELLS`` cells."""
-    step = max(1, _WRITE_CELLS // bbas[0].frame.powerset_size)
-    for start in range(0, len(bbas), step):
-        yield np.array([m.values for m in bbas[start : start + step]])
+    chunks = rules._batch(bbas).chunks(max(1, _WRITE_CELLS // frame.powerset_size))
+    return frame, (chunk.values() for chunk in chunks)
 
 
 def _sparse_rows(block: np.ndarray, mask: np.ndarray) -> tuple[list, list, list]:
@@ -84,11 +83,11 @@ def _sparse_rows(block: np.ndarray, mask: np.ndarray) -> tuple[list, list, list]
 def write_csv(target, bbas: Sequence[MassFunction]) -> None:
     """Write one row per assignment, each cell the ``repr`` of its mass, lines
     ending in CRLF as :mod:`csv` writes them."""
-    frame = _frame_to_write(bbas)
+    frame, blocks = _to_write(bbas)
     zeros = ",".join(["0.0"] * frame.powerset_size)  # a row of +0.0; cell i starts at 4 * i
     with _sink(target, newline="") as fh:
         fh.write(",".join(bitmask_header(frame.n)) + "\r\n")
-        for block in _blocks(bbas):
+        for block in blocks:
             # every cell but +0.0, -0.0 included, is spliced into the zero row
             cols, values, ends = _sparse_rows(block, (block != 0) | np.signbit(block))
             out = []
@@ -204,13 +203,13 @@ def _validated(frame: FrameOfDiscernment, block: np.ndarray, error) -> list[Mass
 
 def write_json(target, bbas: Sequence[MassFunction]) -> None:
     """Write the sparse JSON document, one assignment per line."""
-    frame = _frame_to_write(bbas)
+    frame, blocks = _to_write(bbas)
     encode = json.JSONEncoder(allow_nan=False).encode  # the C encoder: no indent
     members = {}  # focal index -> its label list, built on first sight
     with _sink(target) as fh:
         fh.write(f'{{"frame": {encode(list(frame.labels))}, "bbas": [\n')
         sep = ""
-        for block in _blocks(bbas):
+        for block in blocks:
             focals, masses, ends = _sparse_rows(block, block != 0)
             members.update((a, list(frame.subset_labels(a))) for a in set(focals) - members.keys())
             lines = []

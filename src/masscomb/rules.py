@@ -205,16 +205,17 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     keys = [m._key for m in ms]
     frame, runs, i = ms[0].frame, [], 0
     while i < len(keys):
-        # the rest of the block, or of the list, in one C-level compare
         block = ms[i]._block
         if block is None or not (block.frame is frame or block.frame == frame):
             break
         start = keys[i] - block.key
         stop = min(len(block.keys), start + len(keys) - i)
-        if keys[i : i + stop - start] != block.keys[start:stop]:
+        last = i + stop - start - 1
+        # the rest of the block, or of the list: its last key, then all in one C-level compare
+        if keys[last] != block.keys[stop - 1] or keys[i : last + 1] != block.keys[start:stop]:
             break
         runs.append((block, start, stop))
-        i += stop - start
+        i = last + 1
     else:
         if len(runs) == 1 or len(keys) >= _RUN_MIN_ROWS * len(runs):
             return _Batch(frame, runs, len(keys))
@@ -605,7 +606,10 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 
 class _Enumeration(_Fusion):
     """Keeps the rows of every segment within the guard and counts the
-    focal tuples of each, as ``log2`` sums checked exactly near the guard."""
+    focal tuples of each, as ``log2`` sums checked exactly near the guard.
+    A rule gives the values its tuples carry (``fields``, see
+    :func:`expansion.expand`) and adds each block of tuples to its result
+    (``scatter``)."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -638,7 +642,13 @@ class _Enumeration(_Fusion):
             self.log2 += np.bincount(segment, weights=logs, minlength=self.every.size)
         self.kept.append((values, segment, sizes))
 
-    def blocks(self, fields):
+    def finish(self):
+        out = np.zeros((self.every.size, self.size))
+        for block in self.blocks():
+            self.scatter(block, out)
+        self.masses = self.settle(out)
+
+    def blocks(self):
         """Fail the segments past the guard, then yield the focal-tuple
         blocks of every segment that has not failed (see
         :func:`expansion.expand`), with their segments."""
@@ -677,7 +687,7 @@ class _Enumeration(_Fusion):
             owner = np.concatenate([np.broadcast_to(g, len(v)) for v, g, _ in self.kept])
             values, sizes = values[live[owner]], sizes[live[owner]]
             ids = np.flatnonzero(live)
-        for block in expansion.expand(values, sizes, self.k, fields, _ENUM_CELLS):
+        for block in expansion.expand(values, sizes, self.k, self.fields, _ENUM_CELLS):
             if ids is not None:
                 block.segment = ids[block.segment]
             yield block
@@ -689,23 +699,19 @@ class _DuboisPrade(_Enumeration):
             # one source is its own result
             self.masses = np.concatenate([v for v, _, _ in self.kept])
             return
+        super().finish()
+
+    def fields(self, subsets, masses):
+        # one OR carries the union of the picks other than the frame (n
+        # bits), a bit for a pick of the frame, and the complement of the
+        # intersection (n bits)
         from . import expansion
 
         n, full = self.frame.n, self.frame.full_set
-
-        def fields(subsets, masses):
-            # one OR carries the union of the picks other than the frame
-            # (n bits), a bit for a pick of the frame, and the complement
-            # of the intersection (n bits)
-            bits = subsets.astype(expansion.bits_dtype(2 * n + 1))
-            bits[bits == full] = 1 << n
-            bits |= (full ^ subsets).astype(bits.dtype) << (n + 1)
-            return [(np.multiply, masses), (np.bitwise_or, bits)]
-
-        out = np.zeros((self.every.size, self.size))
-        for block in self.blocks(fields):
-            self.scatter(block, out)
-        self.masses = self.settle(out)
+        bits = subsets.astype(expansion.bits_dtype(2 * n + 1))
+        bits[bits == full] = 1 << n
+        bits |= (full ^ subsets).astype(bits.dtype) << (n + 1)
+        return [(np.multiply, masses), (np.bitwise_or, bits)]
 
     def scatter(self, block: expansion.Tuples, out: np.ndarray) -> None:
         """Add each tuple of ``block`` to ``out``; its temporaries go with it."""
@@ -744,15 +750,8 @@ class _Pcr6(_Enumeration):
             segment,
         )
 
-    def finish(self):
-        out = np.zeros((self.every.size, self.size))
-
-        def fields(subsets, masses):
-            return [(np.multiply, masses), (np.bitwise_and, subsets)]
-
-        for block in self.blocks(fields):
-            self.scatter(block, out)
-        self.masses = self.settle(out)
+    def fields(self, subsets, masses):
+        return [(np.multiply, masses), (np.bitwise_and, subsets)]
 
     def scatter(self, block: expansion.Tuples, out: np.ndarray) -> None:
         """Add each tuple of ``block`` to ``out``; its temporaries go with it."""

@@ -438,6 +438,29 @@ class TestSweep:
         # 40 samples in chunks of 6, each searched once at the largest K
         assert searches == [(6, 10)] * 6 + [(4, 10)]
 
+    def test_supports_built_once_per_chunk_and_wrapped_once_per_k(self, monkeypatch):
+        ds = two_gaussian_dataset(20, 2.0, seed=9)
+        ks = [2, 4, 6, 8, 10]
+        cells = ds.n_samples * ds.n_features + max(ks) * ds.frame.powerset_size
+        built, checked, wrapped = [], [], []
+        support_block, check_rows, block = eknn._support_block, eknn._check_rows, eknn._Block
+
+        def recorded_block(frame, values):
+            wrapped.append(values.shape)
+            return block(frame, values)
+
+        monkeypatch.setattr(eknn, "_LOO_CELLS", 6 * cells)
+        monkeypatch.setattr(eknn, "_support_block", lambda *a: built.append(len(a[2])) or support_block(*a))
+        monkeypatch.setattr(eknn, "_check_rows", lambda *a: checked.append(len(a[1])) or check_rows(*a))
+        monkeypatch.setattr(eknn, "_Block", recorded_block)
+        configs = [RuleConfig(rule=r) for r in ("dempster", "lns", "pcr6")]
+        eknn._loo_sweep(ds, ks, 0.95, configs)
+        # 40 samples in chunks of 6: the supports of each at the largest K,
+        # then one block of every sample's first K supports per K
+        assert built == checked == [6 * 10] * 6 + [4 * 10]
+        size = ds.frame.powerset_size
+        assert wrapped == [(q * k, size) for q in [6] * 6 + [4] for k in ks]
+
 
 class TestReportsPinned:
     """Leave-one-out reports, pinned by sha256.

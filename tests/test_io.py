@@ -1,6 +1,7 @@
 """Dense-CSV and sparse-JSON round trips and error reporting."""
 
 import csv
+import io
 import json
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from masscomb import io as mio
 from masscomb.cli import main
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted
-from masscomb.errors import ParameterError, ParseError
+from masscomb.errors import EncodingError, ParameterError, ParseError
 from masscomb.genrand import GenSpec, generate
 from masscomb.io import (
     read_bbas,
@@ -448,28 +449,44 @@ class TestWriters:
     """The writers' bytes and documents equal the per-row writers they replaced."""
 
     @pytest.fixture
-    def batch(self):
+    def batches(self):
         frame = FrameOfDiscernment.numbered(3)
         ms = generate(GenSpec(frame, kind="general", seed=4), 40)
         ms += generate(GenSpec(frame, kind="ssf", seed=5), 40)
         ms.append(MassFunction.from_dict(frame, {1: 5e-324, 7: 1.0 - 5e-324}))
         ms.append(_trusted(frame, np.array([-0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])))
-        return ms
+        # a tail and a head of two producer blocks: long runs, written from views
+        general = generate(GenSpec(frame, kind="general", seed=6), 300)
+        return ms, general[100:] + generate(GenSpec(frame, kind="ssf", seed=7), 300)[:200]
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 18])
-    def test_csv_bytes_equal_csv_module(self, tmp_path, monkeypatch, batch, cells):
+    def test_csv_bytes_equal_csv_module(self, tmp_path, monkeypatch, batches, cells):
         monkeypatch.setattr(mio, "_WRITE_CELLS", cells)
-        write_csv(tmp_path / "got.csv", batch)
-        csv_module_write(tmp_path / "want.csv", batch)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        for batch in batches:
+            write_csv(tmp_path / "got.csv", batch)
+            csv_module_write(tmp_path / "want.csv", batch)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("cells", [1, 7, 1 << 18])
-    def test_json_document_equals_per_row(self, tmp_path, monkeypatch, batch, cells):
+    def test_json_document_equals_per_row(self, tmp_path, monkeypatch, batches, cells):
         monkeypatch.setattr(mio, "_WRITE_CELLS", cells)
         path = tmp_path / "got.json"
-        write_json(path, batch)
-        assert json.loads(path.read_text()) == per_row_json_doc(batch)
-        assert len(path.read_text().splitlines()) == len(batch) + 2
+        for batch in batches:
+            write_json(path, batch)
+            assert json.loads(path.read_text()) == per_row_json_doc(batch)
+            assert len(path.read_text().splitlines()) == len(batch) + 2
+
+    @pytest.mark.parametrize("write", [write_csv, write_json])
+    @pytest.mark.parametrize("to", ["path", "stream"])
+    def test_other_frames_of_one_size_refused(self, tmp_path, write, to):
+        ms = [MassFunction.categorical(FrameOfDiscernment.of(*labels), 1) for labels in ("ab", "cd")]
+        target = tmp_path / "out" if to == "path" else io.StringIO()
+        with pytest.raises(EncodingError, match="share one frame"):
+            write(target, ms)
+        if to == "path":
+            assert not target.exists()
+        else:
+            assert target.getvalue() == ""
 
     @pytest.mark.parametrize("write", [write_csv, write_json])
     def test_mixed_frame_sizes_refused(self, tmp_path, write):
