@@ -2,10 +2,13 @@
 
 A benchmark script names its cells and says how to build them from a
 source tree; :func:`main` does the rest.  Each tree runs in its own child
-process (the script itself, started with ``--serve``), and both stay up for
-the whole run.  Cell by cell, the script asks one child and then the other
-for a measurement, in alternating order over ``--rounds`` rounds, so a
-drift in the host's speed hits both sides of a cell alike.  A measurement
+process (the script itself, started with ``--serve``).  Cell by cell, the
+script asks one child and then the other for a measurement, in alternating
+order over ``--rounds`` rounds, so a drift in the host's speed hits both
+sides of a cell alike.  The order in which the children start shifts some
+cells too (a few percent, and a fourth for one large allocation), so the
+parent's child starts first for the first half of the rounds, then both
+are restarted, the change's child first, for the second half.  A measurement
 is one warm-up call, then the median of ``--repeats`` timed samples; a
 sample times ``batch`` calls and counts their mean, after building their
 arguments, untimed, with the cell's ``setup``.  Each cell reports the
@@ -95,28 +98,30 @@ def main(script: str, make_cells: Callable[[], dict], names: list[str], report: 
     if not args.parent:
         ap.error("--parent is required")
     trees = {"parent": args.parent, "change": str(Path(script).resolve().parent.parent / "src")}
-    children = {
-        side: subprocess.Popen(
-            [sys.executable, script, "--serve", src, "--repeats", str(args.repeats)],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        for side, src in trees.items()
-    }
-    numpy_version = {side: json.loads(child.stdout.readline()) for side, child in children.items()}
     samples = {side: {name: [] for name in names} for side in SIDES}
-    try:
-        for i in range(args.rounds):
-            for j, name in enumerate(names):
-                for side in sorted(SIDES, reverse=(i + j) % 2 == 1):
-                    children[side].stdin.write(name + "\n")
-                    children[side].stdin.flush()
-                    samples[side][name].append(json.loads(children[side].stdout.readline()))
-    finally:
-        for child in children.values():
-            child.stdin.close()
-            child.wait()
+    half = (args.rounds + 1) // 2
+    for starts, rounds in ((SIDES, range(half)), (SIDES[::-1], range(half, args.rounds))):
+        children = {
+            side: subprocess.Popen(
+                [sys.executable, script, "--serve", trees[side], "--repeats", str(args.repeats)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for side in starts
+        }
+        try:
+            numpy_version = {side: json.loads(child.stdout.readline()) for side, child in children.items()}
+            for i in rounds:
+                for j, name in enumerate(names):
+                    for side in sorted(SIDES, reverse=(i + j) % 2 == 1):
+                        children[side].stdin.write(name + "\n")
+                        children[side].stdin.flush()
+                        samples[side][name].append(json.loads(children[side].stdout.readline()))
+        finally:
+            for child in children.values():
+                child.stdin.close()
+                child.wait()
 
     def cell(name: str) -> dict:
         out = {side: statistics.median(samples[side][name]) for side in SIDES}

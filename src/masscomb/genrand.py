@@ -7,18 +7,23 @@ exponential transforms of uniform draws.
 The stream is that of numpy's own calls, one draw at a time.  ssf and
 consonant draws with no singleton-mass threshold are replayed from raw
 PCG64 words, bit for bit, and filled into the block for all rows at once;
-thresholded draws, and general draws, run one by one.  The replays also
-return the focal cells they wrote, which the block's split takes in place
-of a scan (see ``core._Columns.split``).
+thresholded draws, and general draws, run one by one.  A consonant row's
+shuffle, whose rejections decide where its later draws start, is found by
+one compiled regex over a byte per 32-bit half, so the walk over the
+halves runs in C.  The replays also return the focal cells they wrote,
+which the block's split takes in place of a scan (see
+``core._Columns.split``).
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameOfDiscernment, MassFunction, _mass_rows
+from .core import MAX_FRAME_SIZE, FrameOfDiscernment, MassFunction, _mass_rows
 from .errors import ParameterError
 
 _MAX_REJECTIONS = 10_000
@@ -139,7 +144,8 @@ def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.nda
     n, k = spec.frame.n, spec.num_focals
     sizes.sort(axis=1)
     topped = sizes[:, -1] < n
-    chains = np.take_along_axis(np.cumsum(np.left_shift(1, orders), axis=1), sizes - 1, axis=1)
+    chains = np.take_along_axis(np.cumsum(np.left_shift(1, orders, dtype=np.int64), axis=1),
+                                sizes - 1, axis=1)
     # one block per simplex length: numpy sums 8 or more terms pairwise, so
     # a padded row would not sum in the order of a draw's own vector
     for top in (False, True):
@@ -175,6 +181,38 @@ def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, bloc
     return np.concatenate(rows), np.concatenate(sets)
 
 
+def _top_mask(n: int) -> int:
+    """The largest mask of ``permutation(n)``'s steps, at most 31 for
+    ``n <= 20``; 0 for ``n = 1``, which has no step."""
+    return (1 << (n - 1).bit_length()) - 1
+
+
+def _shuffle_part(i: int, top: int) -> str:
+    """The regex part of the shuffle step on ``[0, i]``, over halves cut to
+    their low bits under ``top``: the halves it rejects, then the one it
+    keeps, captured.  A step whose mask is ``i`` keeps the first."""
+    mask = (1 << i.bit_length()) - 1
+    if i == mask:
+        return "(.)"
+    rejected = "".join(f"\\x{b:02x}" for b in range(top + 1) if b & mask > i)
+    kept = "".join(f"\\x{b:02x}" for b in range(top + 1) if b & mask <= i)
+    return f"[{rejected}]*([{kept}])"
+
+
+def _shuffle_regex(n: int) -> re.Pattern:
+    """One part per step of ``permutation(n)``, ``i`` from ``n - 1`` down
+    to 1, matched against a byte per half: its low bits under the largest
+    step mask, ``_top_mask(n)``.  A step's two classes are disjoint, so a
+    match is the shuffle's one walk, found in C; its groups are the halves
+    the steps kept."""
+    top = _top_mask(n)
+    return re.compile("".join(_shuffle_part(i, top) for i in range(n - 1, 0, -1)).encode(), re.DOTALL)
+
+
+#: One regex per frame size, compiled on the first replay of that size.
+_shuffle_regex = functools.lru_cache(maxsize=MAX_FRAME_SIZE)(_shuffle_regex)
+
+
 def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarray,
                    block: np.ndarray):
     """Fill the first rows of ``block`` with the draws of
@@ -202,28 +240,41 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     whole fresh word, its top 53 bits times ``2**-53``, and leaves the
     buffer alone.  So the 32-bit draws of a row run over consecutive
     halves, after a first half that may have been buffered before the
-    previous row's uniforms.  The Python walk reads the halves only to find
-    where the permutation's rejections end and which sizes Floyd picks;
-    numpy does the swaps, the sizes and the uniforms for all rows at once.
-    Lemire rejections, less than one in 10**8 steps for ``n <= 20``, are
-    found afterwards: the replay stops before the first row that meets one.
+    previous row's uniforms; its byte is copied just before the row's fresh
+    halves.  Row by row, :func:`_shuffle_regex` matches the shuffle's halves
+    as one byte each, its end is where Floyd's draws start, and their
+    values come from one byte table per bound; the swaps, the sizes and the
+    uniforms are made in numpy for all rows at once.  Lemire rejections,
+    less than one in 10**8 steps for ``n <= 20``, are found afterwards: the
+    replay stops before the first row that meets one.
     """
     n, k = spec.frame.n, spec.num_focals
     start = bitgen.state
-    # word 0 stands in for the buffered half, which is its high half
-    words = np.empty(1 + min(_SLAB_WORDS, len(block) * (n + 2 * k + 2)), dtype=np.uint64)
+    # word 0 stands in for the buffered half, which is its high half; the
+    # words are little-endian, so their halves are a uint32 view in order
+    words = np.empty(1 + min(_SLAB_WORDS, len(block) * (n + 2 * k + 2)), dtype="<u8")
     words[0] = start["uinteger"] << 32
     words[1:] = bitgen.random_raw(len(words) - 1)
-    halves = np.stack([words & _LOW32, words >> np.uint64(32)], axis=1).ravel()
-    walk = halves.tolist()
-    steps = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
-    floyd = [(j, j + 1) for j in range(max(n - k, 1), n)]
+    halves = words.view("<u4")
+    steps = range(n - 1, 0, -1)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in steps], dtype=np.uint8)
+    # each half's low byte, cut to the largest step mask
+    sym = bytearray(np.bitwise_and(words.view(np.uint8)[::4], _top_mask(n)))
+    floyd = range(max(n - k, 1), n)
+    # Floyd's step f on [0, j] reads half e + f at the shuffle's end e:
+    # byte e of its bound's table, (u * (j + 1)) >> 32, at most 19, exact
+    # in float64 and truncated into the bytes
+    tables, scaled = [], np.empty(len(halves), dtype=np.uint8)
+    for f, j in enumerate(floyd):
+        np.multiply(halves, (j + 1) * 2.0**-32, out=scaled, casting="unsafe")
+        tables.append((j, scaled[f:].tobytes()))
     lemire = len(floyd) + k - 1
-    # per row: the swap places, Floyd's picks as a bitmask and the end of
-    # its halves
-    swaps, picks, ends = [], [], []
-    swap, pick, end = swaps.append, picks.append, ends.append
-    # the position of the buffered half, or -1
+    match = _shuffle_regex(n).match
+    # per row: the halves its steps kept, Floyd's picks as a bitmask and the
+    # end of its halves
+    kept, picks, ends = [], [], []
+    pick, end = picks.append, ends.append
+    # the position of the buffered half's byte, or -1
     word, buffered, limit = 1, 1 if start["has_uint32"] else -1, len(words)
     try:
         for _ in range(len(block)):
@@ -233,31 +284,28 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
                 # over the high half of the previous row's last uniform word,
                 # or of word 0
                 p -= 1
-                walk[p] = walk[buffered]
-            for i, mask in steps:
-                v = walk[p] & mask
-                p += 1
-                while v > i:
-                    v = walk[p] & mask
-                    p += 1
-                swap(v)
+                sym[p] = sym[buffered]
+            walk = match(sym, p)
+            if walk is None:
+                break  # the slab ran out inside the shuffle
+            e = walk.end()
             picked = int(k == n)
-            for j, bound in floyd:
-                v = walk[p] * bound >> 32
-                p += 1
+            for j, table in tables:
+                v = table[e]
                 if picked >> v & 1:
                     v = j
                 picked |= 1 << v
-            p += k - 1
+            p = e + lemire
             word = (p + 1) // 2 + k + 1 - (picked >> (n - 1))
             if word > limit:
                 break
+            kept += walk.groups()
             pick(picked)
             end(p)
             buffered = p if p & 1 else -1
     except IndexError:
-        pass  # the slab ran out inside this row
-    bounds = np.array([b for _, b in floyd] + list(range(k, 1, -1)), dtype=np.uint64)
+        pass  # the slab ran out inside Floyd's draws
+    bounds = np.array([*range(floyd.start + 1, n + 1), *range(k, 1, -1)], dtype=np.uint64)
     drawn = halves[np.array(ends, dtype=np.intp)[:, np.newaxis] + np.arange(-lemire, 0)]
     rejected = np.flatnonzero((((drawn * bounds) & _LOW32) < (1 << 32) % bounds).any(axis=1))
     m = int(rejected[0]) if rejected.size else len(picks)
@@ -265,13 +313,15 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     if not m:
         return 0, None
 
-    orders = np.tile(np.arange(n), (m, 1))
-    places = np.array(swaps[: m * (n - 1)], dtype=np.intp).reshape(m, n - 1)
-    rows = np.arange(m)
-    for col, i in enumerate(range(n - 1, 0, -1)):
-        held = orders[:, i].copy()
-        orders[:, i] = orders[rows, places[:, col]]
-        orders[rows, places[:, col]] = held
+    # the swaps, on the orders laid out place by place: row r's place v is
+    # at v * m + r
+    places = np.frombuffer(b"".join(kept), np.uint8).reshape(len(picks), n - 1)[:m] & masks
+    orders = np.repeat(np.arange(n, dtype=np.uint8), m).reshape(n, m)
+    flat = orders.ravel()
+    for i, at in zip(steps, places.T * np.intp(m) + np.arange(m)):
+        held = orders[i].copy()
+        orders[i] = flat[at]
+        flat[at] = held
     picked = np.array(picks[:m])
     sizes = pool[np.nonzero((picked[:, np.newaxis] >> np.arange(n)) & 1)[1].reshape(m, k)]
     # the uniforms follow the halves; a row with no frame on top reads one
@@ -279,14 +329,16 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     firsts = (np.array(ends[:m]) + 1) // 2
     u = (words[np.minimum(firsts[:, np.newaxis] + np.arange(k + 1), limit - 1)]
          >> np.uint64(11)) * 2.0**-53
-    cells = _fill_chains(spec, orders, sizes, u, block[:m])
+    cells = _fill_chains(spec, orders.T, sizes, u, block[:m])
 
     # past the last row's uniforms, less the stand-in word 0
     last = ends[m - 1]
     bitgen.advance((last + 1) // 2 + k - (picks[m - 1] >> (n - 1)))
     if last & 1:
+        # the half left buffered is the last row's last, but a row draws no
+        # half for n = 1, so there it is the one the slab started with
         state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, walk[last]
+        state["has_uint32"], state["uinteger"] = 1, int(halves[last if n > 1 else 1])
         bitgen.state = state
     return m, cells
 

@@ -61,15 +61,18 @@ def _to_write(bbas: Sequence[MassFunction]):
     """The assignments' frame, and their values in blocks of about
     ``_WRITE_CELLS`` cells, views of the producers' blocks where it can.
 
-    Every assignment must share the first one's frame size, then its frame
-    (see :func:`rules._batch`), before anything is written."""
+    Every assignment must share the first one's frame size, then its frame,
+    before anything is written.  Rows of no block are stacked one block at
+    a time (see :func:`rules._batch`), so writing them holds one more block,
+    not a copy of them all."""
     if not bbas:
         raise ParameterError("nothing to write")
     frame = bbas[0].frame
     if any(len(m.values) != frame.powerset_size for m in bbas):
         raise ParameterError("assignments to write must share one frame size")
-    chunks = rules._batch(bbas).chunks(max(1, _WRITE_CELLS // frame.powerset_size))
-    return frame, (chunk.values() for chunk in chunks)
+    rules._check_frames(bbas, frame)
+    step = max(1, _WRITE_CELLS // frame.powerset_size)
+    return frame, (rules._batch(bbas[i : i + step]).values() for i in range(0, len(bbas), step))
 
 
 def _sparse_rows(block: np.ndarray, mask: np.ndarray) -> tuple[list, list, list]:

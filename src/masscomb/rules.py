@@ -27,7 +27,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -187,6 +187,12 @@ class _Batch:
         return block.values[a:b].copy() if fresh else block.values[a:b]
 
 
+def _check_frames(ms: Iterable[MassFunction], frame) -> None:
+    """Refuse ``ms`` unless every one has ``frame``."""
+    if any(m.frame is not frame and m.frame != frame for m in ms):
+        raise EncodingError("all mass functions must share one frame")
+
+
 def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     """Resolve the inputs into runs of block rows.
 
@@ -223,8 +229,7 @@ def _batch(ms: Sequence[MassFunction] | _Batch) -> _Batch:
     # every row of no block (key -1) heads a run here, and every other row
     # shares the block of the row before it
     heads = np.flatnonzero(np.diff(keys, prepend=keys[0] - 2) != 1).tolist()
-    if any(ms[i].frame is not frame and ms[i].frame != frame for i in heads):
-        raise EncodingError("all mass functions must share one frame")
+    _check_frames((ms[i] for i in heads), frame)
     loose = np.flatnonzero(keys < 0)
     if loose.size:
         fresh = core._Block(frame, np.array([ms[i].values for i in loose.tolist()]))

@@ -289,6 +289,25 @@ class TestConsonantReplay:
         assert _position(make_rng())[1] is not None
         self.check(spec, 40, make_rng)
 
+    # wider frames bring the masks 15 and 31; few rows at n >= 16, where a
+    # row is 0.5 to 8 MB
+    @pytest.mark.parametrize("n, count", [(9, 40), (12, 20), (16, 3), (17, 3), (20, 2)])
+    def test_wide_frames_start_on_a_buffered_half(self, monkeypatch, n, count):
+        def make_rng():
+            rng = np.random.Generator(np.random.PCG64(n))
+            rng.permutation(2)
+            return rng
+        calls = []
+        one_by_one = genrand._draw_consonant
+        monkeypatch.setattr(genrand, "_draw_consonant",
+                            lambda *args: calls.append(1) or one_by_one(*args))
+        monkeypatch.setattr(genrand, "_SLAB_WORDS", 64)
+        for num_focals in (1, n // 2, n):
+            calls.clear()
+            spec = GenSpec(FrameOfDiscernment.numbered(n), kind="consonant", num_focals=num_focals)
+            self.check(spec, count, make_rng)
+            assert len(calls) < count  # most rows replayed, across slabs
+
     # A zero half is a Lemire rejection for the bounds 3, 5, 6 and 7.  Each
     # case puts the zero word where a Floyd or shuffle step draws from it:
     # (n, num_focals, word, step hit).

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from masscomb import io as mio
 from masscomb.cli import main
-from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted
+from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _trusted, discount
 from masscomb.errors import EncodingError, ParameterError, ParseError
 from masscomb.genrand import GenSpec, generate
 from masscomb.io import (
@@ -475,6 +476,28 @@ class TestWriters:
             write_json(path, batch)
             assert json.loads(path.read_text()) == per_row_json_doc(batch)
             assert len(path.read_text().splitlines()) == len(batch) + 2
+
+    @pytest.mark.parametrize("write", [write_csv, write_json])
+    def test_loose_rows_stacked_one_block_at_a_time(self, tmp_path, monkeypatch, write):
+        # rows of no block, as discount makes them: 4 MB of values, written
+        # in blocks of 64 rows
+        monkeypatch.setattr(mio, "_WRITE_CELLS", 1 << 14)
+        frame = FrameOfDiscernment.numbered(8)
+        batch = [discount(m, 0.9) for m in generate(GenSpec(frame, kind="ssf", seed=8), 2000)]
+        assert all(m._block is None for m in batch)
+        path = tmp_path / "got"
+        tracemalloc.start()
+        try:
+            write(path, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(batch) * frame.powerset_size * 8 / 4
+        if write is write_csv:
+            csv_module_write(tmp_path / "want", batch)
+            assert path.read_bytes() == (tmp_path / "want").read_bytes()
+        else:
+            assert json.loads(path.read_text()) == per_row_json_doc(batch)
 
     @pytest.mark.parametrize("write", [write_csv, write_json])
     @pytest.mark.parametrize("to", ["path", "stream"])
