@@ -92,9 +92,9 @@ def _report(args, cell, host) -> dict:
             "in-process seconds of one evaluate_loo call, of one run_experiment('eknn-sweep') call"
             " over every rule and K of the dataset, and of one combine call on the single-call"
             " inputs: median of the repeats after one warm-up, then median over the rounds, the two"
-            " trees asked in turn cell by cell, the parent's child started first for the first half"
-            " of the rounds and the change's for the second; ratio is the median over all rounds of"
-            " change/parent"
+            " trees asked in turn cell by cell, the parent's child started first for the first"
+            " (rounds + 1) // 2 rounds and the change's for the rest; ratio is the median over all"
+            " rounds of change/parent"
         ),
         "command": " ".join(["python3", "scripts/bench_eknn_loo.py", *sys.argv[1:]]),
         "parent": args.parent_label or args.parent,

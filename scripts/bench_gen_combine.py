@@ -103,7 +103,7 @@ def _report(args, cell, host) -> dict:
             "in-process seconds per call of each stage of the gen-combine workload's pass, and of"
             " the pass: median of the repeats after one warm-up, then median over the rounds, the"
             " two trees asked in turn cell by cell, the parent's child started first for the first"
-            " half of the rounds and the change's for the second; ratio is the median over all"
+            " (rounds + 1) // 2 rounds and the change's for the rest; ratio is the median over all"
             " rounds of change/parent"
         ),
         "command": " ".join(["python3", "scripts/bench_gen_combine.py", *sys.argv[1:]]),

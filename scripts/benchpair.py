@@ -7,11 +7,12 @@ script asks one child and then the other for a measurement, in alternating
 order over ``--rounds`` rounds, so a drift in the host's speed hits both
 sides of a cell alike.  The order in which the children start shifts some
 cells too (a few percent, and a fourth for one large allocation), so the
-parent's child starts first for the first half of the rounds, then both
-are restarted, the change's child first, for the second half.  A measurement
-is one warm-up call, then the median of ``--repeats`` timed samples; a
-sample times ``batch`` calls and counts their mean, after building their
-arguments, untimed, with the cell's ``setup``.  Each cell reports the
+parent's child starts first for the first ``(rounds + 1) // 2`` rounds, then
+both are restarted, the change's child first, for the rest (none for one
+round).  A measurement is one warm-up call, then the median of
+``--repeats`` timed samples; a sample times ``batch`` calls and counts
+their mean, after building their arguments, untimed, with the cell's
+``setup``.  Each cell reports the
 median over its rounds of each side and ``ratio``, the median over the
 rounds of change / parent: the two sides of a round ran back to back, so
 their ratio cancels most drift.
@@ -77,6 +78,15 @@ def _cpu() -> str:
     return platform.processor() or platform.machine()
 
 
+def start_orders(rounds: int) -> list[tuple[tuple[str, ...], range]]:
+    """The order in which the children start, and the rounds they then
+    run: the parent's first for the first ``(rounds + 1) // 2``, the
+    change's for the rest; a half with no round is left out."""
+    half = (rounds + 1) // 2
+    halves = ((SIDES, range(half)), (SIDES[::-1], range(half, rounds)))
+    return [(starts, span) for starts, span in halves if span]
+
+
 def main(script: str, make_cells: Callable[[], dict], names: list[str], report: Callable,
          *, description: str, output: str, repeats: int, rounds: int) -> None:
     """Parse the command line, then serve as a child or time ``names`` on
@@ -99,8 +109,7 @@ def main(script: str, make_cells: Callable[[], dict], names: list[str], report: 
         ap.error("--parent is required")
     trees = {"parent": args.parent, "change": str(Path(script).resolve().parent.parent / "src")}
     samples = {side: {name: [] for name in names} for side in SIDES}
-    half = (args.rounds + 1) // 2
-    for starts, rounds in ((SIDES, range(half)), (SIDES[::-1], range(half, args.rounds))):
+    for starts, rounds in start_orders(args.rounds):
         children = {
             side: subprocess.Popen(
                 [sys.executable, script, "--serve", trees[side], "--repeats", str(args.repeats)],

@@ -266,7 +266,7 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     # in float64 and truncated into the bytes
     tables, scaled = [], np.empty(len(halves), dtype=np.uint8)
     for f, j in enumerate(floyd):
-        np.multiply(halves, (j + 1) * 2.0**-32, out=scaled, casting="unsafe")
+        np.multiply(halves, (j + 1) * 2.0**-32, out=scaled, dtype=np.float64, casting="unsafe")
         tables.append((j, scaled[f:].tobytes()))
     lemire = len(floyd) + k - 1
     match = _shuffle_regex(n).match
@@ -318,7 +318,9 @@ def _replay_chains(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarr
     places = np.frombuffer(b"".join(kept), np.uint8).reshape(len(picks), n - 1)[:m] & masks
     orders = np.repeat(np.arange(n, dtype=np.uint8), m).reshape(n, m)
     flat = orders.ravel()
-    for i, at in zip(steps, places.T * np.intp(m) + np.arange(m)):
+    # widened before the product: under numpy's legacy promotion a uint8
+    # times a small scalar stays uint8 and wraps
+    for i, at in zip(steps, np.multiply(places.T, m, dtype=np.intp) + np.arange(m)):
         held = orders[i].copy()
         orders[i] = flat[at]
         flat[at] = held

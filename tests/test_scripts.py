@@ -24,3 +24,14 @@ def test_every_cell_runs_once(scripts, name):
     assert sorted(cells) == sorted(script.NAMES)
     for cell in cells.values():
         cell.call(*cell.setup())
+
+
+@pytest.mark.parametrize("rounds, want", [
+    (1, [(("parent", "change"), [0])]),
+    (2, [(("parent", "change"), [0]), (("change", "parent"), [1])]),
+    (15, [(("parent", "change"), list(range(8))), (("change", "parent"), list(range(8, 15)))]),
+])
+def test_children_restart_in_the_other_order_for_the_rest(scripts, rounds, want):
+    # a half with no round starts no children
+    benchpair = importlib.import_module("benchpair")
+    assert [(starts, list(span)) for starts, span in benchpair.start_orders(rounds)] == want
