@@ -175,7 +175,10 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         "timing": _run_timing,
         "eknn-sweep": _run_eknn_sweep,
     }[name]
-    return runner({key: _coerce(key, d, params.get(key, d)) for key, d in defaults.items()})
+    p = {key: _coerce(key, d, params.get(key, d)) for key, d in defaults.items()}
+    if p.get("seed", 0) < 0:
+        raise ParameterError(f"experiment parameter 'seed' must be non-negative, got {p['seed']}")
+    return runner(p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ assignments on every platform.  Simplex masses are sampled by normalising
 exponential transforms of uniform draws.
 
 The stream is that of numpy's own calls, one draw at a time.  ssf and
-consonant draws with no singleton-mass threshold are replayed from raw
-PCG64 words, bit for bit, and filled into the block for all rows at once;
-thresholded draws, and general draws, run one by one.  A consonant row's
-shuffle, whose rejections decide where its later draws start, is found by
-one compiled regex over a byte per 32-bit half, so the walk over the
-halves runs in C.  The replays also return the focal cells they wrote,
-which the block's split takes in place of a scan (see
+consonant draws with no singleton-mass threshold, from a pool of two or
+more, run through one loop: the kind's replay fills rows from raw PCG64
+words, bit for bit and all at once, and a row it cannot make is drawn by
+numpy's own calls, its focal cells read back from the row.  Other draws run
+one by one.  A consonant row's shuffle, whose rejections decide where its
+later draws start, is found by one compiled regex over a byte per 32-bit
+half, so the walk over the halves runs in C.  The loop returns the focal
+cells it wrote, which the block's split takes in place of a scan (see
 ``core._Columns.split``).
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,9 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in GEN_KINDS:
             raise ParameterError(f"unknown generator kind {self.kind!r}")
+        for name in ("seed", "stream"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.focal_pool is not None:
             if self.kind == "consonant":
                 raise ParameterError("a consonant draw picks chain sizes; it takes no focal pool")
@@ -69,6 +74,9 @@ class GenSpec:
                 self.frame.check_index(a)
                 if a == 0:
                     raise ParameterError("the empty set cannot be a focal element")
+            if self.kind == "general" and len(set(pool)) < len(pool):
+                a = next(a for a, seen in Counter(pool).items() if seen > 1)
+                raise ParameterError(f"a general focal pool lists subset {a} more than once")
         if self.kind == "consonant" and not 1 <= self.num_focals <= self.frame.n:
             raise ParameterError(
                 f"a nested chain of {self.num_focals} proper subsets does not fit"
@@ -78,10 +86,10 @@ class GenSpec:
             raise ParameterError("min_singleton_mass must lie in [0, 1)")
 
 
-def _simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    u = rng.random(k)
+def _simplex(u: np.ndarray) -> np.ndarray:
+    """Simplex masses from the uniforms ``u``, one simplex per row."""
     e = -np.log(np.maximum(u, 1e-300))
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _pool(spec: GenSpec) -> np.ndarray:
@@ -104,16 +112,15 @@ def _pool(spec: GenSpec) -> np.ndarray:
 def _draw_general(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
     count = int(rng.integers(1, len(pool) + 1))
     focals = rng.choice(pool, size=count, replace=False)
-    arr[focals] = _simplex(rng, count)
+    arr[focals] = _simplex(rng.random(count))
 
 
-def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> int:
+def _draw_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray) -> None:
     # the same stream as rng.choice(pool), without its overhead
     focal = int(pool[rng.integers(0, len(pool))])
     w = float(rng.random())
     arr[spec.frame.full_set] = w
     arr[focal] += 1.0 - w
-    return focal
 
 
 def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, arr: np.ndarray):
@@ -126,7 +133,7 @@ def _draw_consonant(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, a
     sizes = rng.choice(pool, size=k, replace=False)
     u = np.empty(k + 1)
     rng.random(out=u[: k + (sizes.max() < n)])
-    return _fill_chains(spec, order[np.newaxis], sizes[np.newaxis], u[np.newaxis], arr[np.newaxis])
+    _fill_chains(spec, order[np.newaxis], sizes[np.newaxis], u[np.newaxis], arr[np.newaxis])
 
 
 def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.ndarray,
@@ -152,8 +159,7 @@ def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.nda
         rows = np.flatnonzero(topped == top)
         if not rows.size:
             continue
-        e = -np.log(np.maximum(u[rows, : k + top], 1e-300))
-        masses = e / e.sum(axis=1, keepdims=True)
+        masses = _simplex(u[rows, : k + top])
         block[rows[:, np.newaxis], chains[rows]] = masses[:, :k]
         if top:
             block[rows, spec.frame.full_set] = masses[:, k]
@@ -162,23 +168,6 @@ def _fill_chains(spec: GenSpec, orders: np.ndarray, sizes: np.ndarray, u: np.nda
     kept[:, -1] = topped
     rows, cols = np.nonzero(kept)
     return rows, chains[rows, cols]
-
-
-def _draw_chains(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray):
-    """Fill the zeroed rows of ``block`` with the consonant draws that
-    :func:`_draw_consonant` would make one by one, replayed a slab of raw
-    words at a time; a draw the replay cannot make runs one by one.
-    Returns the focal cells written."""
-    filled, rows, sets = 0, [], []
-    while filled < len(block):
-        done, cells = _replay_chains(rng.bit_generator, spec, pool, block[filled:])
-        if not done:
-            cells = _draw_consonant(rng, spec, pool, block[filled])
-            done = 1
-        rows.append(cells[0] + filled)
-        sets.append(cells[1])
-        filled += done
-    return np.concatenate(rows), np.concatenate(sets)
 
 
 def _top_mask(n: int) -> int:
@@ -351,60 +340,71 @@ _DRAWERS = {"general": _draw_general, "ssf": _draw_ssf, "consonant": _draw_conso
 GEN_KINDS = tuple(_DRAWERS)
 
 
-def _singleton_masses(arr: np.ndarray, n: int) -> np.ndarray:
-    return arr[[1 << i for i in range(n)]]
-
-
-def _replay_ssf(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray):
-    """Fill ``block`` with the rows that :func:`generate` draws one by one for
-    ``ssf`` with no threshold and at least two pool entries, from raw PCG64
-    words, and return the focal cells written: each row's focal set, unless
-    it is the frame, its mass ``1 - w`` being at least ``2**-53``.
+def _replay_ssf(bitgen: np.random.BitGenerator, spec: GenSpec, pool: np.ndarray,
+                block: np.ndarray):
+    """Fill the first rows of ``block`` with the draws of :func:`_draw_ssf`
+    from raw PCG64 words; return how many rows and their focal cells: each
+    row's focal set unless it is the frame (its mass ``1 - w`` is at least
+    ``2**-53``).
 
     An ssf draw calls ``integers(0, m)`` and then ``random()``.  The integer
     takes the low half of a fresh 64-bit word, and the next draw's integer
     the high half, which the bit generator buffers; each maps a 32-bit ``u``
     to ``(u * m) >> 32`` by Lemire's rule, rejecting ``u`` when
-    ``(u * m) mod 2**32 < (2**32 - m) mod m``.  The weight is the top 53
-    bits of the next word times ``2**-53``.  So a pair of draws uses three
-    words.  A draw that meets a rejection runs through :func:`_draw_ssf`
-    from the words before it.  The buffered half it rejects need not be
-    restored: the rejection drops it and takes the low half of a fresh word
-    either way.  A draw that starts on a buffered half also runs through
-    :func:`_draw_ssf`.
+    ``(u * m) mod 2**32 < 2**32 mod m``.  The weight is the top 53 bits of
+    the next word times ``2**-53``.  So a pair of draws uses three words.
+    The replay fills rows up to the first draw that meets a rejection, and
+    makes none if the first draw would start on a half the bit generator
+    buffered before it.  It leaves ``bitgen`` exactly where those draws one
+    by one would, the half they buffer included: where it stops early, the
+    driver goes on from there.
     """
-    bitgen = rng.bit_generator
-    m = len(pool)
-    full = spec.frame.full_set
-    focals = np.empty(len(block), dtype=np.intp)
-    filled = 0
+    start = bitgen.state
+    if start["has_uint32"]:
+        return 0, None
+    m, count = len(pool), len(block)
+    words = bitgen.random_raw(3 * ((count + 1) // 2)).reshape(-1, 3)
+    u = np.stack([words[:, 0] & _LOW32, words[:, 0] >> np.uint64(32)], axis=1).ravel()
+    scaled = u[:count] * np.uint64(m)
+    rejected = np.flatnonzero((scaled & _LOW32) < (1 << 32) % m)
+    stop = int(rejected[0]) if rejected.size else count
+    bitgen.state = start
+    w = (words[:, 1:].ravel()[:stop] >> np.uint64(11)) * 2.0**-53
+    focals = pool[(scaled[:stop] >> np.uint64(32)).astype(np.intp)]
+    block[:stop, spec.frame.full_set] = w
+    block[np.arange(stop), focals] += 1.0 - w
+    bitgen.advance(3 * (stop // 2) + 2 * (stop % 2))
+    if stop & 1:
+        # an odd count of rows leaves the high half of its last integer word buffered
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(u[stop])
+        bitgen.state = state
+    rows = np.flatnonzero(focals != spec.frame.full_set)
+    return stop, (rows, focals[rows])
+
+
+#: The kinds whose draws :func:`_draw_replayed` replays from raw words.
+_REPLAYS = {"ssf": _replay_ssf, "consonant": _replay_chains}
+
+
+def _draw_replayed(rng: np.random.Generator, spec: GenSpec, pool: np.ndarray, block: np.ndarray,
+                   draw) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the zeroed rows of ``block`` with the draws ``draw`` would make
+    one by one: as many rows at a time as the kind's replay fills, and one
+    row by ``draw`` where it fills none, that row's focal cells read back
+    from it.  Returns the focal cells written, as
+    :meth:`core._Columns.split` takes them."""
+    replay, full = _REPLAYS[spec.kind], spec.frame.full_set
+    filled, rows, sets = 0, [], []
     while filled < len(block):
-        if bitgen.state["has_uint32"]:
-            focals[filled] = _draw_ssf(rng, spec, pool, block[filled])
-            filled += 1
-            continue
-        need = len(block) - filled
-        pairs = (need + 1) // 2
-        start = bitgen.state
-        words = bitgen.random_raw(3 * pairs).reshape(pairs, 3)
-        u = np.stack([words[:, 0] & _LOW32, words[:, 0] >> np.uint64(32)], axis=1).ravel()
-        scaled = u[:need] * np.uint64(m)
-        rejected = np.flatnonzero((scaled & _LOW32) < np.uint64((2**32 - m) % m))
-        stop = int(rejected[0]) if rejected.size else need
-        rows = np.arange(filled, filled + stop)
-        w = (words[:, 1:].ravel()[:stop] >> np.uint64(11)).astype(float) * 2.0**-53
-        focals[rows] = picked = pool[(scaled[:stop] >> np.uint64(32)).astype(np.intp)]
-        block[rows, full] = w
-        block[rows, picked] += 1.0 - w
-        filled += stop
-        if stop < need:
-            # back to the words before the rejected draw, then draw it one by one
-            bitgen.state = start
-            bitgen.random_raw(3 * (stop // 2) + 2 * (stop % 2))
-            focals[filled] = _draw_ssf(rng, spec, pool, block[filled])
-            filled += 1
-    rows = np.flatnonzero(focals != full)
-    return rows, focals[rows]
+        done, cells = replay(rng.bit_generator, spec, pool, block[filled:])
+        if not done:
+            draw(rng, spec, pool, block[filled])
+            done, cells = 1, np.nonzero(block[filled : filled + 1, :full])
+        rows.append(cells[0] + filled)
+        sets.append(cells[1])
+        filled += done
+    return np.concatenate(rows), np.concatenate(sets)
 
 
 def generate(spec: GenSpec, count: int) -> list[MassFunction]:
@@ -419,17 +419,14 @@ def generate(spec: GenSpec, count: int) -> list[MassFunction]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=key)))
     pool = _pool(spec)
     block = np.zeros((count, spec.frame.powerset_size))
-    if spec.kind == "ssf" and spec.min_singleton_mass is None and len(pool) > 1:
-        return _mass_rows(spec.frame, block, cells=_replay_ssf(rng, spec, pool, block))
-    if spec.kind == "consonant" and spec.min_singleton_mass is None:
-        return _mass_rows(spec.frame, block, cells=_draw_chains(rng, spec, pool, block))
     draw = _DRAWERS[spec.kind]
+    if spec.kind in _REPLAYS and spec.min_singleton_mass is None and len(pool) > 1:
+        return _mass_rows(spec.frame, block, cells=_draw_replayed(rng, spec, pool, block, draw))
+    singletons = [1 << i for i in range(spec.frame.n)]
     for arr in block:
-        for attempt in range(_MAX_REJECTIONS):
+        for _ in range(_MAX_REJECTIONS):
             draw(rng, spec, pool, arr)
-            if spec.min_singleton_mass is None:
-                break
-            if _singleton_masses(arr, spec.frame.n).max() > spec.min_singleton_mass:
+            if spec.min_singleton_mass is None or arr[singletons].max() > spec.min_singleton_mass:
                 break
             arr[:] = 0.0
         else:

@@ -402,22 +402,23 @@ class _Fusion:
 
     def settle(self, masses: np.ndarray, wrap=None) -> np.ndarray:
         """Validate and renormalise each row in place as :class:`MassFunction`
-        does.  A row that fails fails its segment with the error, passed
-        through ``wrap`` if given; failed rows become vacuous first."""
+        does.  A row that fails fails its segment with the error of its own
+        check, ``row`` its segment, passed through ``wrap`` if given; failed
+        rows become vacuous."""
         vacuous = np.zeros(self.size)
         vacuous[-1] = 1.0
-        if self.errors:
-            masses[list(self.errors)] = vacuous
-        try:
-            _check_rows(self.frame, masses, MASS_TOL)
-        except ParameterError:
-            for g in self.every.tolist():
-                try:
-                    _check_rows(self.frame, masses[g : g + 1], MASS_TOL)
-                except ParameterError as exc:
-                    self.errors[g] = wrap(exc) if wrap else exc
-                    masses[g] = vacuous
-        return masses
+        masses[list(self.errors)] = vacuous
+        done = 0
+        while True:
+            try:
+                _check_rows(self.frame, masses[done:], MASS_TOL)
+                return masses
+            except ParameterError as exc:
+                # the rows before the first that fails pass on their own
+                g = done + exc.row
+                _check_rows(self.frame, masses[done:g], MASS_TOL)
+                exc.row, masses[g], done = g, vacuous, g + 1
+                self.errors[g] = wrap(exc) if wrap else exc
 
     def result(self, g: int = 0) -> FusionResult:
         """Segment ``g``'s fusion, or its error raised."""

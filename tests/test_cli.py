@@ -286,6 +286,20 @@ class TestGen:
         assert main(["gen", "--kind", "consonant", "--focal-pool", "001"]) == 2
         assert "focal pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["gen", "--stream", "-2"], "stream must be non-negative, got -2"),
+        (["gen", "--kind", "general", "--focal-pool", "001,001,010", "--count", "50"],
+         "a general focal pool lists subset 1 more than once"),
+    ] + [
+        (["experiment", name, "--seed", "-3"], "experiment parameter 'seed' must be non-negative, got -3")
+        for name in ("eta-sweep", "conflict-sweep", "timing", "eknn-sweep")
+    ], ids=["gen-seed", "gen-stream", "gen-general-pool", "eta-sweep-seed", "conflict-sweep-seed",
+            "timing-seed", "eknn-sweep-seed"])
+    def test_refused_recipe_is_validation_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_extension_refused(self, tmp_path, capsys):
         out = tmp_path / "out.jsn"
         assert main(["gen", "--count", "2", "--output", str(out)]) == 2

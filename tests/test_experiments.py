@@ -9,6 +9,12 @@ from masscomb.errors import ParameterError
 from masscomb.experiments import run_experiment
 
 
+@pytest.mark.parametrize("name", ["eta-sweep", "conflict-sweep", "timing", "eknn-sweep"])
+def test_negative_seed_refused(name):
+    with pytest.raises(ParameterError, match="^experiment parameter 'seed' must be non-negative, got -3$"):
+        run_experiment(name, {"seed": -3})
+
+
 class TestTable1:
     def test_reference_column(self):
         rep = run_experiment("table1")

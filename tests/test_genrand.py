@@ -8,7 +8,13 @@ from masscomb.core import FrameOfDiscernment, _Columns, as_simple_support
 from masscomb.errors import ParameterError
 from masscomb.genrand import GenSpec, generate
 
-from conftest import assert_block_split, assert_same_split, per_draw_chains, per_draw_generate
+from conftest import (
+    _oracle_draw_ssf,
+    assert_block_split,
+    assert_same_split,
+    per_draw_chains,
+    per_draw_generate,
+)
 
 
 @pytest.fixture
@@ -37,6 +43,29 @@ class TestGeneral:
     def test_empty_set_rejected_in_pool(self, frame4):
         with pytest.raises(ParameterError):
             GenSpec(frame4, focal_pool=(0, 1))
+
+
+class TestSpecRefusals:
+    """A seed or stream numpy cannot seed, and a general pool that would
+    write one subset twice, are refused when the recipe is made."""
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("stream", -2)])
+    def test_negative_seed_or_stream(self, frame4, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be non-negative, got {value}$"):
+            GenSpec(frame4, kind="ssf", **{field: value})
+
+    def test_general_pool_repeating_a_subset(self):
+        frame = FrameOfDiscernment.numbered(3)
+        with pytest.raises(ParameterError, match="^a general focal pool lists subset 1 more than once$"):
+            generate(GenSpec(frame, kind="general", focal_pool=(1, 1, 2), seed=0), 50)
+
+    @pytest.mark.parametrize("threshold", [None, 0.3])
+    def test_ssf_pool_may_repeat(self, threshold):
+        # a repeat weights the pick; the rows are those numpy's calls give
+        spec = GenSpec(FrameOfDiscernment.numbered(3), kind="ssf", focal_pool=(1, 1, 2),
+                       min_singleton_mass=threshold, seed=0)
+        got = generate(spec, 50)
+        assert [m.values.tobytes() for m in got] == [m.values.tobytes() for m in per_draw_generate(spec, 50)]
 
 
 class TestSsf:
@@ -222,6 +251,28 @@ class TestSsfReplay:
                        min_singleton_mass=threshold, seed=seed)
         assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)
 
+    @pytest.mark.parametrize("seed", [seed for seed, _ in LEMIRE])
+    @pytest.mark.parametrize("count", [5, 6, 7, 120])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_driver_leaves_the_stream_where_the_oracle_does(self, seed, count, buffered):
+        # from a fresh start, counts 5 and 6 end just before and just after
+        # the draw of seed 18612 that meets a rejection
+        def make_rng():
+            rng = np.random.Generator(np.random.PCG64(seed))
+            if buffered:
+                rng.permutation(2)
+            return rng
+        spec = GenSpec(FrameOfDiscernment.numbered(12), kind="ssf", focal_pool=self.POOL_4056)
+        rng, oracle = make_rng(), make_rng()
+        block = np.zeros((count, spec.frame.powerset_size))
+        cells = genrand._draw_replayed(rng, spec, genrand._pool(spec), block, genrand._draw_ssf)
+        want = np.zeros_like(block)
+        for arr in want:
+            _oracle_draw_ssf(oracle, spec, arr)
+        assert block.tobytes() == want.tobytes()
+        assert _position(rng) == _position(oracle)
+        assert_same_split(_Columns.split(block, spec.frame.full_set, cells), block)
+
 
 def _position(rng: np.random.Generator):
     """Where ``rng`` stands in its stream: the PCG64 state and the buffered
@@ -251,7 +302,7 @@ class TestConsonantReplay:
     def check(spec, count, make_rng):
         rng, oracle = make_rng(), make_rng()
         block = np.zeros((count, spec.frame.powerset_size))
-        cells = genrand._draw_chains(rng, spec, genrand._pool(spec), block)
+        cells = genrand._draw_replayed(rng, spec, genrand._pool(spec), block, genrand._draw_consonant)
         assert block.tobytes() == per_draw_chains(oracle, spec, count).tobytes()
         assert _position(rng) == _position(oracle)
         assert_same_split(_Columns.split(block, spec.frame.full_set, cells), block)

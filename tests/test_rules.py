@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masscomb.rules as rules_mod
+from masscomb import core
 
 from masscomb.core import FrameOfDiscernment, MassFunction, SimpleSupport, _mass_rows, _simple_supports
 from masscomb.genrand import GenSpec, generate
@@ -18,6 +19,7 @@ from masscomb.errors import (
     ComplexityGuardError,
     DecompositionError,
     EncodingError,
+    InvalidWeightVectorError,
     MassCombError,
     NotSeparableError,
     ParameterError,
@@ -1332,3 +1334,44 @@ class TestCommutativity:
         base = combine(ms, cfg).mass.values
         for perm in itertools.islice(itertools.permutations(ms), 1, 8):
             assert np.max(np.abs(combine(list(perm), cfg).mass.values - base)) <= 1e-12
+
+
+class TestSettle:
+    """A fusion's ``settle`` fails each segment whose fused row is not a mass
+    vector with the error a check of that row alone raises, and leaves the
+    other rows as that check leaves them."""
+
+    # a NaN, a mass of -0.1, a sum off by 1e-6; the good row is renormalised
+    # (its sum is off by 5e-10) and clipped (its -1e-12)
+    BAD = {
+        "nan": [np.nan, 0.2, 0.3, 0.5],
+        "negative": [0.0, -0.1, 0.6, 0.5],
+        "sum": [0.0, 0.2, 0.3, 0.5 + 1e-6],
+    }
+    GOOD = [-1e-12, 0.25, 0.25, 0.5 + 5e-10]
+
+    @pytest.mark.parametrize("good_at", range(4))
+    @pytest.mark.parametrize("wrap", [None, InvalidWeightVectorError])
+    def test_each_bad_segment_fails_alone(self, frame2, good_at, wrap):
+        rows = list(self.BAD.values())
+        rows.insert(good_at, self.GOOD)
+        masses = np.array(rows)
+        fusion = rules_mod._Conjunctive(frame2, 4, 1, RuleConfig(rule="conjunctive"), 0.0)
+        wrapper = (lambda exc: wrap(str(exc))) if wrap else None
+        out = fusion.settle(masses.copy(), wrapper)
+        assert sorted(fusion.errors) == [g for g in range(4) if g != good_at]
+        for g, row in enumerate(masses):
+            alone = row[np.newaxis].copy()
+            if g == good_at:
+                core._check_rows(frame2, alone, core.MASS_TOL)
+                assert out[g].tobytes() == alone[0].tobytes()
+                assert out[g].tobytes() == MassFunction(frame2, row).values.tobytes()
+                continue
+            with pytest.raises(ParameterError) as own:
+                core._check_rows(frame2, alone, core.MASS_TOL)
+            error = fusion.errors[g]
+            assert type(error) is (wrap or ParameterError)
+            assert str(error) == str(own.value)
+            if wrap is None:
+                assert error.row == g
+            assert out[g].tolist() == [0.0, 0.0, 0.0, 1.0]
