@@ -192,7 +192,7 @@ def _cmd_gen(args) -> int:
         frame = FrameOfDiscernment(tuple(s.strip() for s in args.labels.split(",")))
     else:
         frame = FrameOfDiscernment.numbered(args.frame_size)
-    pool = _parse_focal_pool(args.focal_pool) if args.focal_pool else None
+    pool = None if args.focal_pool is None else _parse_focal_pool(args.focal_pool)
     spec = GenSpec(
         frame,
         kind=args.kind,

@@ -7,6 +7,9 @@ Every dense vector over the power set uses this natural order, which lets the
 transforms between the equivalent representations (mass, belief, plausibility,
 commonality, implicability) run as in-place lattice passes, one per hypothesis,
 at a cost proportional to ``n * 2**n``.
+
+Canonical weights stay logs from the lattice decomposition to the
+recombination; only :func:`canonical_decompose` and :func:`recompose` convert.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ MASS_TOL = 1e-9
 #: Decomposition weights above ``1 + SEPARABILITY_TOL`` are inverse simple
 #: supports: an assignment that has one is not separable.
 SEPARABILITY_TOL = 1e-9
-
-#: Floor applied to commonalities before taking logs in the decomposition.
-_LOG_FLOOR = 1e-300
 
 _KIND_ALIASES = {
     "bel": "belief",
@@ -621,11 +621,6 @@ def _check_support_weights(weights: np.ndarray, fail=_raise_first) -> None:
          lambda i: ParameterError(f"simple support weight {float(weights[i])!r} outside [0, 1]"))
 
 
-def _check_weight_rows(weights: np.ndarray, fail=_raise_first) -> None:
-    fail(~(np.isfinite(weights).all(axis=1) & (weights.min(axis=1) > 0.0)),
-         lambda i: ParameterError("decomposition weights must be positive and finite"))
-
-
 def _support_block(frame: FrameOfDiscernment, focals, weights, fail=_raise_first) -> np.ndarray:
     """The simple supports ``focals[i]^weights[i]`` as one ``(S, 2**n)``
     block, weights checked through ``fail``, rows not yet validated."""
@@ -678,7 +673,8 @@ class WeightVector:
             raise EncodingError(
                 f"expected {self.frame.powerset_size} weights, got shape {arr.shape}"
             )
-        _check_weight_rows(arr[np.newaxis])
+        if not (np.isfinite(arr).all() and arr.min() > 0.0):
+            raise ParameterError("decomposition weights must be positive and finite")
         arr[self.frame.full_set] = 1.0
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
@@ -875,21 +871,20 @@ def consistency(m1: MassFunction, m2: MassFunction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _batched_weights(values: np.ndarray, frame: FrameOfDiscernment) -> np.ndarray:
-    """Canonical-decomposition weights for every row of a (rows, 2**n) matrix,
-    written over it.
+def _log_weights(values: np.ndarray, frame: FrameOfDiscernment) -> np.ndarray:
+    """Canonical-decomposition log weights ``log w_A`` for every row of a
+    (rows, 2**n) matrix, written over it.
 
-    Rows must be non-dogmatic.  Works in the log-commonality domain; the
-    frame column is forced to 1.
+    Rows must be non-dogmatic: every commonality is then at least the
+    frame's mass, so its log is finite.  The frame column is 0.
     """
     n = frame.n
     v = values
     _zeta_superset(v, n)
-    np.log(np.maximum(v, _LOG_FLOOR, out=v), out=v)
+    np.log(v, out=v)
     _moebius_superset(v, n)
     np.negative(v, out=v)
-    np.exp(v, out=v)
-    v[:, frame.full_set] = 1.0
+    v[:, frame.full_set] = 0.0
     return v
 
 
@@ -899,7 +894,9 @@ def canonical_decompose(m: MassFunction) -> WeightVector:
     The weight of each proper subset is an alternating product of
     commonalities over its supersets, evaluated in the log domain with a
     single lattice pass.  Simple supports short-circuit to their own
-    weight.  Recombining the result reproduces ``m``.
+    weight.  Recombining the result reproduces ``m``.  A weight that
+    overflows, or underflows to 0, is a :class:`DecompositionError` naming
+    its subset.
     """
     full = m.frame.full_set
     if float(m.values[full]) <= 0.0:
@@ -912,16 +909,24 @@ def canonical_decompose(m: MassFunction) -> WeightVector:
         if ssf.focal != full:
             weights[ssf.focal] = ssf.weight
         return WeightVector(m.frame, weights)
-    return WeightVector(m.frame, _batched_weights(m.values[None, :].copy(), m.frame)[0])
+    logw = _log_weights(m.values[None, :].copy(), m.frame)[0]
+    with np.errstate(over="ignore"):
+        weights = np.exp(logw)
+    outside = (weights == 0.0) | (weights == np.inf)
+    if outside.any():
+        a = int(np.argmax(outside))
+        raise DecompositionError(
+            f"canonical weight of {m.frame.format_subset(a)} is beyond the float range"
+            f" (log weight {float(logw[a]):.6g})"
+        )
+    return WeightVector(m.frame, weights)
 
 
-def _recompose_rows(frame: FrameOfDiscernment, weights: np.ndarray, fail) -> np.ndarray:
-    """:func:`recompose` of each row of a ``(G, 2**n)`` array of weights,
-    the frame's read as 1, before validation.  Each check runs on every row
-    in recompose's order and reports the rows it flags as ``fail(flags,
-    error)``, ``error(i)`` being row ``i``'s error."""
-    _check_weight_rows(weights, fail)
-    logw = np.log(weights)
+def _recompose_rows(frame: FrameOfDiscernment, logw: np.ndarray, fail) -> np.ndarray:
+    """:func:`recompose` of each row of a ``(G, 2**n)`` array of log
+    weights, the frame's set to 0 in place, before validation.  Each check
+    runs on every row in recompose's order and reports the rows it flags as
+    ``fail(flags, error)``, ``error(i)`` being row ``i``'s error."""
     logw[:, frame.full_set] = 0.0
     # weights that overflow the lattice pass fail the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -943,7 +948,7 @@ def recompose(w: WeightVector) -> MassFunction:
     commonality of the product is ``prod of w_A over A not containing X``,
     computed from one lattice pass over the log weights.
     """
-    arr = _recompose_rows(w.frame, w.weights[np.newaxis], _raise_first)[0]
+    arr = _recompose_rows(w.frame, np.log(w.weights)[np.newaxis], _raise_first)[0]
     try:
         return MassFunction(w.frame, arr)
     except ParameterError as exc:

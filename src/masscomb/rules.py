@@ -19,6 +19,9 @@ is bit for bit that of a call on its rows alone.  A segment that fails
 records the error such a call would raise, and the others go on.
 :func:`combine` is the case G = 1; EkNN leave-one-out fuses a chunk of
 samples, one segment each, in one call.
+
+The cautious and grouped rules pool canonical weights as logs, so an input
+whose weights lie beyond the float range is pooled as any other.
 """
 
 from __future__ import annotations
@@ -612,7 +615,9 @@ def combine_average(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -
 
 class _Enumeration(_Fusion):
     """Keeps the rows of every segment within the guard and counts the
-    focal tuples of each, as ``log2`` sums checked exactly near the guard.
+    focal tuples of each as a float product of its focal counts.  The
+    product is exact while below 2**53 and never falls below 2**53 once
+    past it, so the guard decides exactly for any guard below 2**53.
     A rule gives the values its tuples carry (``fields``, see
     :func:`expansion.expand`) and adds each block of tuples to its result
     (``scatter``)."""
@@ -620,12 +625,9 @@ class _Enumeration(_Fusion):
     def __init__(self, *args):
         super().__init__(*args)
         self.kept = []
-        self.log2 = np.zeros(self.every.size)
-        self.bound = math.log2(self.cfg.enumeration_guard)
-
-    def slack(self, log2):
-        """Rounding room of a ``log2`` sum over ``k`` sources."""
-        return 1e-12 * self.k * (log2 + 1.0)
+        self.tuples = np.ones(self.every.size)
+        # a guard past the float range compares as 2**1023
+        self.guard = float(min(self.cfg.enumeration_guard, 2**1023))
 
     def check(self, values, segment):
         """The rule's checks on one chunk's rows, before the guard."""
@@ -636,16 +638,14 @@ class _Enumeration(_Fusion):
         if self.k == 1:
             self.kept.append((values, segment, None))
             return
-        if isinstance(segment, int):
-            # past the guard already: keep nothing more
-            if self.log2[segment] > self.bound + self.slack(self.log2[segment]):
-                return
+        if isinstance(segment, int) and self.tuples[segment] > self.guard:
+            return  # past the guard already: keep nothing more
         sizes = np.count_nonzero(values, axis=1)
-        logs = np.log2(sizes)
         if isinstance(segment, int):
-            self.log2[segment] += logs.sum()
+            self.tuples[segment] *= sizes.prod(dtype=float)
         else:
-            self.log2 += np.bincount(segment, weights=logs, minlength=self.every.size)
+            # the chunk holds whole segments of k rows
+            self.tuples[segment[:: self.k]] *= sizes.reshape(-1, self.k).prod(axis=1, dtype=float)
         self.kept.append((values, segment, sizes))
 
     def finish(self):
@@ -664,16 +664,8 @@ class _Enumeration(_Fusion):
         from . import expansion
 
         if self.k > 1:
-            slack = self.slack(self.log2)
-            over = self.log2 > self.bound + slack
-            near = np.flatnonzero(~over & (self.log2 >= self.bound - slack))
-            if near.size:
-                sizes = np.concatenate([s for _, _, s in self.kept])
-                owner = np.concatenate([np.broadcast_to(g, len(v)) for v, g, _ in self.kept])
-                for g in near.tolist():
-                    over[g] = math.prod(sizes[owner == g].tolist()) > self.cfg.enumeration_guard
             self.fail(
-                over,
+                self.tuples > self.guard,
                 lambda g: ComplexityGuardError(
                     f"more than {self.cfg.enumeration_guard} focal tuples, beyond the"
                     " enumeration guard; the grouped 'lns' rule handles large source counts"
@@ -822,7 +814,7 @@ def combine_pcr6(ms: Sequence[MassFunction], cfg: RuleConfig | None = None) -> F
 
 
 class _Cautious(_Fusion):
-    """The subset-wise minimum of the canonical weights, recombined."""
+    """The subset-wise minimum of the canonical log weights, recombined."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -840,13 +832,14 @@ class _Cautious(_Fusion):
                 touched = np.unique(np.concatenate([vacuous, at]))
             else:
                 touched = at
-            self.minw[touched] = np.minimum(self.minw[touched], 1.0)
-            np.minimum.at(self.minw.reshape(-1), at * self.size + focal, weight)
+            # a vacuous row or simple support has weight 1 (log 0) elsewhere
+            self.minw[touched] = np.minimum(self.minw[touched], 0.0)
+            np.minimum.at(self.minw.reshape(-1), at * self.size + focal, np.log(weight))
         if len(rest):
-            _pool(np.minimum, self.minw, core._batched_weights(rest, self.frame), rest_at)
+            _pool(np.minimum, self.minw, core._log_weights(rest, self.frame), rest_at)
 
     def finish(self):
-        # recompose(WeightVector(frame, minw)) for every segment
+        # recompose(WeightVector(frame, exp(minw))) for every segment
         arr = core._recompose_rows(self.frame, self.minw, self.fail)
         self.masses = self.settle(arr, wrap=lambda exc: InvalidWeightVectorError(str(exc)))
 
@@ -897,7 +890,7 @@ class _Grouped(_Fusion):
             return ParameterError("a component focused on the empty set cannot be grouped")
 
         self.fail(focal == 0, empty, at)
-        comp_mask = wmat = None
+        comp_mask = logw = None
         if len(rest):
             self.fail(
                 rest[:, full] <= 0.0,
@@ -906,22 +899,21 @@ class _Grouped(_Fusion):
                 ),
                 rest_at,
             )
-            wmat = core._batched_weights(rest, frame)
+            logw = core._log_weights(rest, frame)
             # inverse components (weights above 1), then empty-set components
-            over = wmat > 1.0 + SEPARABILITY_TOL
+            over = logw > math.log1p(SEPARABILITY_TOL)
 
             def inverse(i):
                 col = int(np.argmax(over[i]))
                 return NotSeparableError(
-                    f"input is not separable: weight {float(wmat[i, col]):.6g}"
+                    f"input is not separable: weight {float(np.exp(logw[i, col])):.6g}"
                     f" above 1 on subset {frame.format_subset(col)}",
                     subset=col,
                 )
 
             self.fail(over.any(axis=1), inverse, rest_at)
-            self.fail(wmat[:, 0] < 1.0 - _VACUOUS_WEIGHT_TOL, empty, rest_at)
-            comp_mask = wmat < 1.0 - _VACUOUS_WEIGHT_TOL
-            comp_mask[:, full] = False
+            comp_mask = logw < math.log1p(-_VACUOUS_WEIGHT_TOL)
+            self.fail(comp_mask[:, 0], empty, rest_at)
         self.seconds["decompose"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -934,7 +926,7 @@ class _Grouped(_Fusion):
         if comp_mask is not None:
             _pool(np.add, self.counts, comp_mask, rest_at)
             if not self.approximate:
-                _pool(np.add, self.logw, np.where(comp_mask, np.log(wmat), 0.0), rest_at)
+                _pool(np.add, self.logw, np.where(comp_mask, logw, 0.0), rest_at)
         self.seconds["inner_combine"] += time.perf_counter() - t0
 
     def finish(self):

@@ -57,6 +57,24 @@ def frame3() -> FrameOfDiscernment:
     return FrameOfDiscernment.numbered(3)
 
 
+#: A valid assignment on ``FrameOfDiscernment.numbered(4)``, masses by
+#: subset index, whose canonical log weights run from -459 to 914: the
+#: weight of {theta4} overflows a float.
+WIDE_WEIGHTS_N4 = [
+    0.0858193811263148, 1.392466418308441e-200, 0.32710034233329915, 0.0,
+    0.0, 0.0, 0.02496036688437025, 0.0,
+    0.043696358203261454, 0.12697201724558344, 0.3608909830040714, 0.0,
+    0.030560551203099588, 0.0, 0.0, 1.392466418308441e-200,
+]
+
+#: A twin whose weight on the empty set, of log -886, underflows to 0,
+#: while no weight overflows (the largest log weight is 593).
+TINY_WEIGHT_N4 = [
+    0.0, 0.0, 0.17, 0.2, 0.0, 0.11, 0.01, 1e-130,
+    0.11, 0.17, 0.09, 0.0, 0.14, 1e-130, 0.0, 1e-130,
+]
+
+
 def random_mass(
     rng: np.random.Generator,
     frame: FrameOfDiscernment,

@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import masscomb
 from masscomb.cli import build_parser, main
-from masscomb.core import REPRESENTATION_KINDS, MassFunction, SimpleSupport
+from masscomb.core import REPRESENTATION_KINDS, FrameOfDiscernment, MassFunction, SimpleSupport
 from masscomb.io import read_bbas, write_bbas, write_csv
 
-from conftest import opposed_halves
+from conftest import WIDE_WEIGHTS_N4, opposed_halves
 
 
 def _reject_constant(name):
@@ -249,6 +253,19 @@ class TestTransformAndDiscount:
         write_csv(path, [MassFunction.categorical(frame3, 1)])
         assert main(["decompose", "--input", str(path)]) == 2
 
+    def test_decompose_weight_beyond_the_float_range_exit_code(self, tmp_path):
+        # a process of its own, so numpy's warnings, if any, reach its stderr
+        path = tmp_path / "wide.csv"
+        write_csv(path, [MassFunction(FrameOfDiscernment.numbered(4), WIDE_WEIGHTS_N4)])
+        src = str(Path(masscomb.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "masscomb.cli", "decompose", "--input", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: canonical weight of {theta4} is beyond the float range (log weight 914.377)\n"
+        )
+
     def test_discount(self, tmp_path, six_csv):
         out = tmp_path / "disc.csv"
         assert main(["discount", "--input", str(six_csv), "--alpha", "0.5", "--output", str(out)]) == 0
@@ -281,6 +298,10 @@ class TestGen:
 
     def test_bad_pool_is_validation_error(self):
         assert main(["gen", "--focal-pool", "xyz"]) == 2
+
+    def test_empty_pool_is_validation_error(self, capsys):
+        assert main(["gen", "--focal-pool", ""]) == 2
+        assert capsys.readouterr().err == "error: focal pool entry '' is not a binary bitmask\n"
 
     def test_consonant_pool_is_validation_error(self, capsys):
         assert main(["gen", "--kind", "consonant", "--focal-pool", "001"]) == 2

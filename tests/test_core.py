@@ -53,6 +53,8 @@ from masscomb.genrand import GenSpec, generate
 from masscomb.io import FILE_MASS_TOL
 
 from conftest import (
+    TINY_WEIGHT_N4,
+    WIDE_WEIGHTS_N4,
     approx_equal,
     check_rows_oracle,
     loop_pignistic,
@@ -175,6 +177,14 @@ class TestMassFunction:
     def test_simple_support_weight_range(self, frame2):
         with pytest.raises(ParameterError):
             SimpleSupport(frame2, 1, 1.5)
+
+    def test_equality_and_hash(self, frame2):
+        a = MassFunction(frame2, [0, 0.3, 0, 0.7])
+        b = MassFunction.from_dict(frame2, {1: 0.3, 3: 0.7})
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != MassFunction(frame2, [0, 0.3, 0.1, 0.6])
+        assert a != MassFunction(FrameOfDiscernment.of("x", "y"), a.values)
+        assert a.__eq__("m") is NotImplemented and a != "m"
 
     def test_pickle_round_trip_is_exact_and_read_only(self, frame3):
         m = MassFunction(frame3, [0, 0.1, 0.2, 0, 0.3, 0, 0, 0.4 + 3e-10])
@@ -314,6 +324,11 @@ class TestTransforms:
         m = MassFunction(frame2, [0, 0.5, 0.2, 0.3])
         assert np.allclose(mass_to_belief(m).values, [0, 0.5, 0.2, 1.0], atol=1e-15)
         assert np.allclose(mass_to_plausibility(m).values, [0, 0.8, 0.5, 1.0], atol=1e-15)
+
+    def test_representation_vector_indexing(self, frame2):
+        q = mass_to_commonality(MassFunction(frame2, [0, 0.3, 0, 0.7]))
+        assert [q[a] for a in range(4)] == [1.0, 1.0, 0.7, 0.7]
+        assert type(q[2]) is float
 
     def test_vacuous_commonality_is_one(self, frame3):
         q = mass_to_commonality(MassFunction.vacuous(frame3))
@@ -517,6 +532,27 @@ class TestDecomposition:
             with pytest.raises(InvalidWeightVectorError, match="recombines to non-finite masses"):
                 recompose(WeightVector(frame, [1, big, big, 1]))
 
+    def test_recompose_sum_off_after_the_clip_is_refused(self):
+        # the masses of {theta1} and {theta2}, about -9e-10 each, pass the
+        # negative check; clipped to 0, they leave the frame's 1 + 1.8e-9
+        frame = FrameOfDiscernment.numbered(2)
+        with pytest.raises(InvalidWeightVectorError, match=r"^masses sum to 1\.0000000018\d*, expected 1$"):
+            recompose(WeightVector(frame, [1, 1 + 9e-10, 1 + 9e-10, 1]))
+
+    @pytest.mark.parametrize("values, subset, log_weight", [
+        (WIDE_WEIGHTS_N4, "{theta4}", "914.377"),
+        (TINY_WEIGHT_N4, "{}", "-885.563"),
+    ], ids=["overflow", "underflow"])
+    def test_weight_beyond_the_float_range_is_refused_without_a_warning(self, values, subset, log_weight):
+        m = MassFunction(FrameOfDiscernment.numbered(4), values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecompositionError) as exc:
+                canonical_decompose(m)
+        assert str(exc.value) == (
+            f"canonical weight of {subset} is beyond the float range (log weight {log_weight})"
+        )
+
     def test_recompose_rows_fail_a_row_alone(self):
         # a failing row between passing ones; the frame's weights are read as 1
         frame = FrameOfDiscernment.numbered(3)
@@ -529,7 +565,7 @@ class TestDecomposition:
             for i in np.flatnonzero(flags).tolist():
                 errors.setdefault(i, error(i))
 
-        masses = _recompose_rows(frame, weights.copy(), fail)
+        masses = _recompose_rows(frame, np.log(weights), fail)
         with pytest.raises(InvalidWeightVectorError) as want:
             recompose(WeightVector(frame, weights[2]))
         assert list(errors) == [2]
@@ -538,7 +574,7 @@ class TestDecomposition:
             alone = recompose(WeightVector(frame, weights[g])).values
             assert np.array_equal(MassFunction(frame, masses[g]).values, alone)
         with pytest.raises(InvalidWeightVectorError) as first:
-            _recompose_rows(frame, weights, _raise_first)
+            _recompose_rows(frame, np.log(weights), _raise_first)
         assert str(first.value) == str(want.value)
 
     def test_conjoined_commonality_does_not_cancel(self):

@@ -251,6 +251,23 @@ class TestSsfReplay:
                        min_singleton_mass=threshold, seed=seed)
         assert _outcome(generate, spec, count) == _outcome(per_draw_generate, spec, count)
 
+    # the first draw of seed 51891 that meets a rejection, attempt 60,
+    # leaves 3,368: at least half the bound of 4,000, so a replay with too
+    # small a bound accepts it
+    NEAR_BOUND = (51891, 60, 3368)
+
+    def test_lemire_rejection_near_the_bound_equals_per_draw(self):
+        seed, attempt, leftover = self.NEAR_BOUND
+        m = len(self.POOL_4056)
+        words = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(3 * 60).reshape(60, 3)
+        halves = np.stack([words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32], axis=1).ravel()
+        low = (halves * np.uint64(m)) & np.uint64(0xFFFFFFFF)
+        bound = 2**32 % m
+        assert np.flatnonzero(low < bound).tolist()[:1] == [attempt]
+        assert bound // 2 <= low[attempt] == leftover
+        spec = GenSpec(FrameOfDiscernment.numbered(12), kind="ssf", focal_pool=self.POOL_4056, seed=seed)
+        assert _outcome(generate, spec, 120) == _outcome(per_draw_generate, spec, 120)
+
     @pytest.mark.parametrize("seed", [seed for seed, _ in LEMIRE])
     @pytest.mark.parametrize("count", [5, 6, 7, 120])
     @pytest.mark.parametrize("buffered", [False, True])
@@ -281,13 +298,14 @@ def _position(rng: np.random.Generator):
     return state["state"], state["uinteger"] if state["has_uint32"] else None
 
 
-def _zero_word_at(d: int) -> np.random.Generator:
-    """A generator whose word ``d`` is 0: an XSL-RR output is 0 when the two
-    64-bit halves of the state are equal, and stepping back ``d + 1`` steps
-    from such a state, the full period less ``d + 1``, starts it there."""
+def _zero_word_at(d: int, word: int = 0) -> np.random.Generator:
+    """A generator whose word ``d`` is 0, or ``word``: an XSL-RR output is
+    the XOR of the two 64-bit halves of the state, rotated by its top 6
+    bits, here 0; stepping back ``d + 1`` steps from such a state, the full
+    period less ``d + 1``, starts it there."""
     bitgen = np.random.PCG64(0)
     state = bitgen.state
-    state["state"]["state"] = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    state["state"]["state"] = (0x0123456789ABCDEF << 64) | (0x0123456789ABCDEF ^ word)
     bitgen.state = state
     bitgen.advance(2**128 - d - 1)
     return np.random.Generator(bitgen)
@@ -369,6 +387,22 @@ class TestConsonantReplay:
         (8, 8, 23, "Floyd, row 1, bound 3"),
         (8, 8, 29, "shuffle, row 1, bound 3, high half"),
     ]
+
+    def test_lemire_rejection_near_the_bound_runs_one_draw(self, monkeypatch):
+        # both halves of word 4 are u = 715,827,883, which a Floyd step of
+        # row 0 draws on the bound 6: u * 6 leaves 2 below 2**32, rejected
+        # against 2**32 mod 6 = 4 but not against half of it; no other bound
+        # at n = 8 rejects u
+        u = 715_827_883
+        assert (u * 6) % 2**32 == 2 and 2**32 % 6 == 4
+        assert all((u * b) % 2**32 >= 2**32 % b for b in (2, 3, 4, 5, 7, 8))
+        calls = []
+        one_by_one = genrand._draw_consonant
+        monkeypatch.setattr(genrand, "_draw_consonant",
+                            lambda *args: calls.append(1) or one_by_one(*args))
+        spec = GenSpec(FrameOfDiscernment.numbered(8), kind="consonant", num_focals=5)
+        self.check(spec, 6, lambda: _zero_word_at(4, u << 32 | u))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n, num_focals, d, step", ZERO_WORDS)
     def test_lemire_rejection_runs_one_draw(self, monkeypatch, n, num_focals, d, step):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from masscomb.rules import (
 )
 
 from conftest import (
+    TINY_WEIGHT_N4,
+    WIDE_WEIGHTS_N4,
     approx_equal,
     brute_conjunctive,
     brute_disjunctive,
@@ -264,6 +267,16 @@ class TestCautious:
     def test_dogmatic_rejected(self, frame2):
         with pytest.raises(DecompositionError):
             combine_cautious([MassFunction.categorical(frame2, 1)] * 2)
+
+    @pytest.mark.parametrize("values", [WIDE_WEIGHTS_N4, TINY_WEIGHT_N4], ids=["overflow", "underflow"])
+    def test_idempotent_past_the_float_range_of_the_weights(self, values):
+        # log weights from -459 to 914, and from -886 to 593: one weight of
+        # each overflows or underflows a float
+        m = MassFunction(FrameOfDiscernment.numbered(4), values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = combine([m, m], RuleConfig(rule="cautious"))
+        assert np.abs(res.mass.values - m.values).max() <= 1e-9
 
 
 class TestAverage:

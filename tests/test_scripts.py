@@ -1,5 +1,6 @@
 """The timing scripts build every cell against this tree's ``src`` and run it
-once, so an internal they call cannot be renamed from under them."""
+once, so an internal they call cannot be renamed from under them; the
+warning fuzz runs a slice of its inputs."""
 
 import importlib
 from pathlib import Path
@@ -35,3 +36,9 @@ def test_children_restart_in_the_other_order_for_the_rest(scripts, rounds, want)
     # a half with no round starts no children
     benchpair = importlib.import_module("benchpair")
     assert [(starts, list(span)) for starts, span in benchpair.start_orders(rounds)] == want
+
+
+def test_warning_fuzz_finds_nothing(scripts, capsys):
+    fuzz = importlib.import_module("fuzz_warnings")
+    assert fuzz.main(["--count", "50", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "0 faults on 50 inputs (seed 1)\n"
