@@ -418,17 +418,13 @@ class _Columns:
       row (see :func:`_chain_components`);
     * dense rows, all others, by their indices ``dense``.
 
-    ``at[r]``, made on first use, counts the vacuous rows, simple
-    supports, chain components and dense rows before row ``r``, so the rows
-    ``[a, b)`` own the entries ``at[a]`` to ``at[b]`` of each kind;
-    ``total`` is ``at[-1]``.  A chain row has one component per focal set
-    besides the frame.
+    ``at[r]`` counts the vacuous rows, simple supports, chain components
+    and dense rows before row ``r``, so the rows ``[a, b)`` own the entries
+    ``at[a]`` to ``at[b]`` of each kind.  A chain row has one component per
+    focal set besides the frame.
     """
 
-    __slots__ = (
-        "focal", "weight", "chain_focal", "chain_weight", "dense",
-        "_nonzero", "_chains", "_at",
-    )
+    __slots__ = ("focal", "weight", "chain_focal", "chain_weight", "dense", "at", "_nonzero", "_chains")
 
     def __init__(
         self, nonzero, focal, weight, chains=_NO_FOCALS,
@@ -438,9 +434,15 @@ class _Columns:
         self.chain_focal, self.chain_weight = chain_focal, chain_weight
         self.dense = dense
         # the number of focal sets besides the frame of every row, and the
-        # chain rows: what at needs
+        # chain rows
         self._nonzero, self._chains = nonzero, chains
-        self._at = None
+        counts = np.zeros((len(nonzero), 4), dtype=np.intp)
+        counts[:, 0] = nonzero == 0
+        counts[:, 1] = nonzero == 1
+        counts[chains, 2] = nonzero[chains]
+        counts[dense, 3] = 1
+        self.at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
+        np.cumsum(counts, axis=0, out=self.at[1:])
 
     @classmethod
     def split(cls, values: np.ndarray, full: int, cells=None) -> "_Columns":
@@ -468,24 +470,6 @@ class _Columns:
             return cls(nonzero, focal, weight)
         chain, chain_focal, chain_weight = _chain_components(values, rows, sub, sets, full)
         return cls(nonzero, focal, weight, rows[chain], chain_focal, chain_weight, rows[~chain])
-
-    @property
-    def total(self) -> tuple[int, int, int, int]:
-        simple, dense = len(self.focal), len(self.dense)
-        vacuous = len(self._nonzero) - simple - len(self._chains) - dense
-        return vacuous, simple, len(self.chain_focal), dense
-
-    @property
-    def at(self) -> np.ndarray:
-        if self._at is None:
-            counts = np.zeros((len(self._nonzero), 4), dtype=np.intp)
-            counts[:, 0] = self._nonzero == 0
-            counts[:, 1] = self._nonzero == 1
-            counts[self._chains, 2] = self._nonzero[self._chains]
-            counts[self.dense, 3] = 1
-            self._at = np.zeros((len(counts) + 1, 4), dtype=np.intp)
-            np.cumsum(counts, axis=0, out=self._at[1:])
-        return self._at
 
 
 def _chain_components(v: np.ndarray, rows: np.ndarray, sub: np.ndarray, sets: np.ndarray, full: int):
@@ -724,22 +708,20 @@ def mass_to_plausibility(m: MassFunction) -> RepresentationVector:
 
 
 def commonality_to_mass(rep: RepresentationVector) -> MassFunction:
-    if rep.kind != "commonality":
-        raise ParameterError(f"expected a commonality vector, got {rep.kind!r}")
-    arr = rep.values.copy()
-    _moebius_superset(arr, rep.frame.n)
-    return _mass_from_image(rep.frame, arr)
+    return _to_mass(rep, "commonality")
 
 
 def implicability_to_mass(rep: RepresentationVector) -> MassFunction:
-    if rep.kind != "implicability":
-        raise ParameterError(f"expected an implicability vector, got {rep.kind!r}")
+    return _to_mass(rep, "implicability")
+
+
+def _to_mass(rep: RepresentationVector, kind: str) -> MassFunction:
+    """The mass function whose ``kind`` vector ``rep`` is."""
+    if rep.kind != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ParameterError(f"expected {article} {kind} vector, got {rep.kind!r}")
     arr = rep.values.copy()
-    _moebius_subset(arr, rep.frame.n)
-    return _mass_from_image(rep.frame, arr)
-
-
-def _mass_from_image(frame: FrameOfDiscernment, arr: np.ndarray) -> MassFunction:
+    _TO_MASS[kind](arr, rep.frame.n)
     lo = float(arr.min())
     if lo < -MASS_TOL:
         raise InvalidImageError(
@@ -747,7 +729,7 @@ def _mass_from_image(frame: FrameOfDiscernment, arr: np.ndarray) -> MassFunction
             " the vector is not the image of a mass function"
         )
     try:
-        return MassFunction(frame, arr)
+        return MassFunction(rep.frame, arr)
     except ParameterError as exc:
         raise InvalidImageError(str(exc)) from None
 
@@ -795,6 +777,9 @@ _FROM_MASS = {
     "pignistic": pignistic,
 }
 
+#: The in-place inverse of each transform that converts back to mass.
+_TO_MASS = {"commonality": _moebius_superset, "implicability": _moebius_subset}
+
 REPRESENTATION_KINDS = tuple(_FROM_MASS)
 
 
@@ -814,13 +799,11 @@ def transform(obj, kind: str):
             raise ParameterError(
                 f"cannot convert a {obj.kind} vector to {k!r}; only 'mass' is supported"
             )
-        if obj.kind == "commonality":
-            return commonality_to_mass(obj)
-        if obj.kind == "implicability":
-            return implicability_to_mass(obj)
-        raise ParameterError(
-            f"no inverse transform from a {obj.kind} vector; use commonality or implicability"
-        )
+        if obj.kind not in _TO_MASS:
+            raise ParameterError(
+                f"no inverse transform from a {obj.kind} vector; use commonality or implicability"
+            )
+        return _to_mass(obj, obj.kind)
     raise ParameterError(f"cannot transform object of type {type(obj).__name__}")
 
 

@@ -362,19 +362,24 @@ def load_dataset_csv(path) -> LabeledDataset:
     sorted distinct values of the last column.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
     if not rows:
         raise ParseError("empty dataset", line=1)
     start = 0
     try:
-        [float(tok) for tok in rows[0][:-1]]
+        [float(tok) for tok in rows[0][1][:-1]]
     except ValueError:
         start = 1
+    if start == len(rows):
+        raise ParseError("no points in file", line=1)
+    first, width = rows[start][0], len(rows[start][1])
     feats = []
     raw_labels = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) < 2:
             raise ParseError("need at least one feature and a label", line=lineno)
+        if len(row) != width:
+            raise ParseError(f"{len(row) - 1} features, but line {first} has {width - 1}", line=lineno)
         try:
             feats.append([float(tok) for tok in row[:-1]])
         except ValueError as exc:

@@ -154,6 +154,13 @@ def _coerce(key: str, default, value):
         raise ParameterError(f"bad value {value!r} for experiment parameter {key!r}") from None
 
 
+def _at_least(p: dict, key: str, least) -> None:
+    """Refuse a parameter, or an entry of a list parameter, below ``least``."""
+    for value in p[key] if isinstance(p[key], list) else [p[key]]:
+        if value < least:
+            raise ParameterError(f"experiment parameter {key!r} must be at least {least}, got {value}")
+
+
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
     """Run a named experiment with optional parameter overrides.
 
@@ -218,8 +225,8 @@ def _run_eta_sweep(p: dict) -> ExperimentReport:
     focals = (1, 2, 6)  # {theta1}, {theta2}, {theta2,theta3}
     if len(p["counts"]) != len(focals):
         raise ParameterError(f"experiment parameter 'counts' needs {len(focals)} source counts")
-    if p["eta_points"] < 1:
-        raise ParameterError(f"experiment parameter 'eta_points' must be at least 1, got {p['eta_points']}")
+    _at_least(p, "eta_points", 1)
+    _at_least(p, "eta_max", 0)
     inputs: list[MassFunction] = []
     for i, (focal, count) in enumerate(zip(focals, p["counts"])):
         spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(p["seed"], i))
@@ -258,6 +265,8 @@ def _run_eta_sweep(p: dict) -> ExperimentReport:
 
 
 def _run_conflict_sweep(p: dict) -> ExperimentReport:
+    _at_least(p, "ts", 1)
+    _at_least(p, "s2_grid", 1)
     frame = FrameOfDiscernment.numbered(2)
     w = p["deterministic_w"]
 
@@ -360,8 +369,8 @@ def _run_timing(p: dict) -> ExperimentReport:
 
 
 def _run_eknn_sweep(p: dict) -> ExperimentReport:
-    if p["dim"] < 1:
-        raise ParameterError(f"experiment parameter 'dim' must be at least 1, got {p['dim']}")
+    _at_least(p, "n_per_class", 1)
+    _at_least(p, "dim", 1)
     ds = eknn.two_gaussian_dataset(p["n_per_class"], p["separation"], dim=p["dim"], seed=p["seed"])
     report = ExperimentReport(
         name="eknn-sweep",

@@ -274,10 +274,7 @@ def _split_rows(rows: Sequence[MassFunction] | _Batch):
     focal, weight, chain_focal, chain_weight, dense = [], [], [], [], []
     for block, start, stop in _batch(rows).runs:
         cols = block.columns()
-        if stop - start == len(block.values):
-            (v0, s0, c0, d0), (v1, s1, c1, d1) = (0, 0, 0, 0), cols.total
-        else:
-            (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
+        (v0, s0, c0, d0), (v1, s1, c1, d1) = cols.at[[start, stop]].tolist()
         vacuous += v1 - v0
         focal.append(cols.focal[s0:s1])
         weight.append(cols.weight[s0:s1])

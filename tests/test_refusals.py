@@ -18,6 +18,7 @@ from masscomb.core import (
 )
 from masscomb.eknn import EknnConfig, LabeledDataset, classify, load_dataset_csv, resolve_gamma
 from masscomb.errors import EncodingError, InvalidImageError, ParameterError, ParseError
+from masscomb.experiments import run_experiment
 from masscomb.genrand import GenSpec
 from masscomb.io import read_bbas, read_csv, read_json, write_csv, write_json
 
@@ -26,6 +27,7 @@ ONES = np.ones(8)  # the commonality of the vacuous assignment on F3
 POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 GOOD_CSV = "00,01,10,11\n0,0.5,0,0.5\n"
 DATASET = "1.0,2.0,a\n3.0,4.0,b\n"
+RAGGED = "0,a\n1,2,a\n5,b\n6,b\n"
 
 
 def _put(d, name: str, text: str) -> str:
@@ -102,6 +104,33 @@ CASES = {
         lambda d: load_dataset_csv(_put(d, "train.csv", "1.0,a\nx1,b\n")), ParseError,
         "line 2: could not convert string to float: 'x1'",
         lambda d: ["eknn", "--train", _put(d, "train.csv", "1.0,a\nx1,b\n")]),
+    "dataset-csv-blank-line": (
+        lambda d: load_dataset_csv(_put(d, "train.csv", "1.0,a\n\nx1,b\n")), ParseError,
+        "line 3: could not convert string to float: 'x1'",
+        lambda d: ["eknn", "--train", _put(d, "train.csv", "1.0,a\n\nx1,b\n")]),
+    "dataset-csv-ragged": (
+        lambda d: load_dataset_csv(_put(d, "train.csv", RAGGED)), ParseError,
+        "line 2: 2 features, but line 1 has 1",
+        lambda d: ["eknn", "--train", _put(d, "train.csv", RAGGED), "--k", "2"]),
+    "dataset-csv-header-only": (
+        lambda d: load_dataset_csv(_put(d, "train.csv", "x,label\n")), ParseError,
+        "line 1: no points in file",
+        lambda d: ["eknn", "--train", _put(d, "train.csv", "x,label\n")]),
+    # experiments
+    "experiment-ts-negative": (
+        lambda d: run_experiment("conflict-sweep", {"ts": [-1]}), ParameterError,
+        "experiment parameter 'ts' must be at least 1, got -1",
+        lambda d: ["experiment", "conflict-sweep", "--t", "-1"]),
+    "experiment-s2-grid-negative": (
+        lambda d: run_experiment("conflict-sweep", {"s2_grid": [-5]}), ParameterError,
+        "experiment parameter 's2_grid' must be at least 1, got -5",
+        lambda d: ["experiment", "conflict-sweep", "--sources", "-5"]),
+    "experiment-n-per-class-negative": (
+        lambda d: run_experiment("eknn-sweep", {"n_per_class": -1}), ParameterError,
+        "experiment parameter 'n_per_class' must be at least 1, got -1", None),
+    "experiment-eta-max-negative": (
+        lambda d: run_experiment("eta-sweep", {"eta_max": -1}), ParameterError,
+        "experiment parameter 'eta_max' must be at least 0, got -1.0", None),
     # genrand
     "gen-kind": (lambda d: GenSpec(F3, kind="dirichlet"), ParameterError,
                  "unknown generator kind 'dirichlet'", None),

@@ -924,6 +924,10 @@ class TestEnumerationOracle:
             fn(ms, RuleConfig())
 
 
+#: A cell uniform in [0, 1], or 10**e with e uniform in [-300, 0].
+_CELL = st.one_of(st.floats(0, 1), st.floats(-300, 0).map(lambda e: 10.0**e))
+
+
 @st.composite
 def _source(draw, frame, kind):
     size = frame.powerset_size
@@ -931,8 +935,8 @@ def _source(draw, frame, kind):
     if kind == "vacuous":
         arr[frame.full_set] = 1.0
     elif kind == "simple":
-        # weight 0 gives a dogmatic categorical input
-        arr[draw(st.integers(1, frame.full_set))] = 1.0 - draw(st.floats(0, 1))
+        # mass 1, weight 0, gives a dogmatic categorical input
+        arr[draw(st.integers(1, frame.full_set))] = draw(_CELL)
         arr[frame.full_set] += 1.0 - arr.sum()
     else:
         if kind == "consonant":
@@ -940,7 +944,7 @@ def _source(draw, frame, kind):
             cells = list(itertools.accumulate(1 << h for h in order))
         else:
             cells = list(range(size))
-        raw = draw(st.lists(st.floats(0, 1), min_size=len(cells), max_size=len(cells)))
+        raw = draw(st.lists(_CELL, min_size=len(cells), max_size=len(cells)))
         if sum(raw) <= 1e-6:
             raw[-1] = 1.0
         arr[cells] = raw
@@ -950,7 +954,7 @@ def _source(draw, frame, kind):
 
 @st.composite
 def _batches(draw):
-    frame = FrameOfDiscernment.numbered(draw(st.integers(1, 3)))
+    frame = FrameOfDiscernment.numbered(draw(st.integers(1, 4)))
     kinds = ("simple", "consonant", "general", "vacuous")
     batch_kind = draw(st.sampled_from(kinds + ("mixed",)))
     count = draw(st.integers(1, 40))
