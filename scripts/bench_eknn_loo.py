@@ -12,22 +12,13 @@ and pcr6 on two fixed inputs:
 * ``large``: 12 sources at n = 3, alternately of 4 and 2 focal sets
   (seed 5), 262,144 tuples, nearly all of them conflicting.
 
-The two trees are timed side by side, cell by cell, as
-:mod:`benchpair` describes (a small call is timed as a batch of
-``SMALL_BATCH`` calls).  The results go into one JSON file::
-
-    mkdir -p .bench_build/parent
-    git archive <commit> | tar -x -C .bench_build/parent
-    python3 scripts/bench_eknn_loo.py --parent .bench_build/parent/src \\
-        --parent-label <commit> --output BENCH_eknn_loo.json
-
-``--parent`` is the ``src`` directory of the tree to compare with; the
-change is this tree's ``src``.
+The two trees are timed side by side, cell by cell, and the record written
+to ``BENCH_eknn_loo.json``, as :mod:`benchpair` describes (a small call is
+timed as a batch of ``SMALL_BATCH`` calls); its docstring shows how to run
+this script.
 """
 
 from __future__ import annotations
-
-import sys
 
 from benchpair import SIDES, Cell, main
 
@@ -82,48 +73,30 @@ NAMES = [f"loo/{rule}/{k}" for rule in RULES for k in KS] + ["experiment/eknn-sw
 NAMES += [f"single/{rule}/{name}" for rule in SINGLE_RULES for name in SINGLE_INPUTS]
 
 
-def _report(args, cell, host) -> dict:
+def _results(cell) -> dict:
     results = {rule: {str(k): cell(f"loo/{rule}/{k}") for k in KS} for rule in RULES}
-    single = {rule: {name: cell(f"single/{rule}/{name}") for name in SINGLE_INPUTS} for rule in SINGLE_RULES}
-    totals = {side: sum(results[rule][str(k)][side] for rule in RULES for k in KS) for side in SIDES}
-    doc = {
-        "benchmark": "eknn-loo",
-        "what": (
-            "in-process seconds of one evaluate_loo call, of one run_experiment('eknn-sweep') call"
-            " over every rule and K of the dataset, and of one combine call on the single-call"
-            " inputs: median of the repeats after one warm-up, then median over the rounds, the two"
-            " trees asked in turn cell by cell, the parent's child started first for the first"
-            " (rounds + 1) // 2 rounds and the change's for the rest; ratio is the median over all"
-            " rounds of change/parent"
-        ),
-        "command": " ".join(["python3", "scripts/bench_eknn_loo.py", *sys.argv[1:]]),
-        "parent": args.parent_label or args.parent,
-        "dataset": dict(DATASET, rules=list(RULES), ks=list(KS)),
-        "single_inputs": {
-            "small": "6 ssf rows at n = 3, generate(GenSpec(numbered(3), kind='ssf', seed=3), 6)",
-            "large": "12 sources at n = 3, alternately 4 and 2 focal sets, Dirichlet masses, seed 5",
-        },
-        "repeats": args.repeats,
-        "rounds": args.rounds,
-        "warmup": 1,
-        "unit": "s",
-        "host": host,
+    return {
         "results": results,
         "experiment": {"eknn-sweep": cell("experiment/eknn-sweep")},
-        "single": single,
-        "totals": totals,
+        "single": {rule: {name: cell(f"single/{rule}/{name}") for name in SINGLE_INPUTS}
+                   for rule in SINGLE_RULES},
+        "totals": {side: sum(results[rule][str(k)][side] for rule in RULES for k in KS) for side in SIDES},
     }
-    print(f"parent {totals['parent']:.4f} s, change {totals['change']:.4f} s over {len(RULES) * len(KS)} cells")
-    sweep = doc["experiment"]["eknn-sweep"]
-    print(f"eknn-sweep: parent {sweep['parent']:.4f} s, change {sweep['change']:.4f} s, ratio {sweep['ratio']:.3f}")
-    for rule in SINGLE_RULES:
-        for name in SINGLE_INPUTS:
-            a, b = single[rule][name]["parent"], single[rule][name]["change"]
-            ratio = single[rule][name]["ratio"]
-            print(f"{rule} {name}: parent {a * 1e6:.1f} us, change {b * 1e6:.1f} us, ratio {ratio:.3f}")
-    return doc
 
 
 if __name__ == "__main__":
-    main(__file__, _cells, NAMES, _report, description=__doc__.split("\n\n")[0],
-         output="BENCH_eknn_loo.json", repeats=7, rounds=5)
+    main(
+        __file__, _cells, NAMES, benchmark="eknn-loo",
+        what=(
+            "in-process seconds of one evaluate_loo call, of one run_experiment('eknn-sweep') call"
+            " over every rule and K of the dataset, and of one combine call on the single-call inputs"
+        ),
+        inputs={
+            "dataset": dict(DATASET, rules=list(RULES), ks=list(KS)),
+            "single_inputs": {
+                "small": "6 ssf rows at n = 3, generate(GenSpec(numbered(3), kind='ssf', seed=3), 6)",
+                "large": "12 sources at n = 3, alternately 4 and 2 focal sets, Dirichlet masses, seed 5",
+            },
+        },
+        results=_results, output="BENCH_eknn_loo.json", repeats=7, rounds=5,
+    )

@@ -22,21 +22,12 @@ hypotheses, each from its own stream.  The cells:
   ``combine`` with each of its five rules.
 
 Each fresh input is built by the cell's untimed set-up.  The two trees are
-timed side by side, cell by cell, as :mod:`benchpair` describes.  The
-results go into one JSON file::
-
-    mkdir -p .bench_build/parent
-    git archive <commit> | tar -x -C .bench_build/parent
-    python3 scripts/bench_gen_combine.py --parent .bench_build/parent/src \\
-        --parent-label <commit> --output BENCH_gen_combine.json
-
-``--parent`` is the ``src`` directory of the tree to compare with; the
-change is this tree's ``src``.
+timed side by side, cell by cell, and the record written to
+``BENCH_gen_combine.json``, as :mod:`benchpair` describes; its docstring
+shows how to run this script.
 """
 
 from __future__ import annotations
-
-import sys
 
 from benchpair import Cell, main
 
@@ -95,20 +86,11 @@ def _cells() -> dict:
     }
 
 
-def _report(args, cell, host) -> dict:
-    results = {name: cell(name) for name in NAMES}
-    doc = {
-        "benchmark": "gen-combine",
-        "what": (
-            "in-process seconds per call of each stage of the gen-combine workload's pass, and of"
-            " the pass: median of the repeats after one warm-up, then median over the rounds, the"
-            " two trees asked in turn cell by cell, the parent's child started first for the first"
-            " (rounds + 1) // 2 rounds and the change's for the rest; ratio is the median over all"
-            " rounds of change/parent"
-        ),
-        "command": " ".join(["python3", "scripts/bench_gen_combine.py", *sys.argv[1:]]),
-        "parent": args.parent_label or args.parent,
-        "inputs": {
+if __name__ == "__main__":
+    main(
+        __file__, _cells, NAMES, benchmark="gen-combine",
+        what="in-process seconds per call of each stage of the gen-combine workload's pass, and of the pass",
+        inputs={"inputs": {
             "frame_size": FRAME_SIZE,
             "seed": SEED,
             "ssf": f"generate(GenSpec(frame, kind='ssf', seed={SEED}, stream=1), {SSF_ROWS})",
@@ -118,20 +100,6 @@ def _report(args, cell, host) -> dict:
             ),
             "rules": list(RULES),
             "small_batch": SMALL_BATCH,
-        },
-        "repeats": args.repeats,
-        "rounds": args.rounds,
-        "warmup": 1,
-        "unit": "s",
-        "host": host,
-        "results": results,
-    }
-    for name, out in results.items():
-        print(f"{name}: parent {out['parent'] * 1e3:.3f} ms, change {out['change'] * 1e3:.3f} ms,"
-              f" ratio {out['ratio']:.3f}")
-    return doc
-
-
-if __name__ == "__main__":
-    main(__file__, _cells, NAMES, _report, description=__doc__.split("\n\n")[0],
-         output="BENCH_gen_combine.json", repeats=7, rounds=15)
+        }},
+        output="BENCH_gen_combine.json", repeats=7, rounds=15,
+    )

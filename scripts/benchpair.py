@@ -16,6 +16,19 @@ their mean, after building their arguments, untimed, with the cell's
 median over its rounds of each side and ``ratio``, the median over the
 rounds of change / parent: the two sides of a round ran back to back, so
 their ratio cancels most drift.
+
+:func:`main` writes the whole record: what was timed and how, the command,
+the parent, the script's inputs, the settings, the host and the results.
+Every bench script runs the same way; for ``scripts/bench_gen_combine.py``
+and its record ``BENCH_gen_combine.json``::
+
+    mkdir -p .bench_build/parent
+    git archive <commit> | tar -x -C .bench_build/parent
+    python3 scripts/bench_gen_combine.py --parent .bench_build/parent/src \\
+        --parent-label <commit> --output BENCH_gen_combine.json
+
+``--parent`` is the ``src`` directory of the tree to compare with; the
+change is the ``src`` next to the script's directory.
 """
 
 from __future__ import annotations
@@ -33,6 +46,12 @@ from pathlib import Path
 from typing import Callable
 
 SIDES = ("parent", "change")
+#: how every cell is measured, as the record's ``what`` ends
+HOW = (
+    ": median of the repeats after one warm-up, then median over the rounds, the two trees asked in"
+    " turn cell by cell, the parent's child started first for the first (rounds + 1) // 2 rounds and"
+    " the change's for the rest; ratio is the median over all rounds of change/parent"
+)
 
 
 @dataclass
@@ -87,14 +106,16 @@ def start_orders(rounds: int) -> list[tuple[tuple[str, ...], range]]:
     return [(starts, span) for starts, span in halves if span]
 
 
-def main(script: str, make_cells: Callable[[], dict], names: list[str], report: Callable,
-         *, description: str, output: str, repeats: int, rounds: int) -> None:
+def main(script: str, make_cells: Callable[[], dict], names: list[str], *, benchmark: str,
+         what: str, inputs: dict, results: Callable | None = None, output: str, repeats: int,
+         rounds: int) -> None:
     """Parse the command line, then serve as a child or time ``names`` on
-    both trees and write ``report(args, cell, host)``, a JSON document, to
-    ``--output``.  ``cell(name)`` gives a cell's result; ``host`` describes
-    the machine.  ``--parent`` is the ``src`` directory of the tree to
-    compare with; the change is the ``src`` next to ``script``'s directory."""
-    ap = argparse.ArgumentParser(description=description)
+    both trees, print one line per cell and write the record to
+    ``--output``: ``benchmark``, ``what`` followed by :data:`HOW`, the
+    command, the parent, the fields of ``inputs``, the settings, the host,
+    then the fields ``results(cell)`` returns, where ``cell(name)`` gives a
+    cell's result (by default every cell by name under ``results``)."""
+    ap = argparse.ArgumentParser(description=what)
     ap.add_argument("--parent", help="src directory of the tree to compare with")
     ap.add_argument("--parent-label", help="what the parent tree is, for the record (a commit)")
     ap.add_argument("--output", default=output)
@@ -138,11 +159,26 @@ def main(script: str, make_cells: Callable[[], dict], names: list[str], report: 
         out["ratio"] = statistics.median(change / parent for change, parent in pairs)
         return out
 
-    host = {
-        "cpu": _cpu(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy_version["change"],
+    for name in names:
+        out = cell(name)
+        print(f"{name}: parent {out['parent'] * 1e3:.3f} ms, change {out['change'] * 1e3:.3f} ms,"
+              f" ratio {out['ratio']:.3f}")
+    doc = {
+        "benchmark": benchmark,
+        "what": what + HOW,
+        "command": " ".join(["python3", f"scripts/{Path(script).name}", *sys.argv[1:]]),
+        "parent": args.parent_label or args.parent,
+        **inputs,
+        "repeats": args.repeats,
+        "rounds": args.rounds,
+        "warmup": 1,
+        "unit": "s",
+        "host": {
+            "cpu": _cpu(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy_version["change"],
+        },
+        **(results(cell) if results else {"results": {name: cell(name) for name in names}}),
     }
-    doc = report(args, cell, host)
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")

@@ -157,7 +157,7 @@ def _coerce(key: str, default, value):
 def _at_least(p: dict, key: str, least) -> None:
     """Refuse a parameter, or an entry of a list parameter, below ``least``."""
     for value in p[key] if isinstance(p[key], list) else [p[key]]:
-        if value < least:
+        if not value >= least:
             raise ParameterError(f"experiment parameter {key!r} must be at least {least}, got {value}")
 
 
@@ -225,8 +225,11 @@ def _run_eta_sweep(p: dict) -> ExperimentReport:
     focals = (1, 2, 6)  # {theta1}, {theta2}, {theta2,theta3}
     if len(p["counts"]) != len(focals):
         raise ParameterError(f"experiment parameter 'counts' needs {len(focals)} source counts")
+    _at_least(p, "counts", 1)
     _at_least(p, "eta_points", 1)
     _at_least(p, "eta_max", 0)
+    if not np.isfinite(p["eta_max"]):
+        raise ParameterError(f"experiment parameter 'eta_max' must be finite, got {p['eta_max']}")
     inputs: list[MassFunction] = []
     for i, (focal, count) in enumerate(zip(focals, p["counts"])):
         spec = GenSpec(frame, kind="ssf", focal_pool=(focal,), seed=_spawn_seed(p["seed"], i))
@@ -287,13 +290,18 @@ def _run_conflict_sweep(p: dict) -> ExperimentReport:
         parameters=p,
         notes={"weight_distribution": "uniform[0,1) filtered" if w is None else "constant"},
     )
-    for rule in p["rules"]:
-        cfg = RuleConfig(rule=rule, eta=p["eta"])
-        for t in p["ts"]:
-            kappas, masses, notes = [], [], []
-            for s2 in p["s2_grid"]:
+    # a cell's inputs depend only on (t, s2): build them once, fuse them with
+    # every rule, and hold one cell's inputs at a time
+    configs = {rule: RuleConfig(rule=rule, eta=p["eta"]) for rule in p["rules"]}
+    ts = dict.fromkeys(p["ts"])
+    points = {(rule, t): ([], [], []) for rule in configs for t in ts}
+    for t in ts:
+        for s2 in p["s2_grid"]:
+            inputs = sources(t, int(s2))
+            for rule, cfg in configs.items():
+                kappas, masses, notes = points[rule, t]
                 try:
-                    res = combine(sources(t, int(s2)), cfg)
+                    res = combine(inputs, cfg)
                 except TotalConflictError:
                     kappas.append(None)
                     masses.append(None)
@@ -302,9 +310,10 @@ def _run_conflict_sweep(p: dict) -> ExperimentReport:
                 kappas.append(res.conflict)
                 masses.append(float(res.mass.values[1]))
                 notes.append("ok")
-            xs = list(p["s2_grid"])
-            report.series[f"kappa/{rule}/t{t}"] = _series(xs, kappas, status=notes)
-            report.series[f"m_theta1/{rule}/t{t}"] = _series(xs, masses, status=notes)
+    xs = list(p["s2_grid"])
+    for (rule, t), (kappas, masses, notes) in points.items():
+        report.series[f"kappa/{rule}/t{t}"] = _series(xs, kappas, status=notes)
+        report.series[f"m_theta1/{rule}/t{t}"] = _series(xs, masses, status=notes)
     return report
 
 
@@ -336,6 +345,8 @@ def median_timing(
 def _run_timing(p: dict) -> ExperimentReport:
     if p["kind"] not in ("ssf", "consonant"):
         raise ParameterError("timing inputs are 'ssf' or 'consonant'")
+    _at_least(p, "sources_grid", 1)
+    _at_least(p, "frame_size", 1)
 
     frame = FrameOfDiscernment.numbered(p["frame_size"])
     report = ExperimentReport(
@@ -371,6 +382,7 @@ def _run_timing(p: dict) -> ExperimentReport:
 def _run_eknn_sweep(p: dict) -> ExperimentReport:
     _at_least(p, "n_per_class", 1)
     _at_least(p, "dim", 1)
+    _at_least(p, "ks", 1)
     ds = eknn.two_gaussian_dataset(p["n_per_class"], p["separation"], dim=p["dim"], seed=p["seed"])
     report = ExperimentReport(
         name="eknn-sweep",

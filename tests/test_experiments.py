@@ -1,12 +1,14 @@
 """Named experiments: structure, replayability, and reference behaviour."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
 from masscomb.errors import ParameterError
-from masscomb.experiments import run_experiment
+from masscomb.experiments import run_experiment, write_report
 
 
 @pytest.mark.parametrize("name", ["eta-sweep", "conflict-sweep", "timing", "eknn-sweep"])
@@ -79,6 +81,17 @@ class TestConflictSweep:
         k1 = rep.series["kappa/lns/t1"]["y"][0]
         k4 = rep.series["kappa/lns/t4"]["y"][0]
         assert k4 < k1
+
+    @pytest.mark.parametrize("extra, sha", [
+        ({}, "c8e334737b8f63e769ef4e0fb1ef2ed8b625e4ecff08b8c5e80e151b0956235c"),
+        ({"deterministic_w": 0.7}, "a209ff9060bc464ba6344b924e63cd3507bea295abcc40f4c4abbe2d12b49d2b"),
+    ])
+    def test_report_pinned(self, extra, sha):
+        # taken when every rule built its own copy of each cell's inputs
+        params = {"ts": [1, 3], "s2_grid": [5, 40], "rules": ["dempster", "lns", "average"], **extra}
+        text = io.StringIO()
+        write_report(text, run_experiment("conflict-sweep", params).to_dict())
+        assert hashlib.sha256(text.getvalue().encode()).hexdigest() == sha
 
 
 class TestTiming:

@@ -131,6 +131,26 @@ CASES = {
     "experiment-eta-max-negative": (
         lambda d: run_experiment("eta-sweep", {"eta_max": -1}), ParameterError,
         "experiment parameter 'eta_max' must be at least 0, got -1.0", None),
+    "experiment-eta-max-nan": (
+        lambda d: run_experiment("eta-sweep", {"eta_max": float("nan")}), ParameterError,
+        "experiment parameter 'eta_max' must be at least 0, got nan", None),
+    "experiment-eta-max-inf": (
+        lambda d: run_experiment("eta-sweep", {"eta_max": float("inf")}), ParameterError,
+        "experiment parameter 'eta_max' must be finite, got inf", None),
+    "experiment-counts-zero": (
+        lambda d: run_experiment("eta-sweep", {"counts": [0, 5, 5]}), ParameterError,
+        "experiment parameter 'counts' must be at least 1, got 0", None),
+    "experiment-sources-grid-negative": (
+        lambda d: run_experiment("timing", {"sources_grid": [-5]}), ParameterError,
+        "experiment parameter 'sources_grid' must be at least 1, got -5",
+        lambda d: ["experiment", "timing", "--sources", "-5"]),
+    "experiment-frame-size-zero": (
+        lambda d: run_experiment("timing", {"frame_size": 0}), ParameterError,
+        "experiment parameter 'frame_size' must be at least 1, got 0",
+        lambda d: ["experiment", "timing", "--frame", "0"]),
+    "experiment-ks-zero": (
+        lambda d: run_experiment("eknn-sweep", {"ks": [0], "n_per_class": 5}), ParameterError,
+        "experiment parameter 'ks' must be at least 1, got 0", None),
     # genrand
     "gen-kind": (lambda d: GenSpec(F3, kind="dirichlet"), ParameterError,
                  "unknown generator kind 'dirichlet'", None),
